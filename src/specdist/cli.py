@@ -153,6 +153,7 @@ def _cmd_dist(args) -> int:
         report["error"] = str(exc)
         if exc.solution is not None:
             report["value"] = exc.solution.value
+            report["lower_bound"] = exc.solution.lower_bound
             report["upper_bound"] = exc.solution.upper_bound
         partial_exit = EXIT_SOLVER
 

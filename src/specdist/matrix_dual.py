@@ -17,6 +17,7 @@ solver (feasibility by operator norms, value by the trace pairing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible, _readonly
 from .measures import Grid
-from .pdhg import BallProgram, BallSolution, ConvergenceError, SolverOptions, solve_ball_program
+from .pdhg import BallProgram, Certified, ConvergenceError, SolverOptions, solve_ball_program
 
 __all__ = [
     "DualProblem",
@@ -50,8 +51,8 @@ class DualProblem:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
         deltas = linalg.as_hermitian(self.deltas)
         if deltas.shape != (self.grid.size, self.dim, self.dim):
             raise ValueError(f"deltas have shape {deltas.shape}")
@@ -63,7 +64,7 @@ class DualProblem:
 
 
 @dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(Certified):
     """Feasible test function witnessing a lower bound on the supremum."""
 
     test_function: np.ndarray = field(repr=False)   # (K, n, n) Hermitian
@@ -73,8 +74,8 @@ class DualCertificate:
     upper_bound: float
 
     @property
-    def gap(self) -> float:
-        return self.upper_bound - self.value
+    def lower_bound(self) -> float:
+        return self.value
 
 
 def _forward(F: np.ndarray) -> np.ndarray:
@@ -103,9 +104,6 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
     best iterate) if the budget runs out first.
     """
     options = options or SolverOptions()
-    if not problem.deltas.any():
-        zero = np.zeros_like(problem.deltas)
-        return DualCertificate(zero, 0.0, 0.0, 0, 0.0)
     K = problem.grid.size
     program = BallProgram(
         objective=problem.deltas,
@@ -115,18 +113,9 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
         image_radii=problem.gaps,
         map_norm=DIFFERENCE_MAP_NORM,
     )
-    solution = solve_ball_program(program, options)
-    return _certificate(solution)
-
-
-def _certificate(solution: BallSolution) -> DualCertificate:
-    return DualCertificate(
-        test_function=solution.witness,
-        value=solution.value,
-        feasibility_residual=solution.feasibility_residual,
-        iterations=solution.iterations,
-        upper_bound=solution.upper_bound,
-    )
+    ball = solve_ball_program(program, options)
+    return DualCertificate(ball.witness, ball.value, ball.feasibility_residual, ball.iterations,
+                           ball.upper_bound)
 
 
 def dw1_kappa(

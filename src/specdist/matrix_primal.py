@@ -26,6 +26,7 @@ maintained test function gives a true lower bound through the dual program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible
 from .matrix_dual import DualCertificate, assemble_dual, solve_dual
-from .pdhg import ConvergenceError, SolverOptions
+from .pdhg import Certified, SolverOptions, pdhg
 
 __all__ = [
     "TransportSolution",
@@ -45,7 +46,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TransportSolution:
+class TransportSolution(Certified):
     """Transport plan, denoised marginals and objective decomposition."""
 
     plan: np.ndarray = field(repr=False)       # (K, K, n, n), Hermitian blocks
@@ -57,18 +58,25 @@ class TransportSolution:
     iterations: int
 
     @property
-    def gap(self) -> float:
-        return self.objective - self.lower_bound
+    def value(self) -> float:
+        return self.objective
+
+    @property
+    def upper_bound(self) -> float:
+        return self.objective
 
 
-def _plan_marginals(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return P.sum(axis=1), P.sum(axis=0)
+def _plan_marginals(P: np.ndarray) -> np.ndarray:
+    return np.stack([P.sum(axis=1), P.sum(axis=0)])
+
+
+def _marginal_adjoint(Y: np.ndarray) -> np.ndarray:
+    return Y[0][:, None] + Y[1][None, :]
 
 
 def _psd_repair(P: np.ndarray) -> np.ndarray:
     """Add PSD corrections on the (cost-free) diagonal so marginals are PSD."""
-    rows, cols = _plan_marginals(P)
-    X = linalg.positive_part(-rows) + linalg.positive_part(-cols)
+    X = linalg.positive_part(-_plan_marginals(P)).sum(axis=0)
     if not X.any():
         return P
     out = P.copy()
@@ -117,122 +125,69 @@ def solve_unbalanced_primal(
     budget runs out first.
     """
     _check_compatible(mu1, mu2)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     options = options or SolverOptions()
     if np.array_equal(mu1.masses, mu2.masses):
         return _exact_match_solution(mu1, mu2)
 
-    M1, M2 = mu1.masses, mu2.masses
-    K, n = M1.shape[0], M1.shape[-1]
+    M = np.stack([mu1.masses, mu2.masses])
+    K = M.shape[1]
     gaps = mu1.grid.spacings
     D = mu1.grid.distance_matrix()
-    delta = M1 - M2
+    delta = M[0] - M[1]
+    hint = lower_hint if lower_hint is not None else 0.0
 
-    # image blocks: (rows, cols) against the TV penalties plus a second
-    # (rows, cols) pair against the PSD cone indicators, so ||A||^2 <= 4K
-    step = 0.999 / np.sqrt(4.0 * K)
-    tau = options.primal_step or step
-    sigma = options.dual_step or step
-    gap_tol = options.gap_target
-    trivial = kappa * float(
-        linalg.hermitian_nuclear_norms(M1).sum() + linalg.hermitian_nuclear_norms(M2).sum()
-    )
-    floor = 0.01 * trivial
+    def decompose(P) -> tuple[float, float]:
+        cost = float((D * linalg.hermitian_nuclear_norms(P)).sum())
+        return cost, float(linalg.hermitian_nuclear_norms(M - _plan_marginals(P)).sum())
 
-    P = np.zeros((K, K, n, n), dtype=complex)
-    Pbar = P.copy()
-    yr = np.zeros((K, n, n), dtype=complex)   # TV penalty duals
-    yc = np.zeros((K, n, n), dtype=complex)
-    zr = np.zeros((K, n, n), dtype=complex)   # PSD cone duals
-    zc = np.zeros((K, n, n), dtype=complex)
-
-    best_obj = trivial
-    best_plan = _psd_repair(P)
-    best_lower = lower_hint if lower_hint is not None else 0.0
-
-    def evaluate(it: int) -> TransportSolution | None:
-        nonlocal best_obj, best_plan, best_lower
+    def certify(P, Y):
+        # the hint joins every point's lower bound, so with a near-optimal
+        # hint the driver's restarts judge points by their objective alone
         repaired = _psd_repair(P)
-        rows, cols = _plan_marginals(repaired)
-        cost = float((D * linalg.hermitian_nuclear_norms(repaired)).sum())
-        tv_pen = float(
-            linalg.hermitian_nuclear_norms(M1 - rows).sum()
-            + linalg.hermitian_nuclear_norms(M2 - cols).sum()
-        )
-        obj = cost + kappa * tv_pen
-        if obj < best_obj:
-            best_obj = obj
-            best_plan = repaired
-        F = _scaled_test_function(0.5 * ((yc + zc) - (yr + zr)), gaps, kappa)
-        best_lower = max(best_lower, linalg.trace_pairing(F, delta))
-        if best_obj - best_lower <= gap_tol * max(abs(best_obj), abs(best_lower), floor):
-            return _package(best_plan, mu1, mu2, D, kappa, best_lower, it)
-        return None
+        cost, tv_pen = decompose(repaired)
+        S = Y.sum(axis=0)
+        F = _scaled_test_function(0.5 * (S[1] - S[0]), gaps, kappa)
+        return max(hint, linalg.trace_pairing(F, delta)), None, cost + kappa * tv_pen, repaired
 
-    for it in range(1, options.max_iterations + 1):
-        rows_bar = Pbar.sum(axis=1)
-        cols_bar = Pbar.sum(axis=0)
-        wr = yr + sigma * rows_bar
-        wc = yc + sigma * cols_bar
-        yr = wr - sigma * (M1 - linalg.soft_threshold_eigenvalues(M1 - wr / sigma, kappa / sigma))
-        yc = wc - sigma * (M2 - linalg.soft_threshold_eigenvalues(M2 - wc / sigma, kappa / sigma))
-        # conjugate prox of the PSD indicator: subtract the positive part
-        ur = zr + sigma * rows_bar
-        uc = zc + sigma * cols_bar
-        zr = ur - linalg.positive_part(ur)
-        zc = uc - linalg.positive_part(uc)
-        G = P - tau * ((yr + zr)[:, None] + (yc + zc)[None, :])
-        P_new = linalg.soft_threshold_eigenvalues(G, tau * D)
-        Pbar = 2.0 * P_new - P
-        P = P_new
-        if it % options.check_every == 0:
-            done = evaluate(it)
-            if done is not None:
-                return done
+    def package(lower, _, upper, plan, iterations) -> TransportSolution:
+        cost, tv_pen = decompose(plan)
+        hats = tuple(MatrixMeasure(mu.grid, m) for mu, m in zip((mu1, mu2), _plan_marginals(plan)))
+        return TransportSolution(plan, hats, cost, tv_pen, cost + kappa * tv_pen, lower, iterations)
 
-    done = evaluate(options.max_iterations)
-    if done is not None:
-        return done
-    best = _package(best_plan, mu1, mu2, D, kappa, best_lower, options.max_iterations)
-    raise ConvergenceError(
-        f"no certificate at relative gap {gap_tol:.1e} within "
-        f"{options.max_iterations} iterations (primal {best.objective:.6g}, "
-        f"lower bound {best.lower_bound:.6g})",
-        best,
+    def prox_dual(W, sigma):
+        # W[0]: (rows, cols) duals of the TV penalties; W[1]: of the PSD cones,
+        # whose conjugate prox subtracts the positive part
+        out = np.empty_like(W)
+        out[0] = W[0] - sigma * (M - linalg.soft_threshold_eigenvalues(M - W[0] / sigma,
+                                                                       kappa / sigma))
+        out[1] = W[1] - linalg.positive_part(W[1])
+        return out
+
+    # both dual pairs see the same (rows, cols) image, so ||A||^2 <= 2 * 2K
+    return pdhg(
+        np.zeros((K,) + M.shape[1:], dtype=complex),
+        np.zeros((2,) + M.shape, dtype=complex),
+        _plan_marginals,
+        lambda Y: _marginal_adjoint(Y.sum(axis=0)),
+        lambda G, tau: linalg.soft_threshold_eigenvalues(G, tau * D),
+        prox_dual,
+        math.sqrt(4.0 * K),
+        certify,
+        package,
+        options,
     )
 
 
-def _package(plan, mu1, mu2, D, kappa, lower, iterations) -> TransportSolution:
-    rows, cols = _plan_marginals(plan)
-    cost = float((D * linalg.hermitian_nuclear_norms(plan)).sum())
-    mu1_hat = MatrixMeasure(mu1.grid, rows)
-    mu2_hat = MatrixMeasure(mu2.grid, cols)
-    tv_pen = float(
-        linalg.hermitian_nuclear_norms(mu1.masses - mu1_hat.masses).sum()
-        + linalg.hermitian_nuclear_norms(mu2.masses - mu2_hat.masses).sum()
-    )
-    return TransportSolution(
-        plan=plan,
-        denoised_marginals=(mu1_hat, mu2_hat),
-        transport_cost=cost,
-        tv_penalty=tv_pen,
-        objective=cost + kappa * tv_pen,
-        lower_bound=lower,
-        iterations=iterations,
-    )
-
-
-def _corner_repair(P: np.ndarray, M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
+def _corner_repair(P: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Route marginal mismatches through row/column 0 to restore feasibility.
 
     Row deficits move into column 0, column deficits into row 0, and the
     (0, 0) block balances the books.  Exact up to the (preconditioned)
     total-mass mismatch, which lands in the cost-free (0, 0) block.
     """
-    rows, cols = _plan_marginals(P)
-    dr = M1 - rows
-    dc = M2 - cols
+    dr, dc = M - _plan_marginals(P)
     out = P.copy()
     out[1:, 0] += dr[1:]
     out[0, 1:] += dc[1:]
@@ -253,70 +208,43 @@ def w1_matrix_balanced(
     """
     _check_compatible(mu1, mu2)
     options = options or SolverOptions()
-    M1, M2 = mu1.masses, mu2.masses
-    t1 = M1.sum(axis=0)
-    t2 = M2.sum(axis=0)
+    M = np.stack([mu1.masses, mu2.masses])
+    t1, t2 = M.sum(axis=1)
     scale = max(1.0, float(linalg.hermitian_op_norms(t1[None])[0]))
     if float(linalg.hermitian_op_norms((t1 - t2)[None])[0]) > 1e-8 * scale:
         raise ValueError(
             "total matricial masses differ; the balanced distance is undefined "
             "(use solve_unbalanced_primal)"
         )
-    if np.array_equal(M1, M2):
+    if np.array_equal(M[0], M[1]):
         return 0.0
 
-    K, n = M1.shape[0], M1.shape[-1]
+    K = M.shape[1]
     gaps = mu1.grid.spacings
     D = mu1.grid.distance_matrix()
-    delta = M1 - M2
+    delta = M[0] - M[1]
 
-    step = 0.999 / np.sqrt(2.0 * K)
-    tau = options.primal_step or step
-    sigma = options.dual_step or step
-    gap_tol = options.gap_target
+    def certify(P, Y):
+        repaired = _corner_repair(P, M)
+        F = _scaled_test_function(0.5 * (Y[1] - Y[0]), gaps, kappa=None)
+        cost = float((D * linalg.hermitian_nuclear_norms(repaired)).sum())
+        return linalg.trace_pairing(F, delta), None, cost, repaired
 
-    P = np.zeros((K, K, n, n), dtype=complex)
-    Pbar = P.copy()
-    yr = np.zeros((K, n, n), dtype=complex)
-    yc = np.zeros((K, n, n), dtype=complex)
+    def package(lower, _, upper, plan, iterations) -> TransportSolution:
+        return TransportSolution(plan, (mu1, mu2), upper, 0.0, upper, lower, iterations)
 
-    feasible0 = _corner_repair(P, M1, M2)
-    best_obj = float((D * linalg.hermitian_nuclear_norms(feasible0)).sum())
-    floor = 0.01 * max(best_obj, 1e-300)
-    best_lower = 0.0
-
-    def evaluate() -> float | None:
-        nonlocal best_obj, best_lower
-        repaired = _corner_repair(P, M1, M2)
-        obj = float((D * linalg.hermitian_nuclear_norms(repaired)).sum())
-        best_obj = min(best_obj, obj)
-        F = _scaled_test_function(0.5 * (yc - yr), gaps, kappa=None)
-        best_lower = max(best_lower, linalg.trace_pairing(F, delta))
-        if best_obj - best_lower <= gap_tol * max(abs(best_obj), abs(best_lower), floor):
-            return best_obj
-        return None
-
-    for it in range(1, options.max_iterations + 1):
-        yr = yr + sigma * (Pbar.sum(axis=1) - M1)
-        yc = yc + sigma * (Pbar.sum(axis=0) - M2)
-        G = P - tau * (yr[:, None] + yc[None, :])
-        P_new = linalg.soft_threshold_eigenvalues(G, tau * D)
-        Pbar = 2.0 * P_new - P
-        P = P_new
-        if it % options.check_every == 0:
-            value = evaluate()
-            if value is not None:
-                return value
-
-    value = evaluate()
-    if value is not None:
-        return value
-    raise ConvergenceError(
-        f"balanced transport not certified at relative gap {gap_tol:.1e} within "
-        f"{options.max_iterations} iterations "
-        f"(objective {best_obj:.6g}, lower bound {best_lower:.6g})",
-        None,
-    )
+    return pdhg(
+        np.zeros((K,) + M.shape[1:], dtype=complex),
+        np.zeros(M.shape, dtype=complex),
+        _plan_marginals,
+        _marginal_adjoint,
+        lambda G, tau: linalg.soft_threshold_eigenvalues(G, tau * D),
+        lambda W, sigma: W - sigma * M,
+        math.sqrt(2.0 * K),
+        certify,
+        package,
+        options,
+    ).objective
 
 
 @dataclass(frozen=True)

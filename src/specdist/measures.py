@@ -102,6 +102,8 @@ class MatrixMeasure:
             raise ValueError(
                 f"got {masses.shape[0]} masses for a grid of {self.grid.size} points"
             )
+        if not np.isfinite(masses).all():
+            raise ValueError("masses must be finite")
         masses = linalg.as_hermitian(masses)
         floors = -PSD_TOL * np.maximum(1.0, linalg.hermitian_op_norms(masses))
         min_eigs = linalg.min_eigenvalues(masses)

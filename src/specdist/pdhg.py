@@ -1,4 +1,4 @@
-"""First-order projection solver for ball-constrained linear maximization.
+"""First-order primal-dual solver with certified stopping.
 
 The dual metric programs in this package all share one shape:
 
@@ -9,8 +9,8 @@ The dual metric programs in this package all share one shape:
 over stacked Hermitian blocks ``F``, where ``L`` is a linear map into
 Hermitian blocks (adjacent differences for the Wasserstein dual, commutators
 for the spectral distance).  Both constraint families admit exact projections
-by eigenvalue clipping, so a primal-dual hybrid-gradient iteration applies
-directly.
+by eigenvalue clipping, so a primal-dual hybrid-gradient (PDHG) iteration
+applies directly.
 
 Every solve is certified from both sides without trusting the iteration:
 
@@ -23,16 +23,39 @@ Every solve is certified from both sides without trusting the iteration:
 The iteration stops when the certified relative gap reaches the requested
 tolerance, which makes the reported value trustworthy independent of step
 sizes and iteration counts.
+
+:func:`pdhg` is the one PDHG driver of the package; the ball programs here
+and the transport programs of :mod:`specdist.matrix_primal` supply their
+proximal maps, their linear map and a ``certify`` hook that turns any
+primal-dual pair into certified bounds.  The driver follows PDLP (Applegate
+et al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):
+
+* steps ``tau = 0.999 omega / ||L||`` and ``sigma = 0.999 / (omega ||L||)``,
+  so ``tau sigma ||L||^2 < 1`` for every primal weight ``omega``;
+* at every check point both the current iterate and the running average
+  since the last restart are certified, and either may improve the best
+  bounds;
+* the iteration restarts from the one with the smaller relative gap once
+  that gap falls to 0.2 times its value at the last restart, or once the
+  iterations since the last restart reach 0.36 times all iterations so far;
+* at each restart ``omega`` moves halfway, in the log, toward the ratio of
+  the primal to the dual move since the last restart, unless either move is
+  negligible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import linalg
+
+RESTART_SUFFICIENT = 0.2    # restart once the gap falls to this share of its last-restart value
+RESTART_ARTIFICIAL = 0.36   # ... or once the current run is this share of all iterations
+WEIGHT_SMOOTHING = 0.5      # weight of the newest move ratio in log(omega)
 
 
 @dataclass(frozen=True)
@@ -41,23 +64,24 @@ class SolverOptions:
 
     ``tolerance`` bounds the certified relative duality gap at which a solve
     is declared converged.  ``gap_tolerance`` overrides it when a looser
-    certification is acceptable (e.g. benchmark reproduction at 1e-3).  Step
-    sizes default to 0.999 / ||L|| each, keeping tau * sigma * ||L||^2 < 1.
+    certification is acceptable (e.g. benchmark reproduction at 1e-3).
+    ``check_every`` is the number of iterations between certifications, which
+    are also the only points where the driver may restart.  Step sizes are not
+    options: the driver derives them from ``||L||`` and its adaptive primal
+    weight (see the module docstring).
     """
 
     max_iterations: int = 200_000
     tolerance: float = 1e-6
     gap_tolerance: float | None = None
-    primal_step: float | None = None
-    dual_step: float | None = None
     check_every: int = 50
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.tolerance <= 0 or self.check_every <= 0:
+        if self.max_iterations <= 0 or self.check_every <= 0:
             raise ValueError("solver options must be positive")
-        for step in (self.gap_tolerance, self.primal_step, self.dual_step):
-            if step is not None and step <= 0:
-                raise ValueError("solver options must be positive")
+        for tol in (self.tolerance, self.gap_tolerance):
+            if tol is not None and not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"solver tolerances must be finite and positive, got {tol}")
 
     @property
     def gap_target(self) -> float:
@@ -67,14 +91,25 @@ class SolverOptions:
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before certification.
 
-    ``solution`` holds the best certified result available at abort; its type
-    depends on the solver that raised (ball-program solution, transport
-    solution, or None when no useful iterate exists).
+    ``solution`` holds the best certified result available at abort (see
+    :class:`Certified`), or None when no useful iterate exists.
     """
 
     def __init__(self, message: str, solution=None):
         super().__init__(message)
         self.solution = solution
+
+
+class Certified:
+    """Result protocol of every certified solve.
+
+    ``value`` is the reported value, ``lower_bound <= optimum <= upper_bound``
+    bracket the optimum and ``iterations`` counts the iterations spent.
+    """
+
+    @property
+    def gap(self) -> float:
+        return self.upper_bound - self.lower_bound
 
 
 @dataclass(frozen=True)
@@ -90,7 +125,7 @@ class BallProgram:
 
 
 @dataclass(frozen=True)
-class BallSolution:
+class BallSolution(Certified):
     witness: np.ndarray            # feasible blocks achieving ``value``
     value: float                   # tr pairing of witness with the objective
     upper_bound: float             # certified bound on the true supremum
@@ -98,24 +133,106 @@ class BallSolution:
     iterations: int
 
     @property
-    def gap(self) -> float:
-        return self.upper_bound - self.value
+    def lower_bound(self) -> float:
+        return self.value
+
+
+def _move(new: np.ndarray, old: np.ndarray) -> float:
+    """Norm of ``new - old``; 0 when negligible against the iterates themselves."""
+    moved = float(np.linalg.norm(new - old))
+    return moved if moved > 1e-10 * max(np.linalg.norm(new), np.linalg.norm(old)) else 0.0
+
+
+def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, package,
+         options: SolverOptions):
+    """Run PDHG from ``(x, y)`` until the best certified bounds meet the gap target.
+
+    One iteration is ``y <- prox_dual(y + sigma L xbar, sigma)``,
+    ``x <- prox_primal(x - tau L* y, tau)``, ``xbar <- 2 x_new - x_old``.
+    ``certify(x, y)`` returns ``(lower, lower_witness, upper, upper_witness)``,
+    certified bounds on the optimum with whatever the caller needs to report
+    them; the driver keeps the best of each.  ``package(lower, lower_witness,
+    upper, upper_witness, iterations)`` builds the caller's result, returned on
+    certification and carried by :class:`ConvergenceError` otherwise.  The
+    relative gap is taken against at least 1% of the larger bound at the
+    starting point.
+    """
+    best = list(certify(x, y))   # (lower, its witness, upper, its witness) so far
+    floor = 0.01 * max(abs(best[0]), abs(best[2]))
+
+    def relative(lower, upper) -> float:
+        return (upper - lower) / max(abs(upper), abs(lower), floor)
+
+    def check(xp, yp) -> float:
+        lower, lower_witness, upper, upper_witness = certify(xp, yp)
+        if lower > best[0]:
+            best[0:2] = lower, lower_witness
+        if upper < best[2]:
+            best[2:4] = upper, upper_witness
+        return relative(lower, upper)
+
+    def certified() -> bool:
+        lower, upper = best[0], best[2]
+        return upper - lower <= options.gap_target * max(abs(upper), abs(lower), floor)
+
+    if certified():
+        return package(*best, 0)
+    restart_gap = relative(best[0], best[2])
+
+    def steps(omega):
+        return 0.999 * omega / map_norm, 0.999 / (omega * map_norm)
+
+    omega = 1.0
+    tau, sigma = steps(omega)
+    x_sum, y_sum = np.zeros_like(x), np.zeros_like(y)
+    x_start, y_start, xbar, run = x, y, x, 0
+    for it in range(1, options.max_iterations + 1):
+        y = prox_dual(y + sigma * forward(xbar), sigma)
+        x_new = prox_primal(x - tau * adjoint(y), tau)
+        xbar = 2.0 * x_new - x
+        x = x_new
+        x_sum += x
+        y_sum += y
+        run += 1
+        if it % options.check_every and it < options.max_iterations:
+            continue
+        gap = check(x, y)
+        x_avg, y_avg = x_sum / run, y_sum / run
+        gap_avg = check(x_avg, y_avg)
+        if certified():
+            return package(*best, it)
+        if min(gap, gap_avg) > RESTART_SUFFICIENT * restart_gap and run < RESTART_ARTIFICIAL * it:
+            continue
+        if gap_avg < gap:
+            x, y, gap = x_avg, y_avg, gap_avg
+        moved_x, moved_y = _move(x, x_start), _move(y, y_start)
+        if moved_x > 0 and moved_y > 0 and math.isfinite(moved_x / moved_y):
+            omega = math.exp(WEIGHT_SMOOTHING * math.log(moved_x / moved_y)
+                             + (1 - WEIGHT_SMOOTHING) * math.log(omega))
+            tau, sigma = steps(omega)
+        x_start, y_start, xbar, run, restart_gap = x, y, x, 0, gap
+        x_sum[...] = 0.0
+        y_sum[...] = 0.0
+
+    raise ConvergenceError(
+        f"no certificate at relative gap {options.gap_target:.1e} within "
+        f"{options.max_iterations} iterations (bounds [{best[0]:.6g}, {best[2]:.6g}], "
+        f"reached {relative(best[0], best[2]):.2e})",
+        package(*best, options.max_iterations),
+    )
 
 
 def _feasibility_scale(F, LF, ball_radii, image_radii) -> float:
     """Smallest s >= 1 such that F / s satisfies every ball constraint."""
-    s = float((linalg.hermitian_op_norms(F) / ball_radii).max(initial=0.0))
-    if LF.shape[0]:
-        s = max(s, float((linalg.hermitian_op_norms(LF) / image_radii).max()))
-    return max(1.0, s)
+    s = max((linalg.hermitian_op_norms(F) / ball_radii).max(),
+            (linalg.hermitian_op_norms(LF) / image_radii).max())
+    return max(1.0, float(s))
 
 
 def _upper_bound(program: BallProgram, Y: np.ndarray) -> float:
-    slack = program.objective - (program.adjoint(Y) if Y.shape[0] else 0.0)
-    bound = float((program.ball_radii * linalg.hermitian_nuclear_norms(slack)).sum())
-    if Y.shape[0]:
-        bound += float((program.image_radii * linalg.hermitian_nuclear_norms(Y)).sum())
-    return bound
+    slack = program.objective - program.adjoint(Y)
+    return float((program.ball_radii * linalg.hermitian_nuclear_norms(slack)).sum()
+                 + (program.image_radii * linalg.hermitian_nuclear_norms(Y)).sum())
 
 
 def _residual(F, LF, ball_radii, image_radii) -> float:
@@ -131,11 +248,6 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> BallSolu
     r = np.asarray(program.image_radii, dtype=float)
     E = r.shape[0]
 
-    trivial = float((rho * linalg.hermitian_nuclear_norms(C)).sum())
-    if trivial == 0.0:
-        zero = np.zeros_like(C)
-        return BallSolution(zero, 0.0, 0.0, 0.0, 0)
-
     if E == 0:
         # no image constraints: the dual-norm pairing is attained in closed
         # form by the spectral sign of each objective block
@@ -144,61 +256,23 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> BallSolu
         res = _residual(F, program.forward(F), rho, r)
         return BallSolution(F, value, value, res, 0)
 
-    tau = options.primal_step or 0.999 / program.map_norm
-    sigma = options.dual_step or 0.999 / program.map_norm
-    gap_tol = options.gap_target
-    floor = 0.01 * trivial
+    def certify(F, Y):
+        scale = _feasibility_scale(F, program.forward(F), rho, r)
+        return linalg.trace_pairing(F, C) / scale, F / scale, _upper_bound(program, Y), None
 
-    F = np.zeros_like(C)
-    Fbar = F.copy()
-    Y = np.zeros((E,) + C.shape[1:], dtype=complex)
+    def package(lower, witness, upper, _, iterations) -> BallSolution:
+        res = _residual(witness, program.forward(witness), rho, r)
+        return BallSolution(witness, linalg.trace_pairing(witness, C), upper, res, iterations)
 
-    best_value = 0.0
-    best_witness = F.copy()
-    best_upper = trivial
-
-    def certified(it: int) -> BallSolution | None:
-        nonlocal best_value, best_witness, best_upper
-        LF = program.forward(F)
-        scale = _feasibility_scale(F, LF, rho, r)
-        value = linalg.trace_pairing(F, C) / scale
-        if value > best_value:
-            best_value = value
-            best_witness = F / scale
-        best_upper = min(best_upper, _upper_bound(program, Y))
-        if best_upper - best_value <= gap_tol * max(abs(best_upper), abs(best_value), floor):
-            witness = best_witness
-            res = _residual(witness, program.forward(witness), rho, r)
-            return BallSolution(
-                witness, linalg.trace_pairing(witness, C), best_upper, res, it
-            )
-        return None
-
-    for it in range(1, options.max_iterations + 1):
-        W = Y + sigma * program.forward(Fbar)
-        Y = W - sigma * linalg.clip_eigenvalues(W / sigma, r)
-        F_new = linalg.clip_eigenvalues(F - tau * program.adjoint(Y) + tau * C, rho)
-        Fbar = 2.0 * F_new - F
-        F = F_new
-        if it % options.check_every == 0:
-            done = certified(it)
-            if done is not None:
-                return done
-
-    done = certified(options.max_iterations)
-    if done is not None:
-        return done
-    res = _residual(best_witness, program.forward(best_witness), rho, r)
-    best = BallSolution(
-        best_witness,
-        best_value,
-        best_upper,
-        res,
-        options.max_iterations,
-    )
-    raise ConvergenceError(
-        f"no certificate at relative gap {gap_tol:.1e} within "
-        f"{options.max_iterations} iterations (reached "
-        f"{best.gap / max(abs(best_upper), abs(best_value), floor):.2e})",
-        best,
+    return pdhg(
+        np.zeros_like(C),
+        np.zeros((E,) + C.shape[1:], dtype=complex),
+        program.forward,
+        program.adjoint,
+        lambda V, tau: linalg.clip_eigenvalues(V + tau * C, rho),
+        lambda W, sigma: W - sigma * linalg.clip_eigenvalues(W / sigma, r),
+        program.map_norm,
+        certify,
+        package,
+        options,
     )

@@ -96,6 +96,25 @@ class TestDist:
         assert doc["converged"] is False
         assert "value" in doc and "upper_bound" in doc
 
+    def test_stalled_gap_audit_exits_3_with_partial(self, tmp_path, capsys):
+        # a budget that certifies both dual solves but not the transport primal
+        from specdist import SolverOptions, assemble_dual, solve_dual
+
+        assert main(["gen-spectra", "--out", str(tmp_path), "--grid-points", "6"]) == 0
+        mu0, mu2 = load_measure(tmp_path / "f0.json"), load_measure(tmp_path / "f2.json")
+        halved = SolverOptions(tolerance=1e-3, gap_tolerance=5e-4)
+        budget = solve_dual(assemble_dual(mu0, mu2, 1.0), halved).iterations
+        code = main(
+            ["dist", "--metric", "matrix-w1k", "--gap-audit", "--tol", "1e-3",
+             "--max-iter", str(budget), "--format", "structured",
+             str(tmp_path / "f0.json"), str(tmp_path / "f2.json")]
+        )
+        assert code == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is False
+        assert "gap_audit" not in doc
+        assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
+
     def test_csv_format(self, spectra_dir, capsys):
         code = main(
             ["dist", "--metric", "matrix-tv", "--format", "csv",

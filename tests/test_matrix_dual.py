@@ -18,7 +18,7 @@ from specdist import (
 )
 from specdist.measures import Grid
 
-from conftest import random_grid, random_matrix_measure, random_psd
+from conftest import random_grid, random_matrix_measure, random_psd, random_scalar_measure
 
 TIGHT = SolverOptions(tolerance=1e-7)
 DEFAULT = SolverOptions(tolerance=1e-6)
@@ -51,6 +51,13 @@ class TestAssemble:
         mu = random_matrix_measure(rng, random_grid(rng, 3), 2)
         with pytest.raises(ValueError, match="kappa"):
             assemble_dual(mu, mu, -1.0)
+
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan])
+    def test_rejects_nonfinite_kappa(self, kappa):
+        from specdist import benchmark_measure
+
+        with pytest.raises(ValueError, match="kappa"):
+            dw1_kappa(benchmark_measure(0), benchmark_measure(1), kappa)
 
     def test_grid_mismatch(self, rng):
         mu1 = random_matrix_measure(rng, random_grid(rng, 4), 2)
@@ -193,3 +200,47 @@ class TestDw1Kappa:
             dbc = dw1_kappa(b, c, 1.0, DEFAULT)
             dac = dw1_kappa(a, c, 1.0, DEFAULT)
             assert dac <= dab + dbc + 3e-6
+
+
+@pytest.fixture(scope="module")
+def paper_certificates():
+    from specdist import benchmark_measure
+
+    measures = [benchmark_measure(i) for i in range(3)]
+    return {
+        (i, j): solve_dual(assemble_dual(measures[i], measures[j], 1.0), DEFAULT)
+        for i, j in ((0, 1), (1, 2), (0, 2))
+    }
+
+
+class TestIterationCounts:
+    """Deterministic iterations to the certified gap (the driver's restarts)."""
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+    def test_paper_pairs_certify_at_1e6(self, paper_certificates, pair):
+        cert = paper_certificates[pair]
+        assert cert.iterations <= 10_000
+        assert cert.gap <= 1e-6 * cert.upper_bound
+
+    def test_f1_f2_value(self, paper_certificates):
+        # the certified bracket meets the numbers that round to 1.4695
+        cert = paper_certificates[(1, 2)]
+        assert cert.value <= 1.46955 and cert.upper_bound >= 1.46945
+
+    def test_f0_f2_below_kappa_tv(self, paper_certificates):
+        from specdist import benchmark_measure
+
+        cert = paper_certificates[(0, 2)]
+        assert cert.value <= 1.0 * tv_matrix(benchmark_measure(0), benchmark_measure(2))
+
+    def test_scalar_pair_restarts_to_average(self):
+        # the fixed-step iteration needs 13,200 iterations on this pair and
+        # restarts to the current iterate alone 11,300; restarting to the
+        # running average when its gap is smaller needs 2,200
+        rng = np.random.default_rng(0)
+        grid = random_grid(rng, 64)
+        mu1, mu2 = random_scalar_measure(rng, grid), random_scalar_measure(rng, grid)
+        cert = solve_dual(assemble_dual(mu1, mu2, 1.0), DEFAULT)
+        assert cert.iterations <= 4_000
+        exact = w1_kappa_scalar(mu1, mu2, 1.0)
+        assert cert.value - 1e-9 <= exact <= cert.upper_bound + 1e-9

@@ -68,6 +68,13 @@ class TestMatrixMeasure:
         with pytest.raises(ValueError, match="theta=1"):
             MatrixMeasure(grid, masses)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_mass(self, bad):
+        grid = make_uniform_grid(2, 0.0, 1.0)
+        masses = np.array([np.eye(2), np.diag([1.0, bad])], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            MatrixMeasure(grid, masses)
+
     def test_mass_count_must_match_grid(self):
         grid = make_uniform_grid(3, 0.0, 1.0)
         with pytest.raises(ValueError, match="grid"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,12 +37,20 @@ class TestSolverOptions:
             {"tolerance": 0.0},
             {"check_every": 0},
             {"gap_tolerance": -1.0},
-            {"primal_step": 0.0},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
+            {"gap_tolerance": math.nan},
+            {"gap_tolerance": math.inf},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+
+    @pytest.mark.parametrize("name", ["primal_step", "dual_step"])
+    def test_step_sizes_are_not_options(self, name):
+        with pytest.raises(TypeError):
+            SolverOptions(**{name: 0.5})
 
 
 class TestUnconstrainedImage:
