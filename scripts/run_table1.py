@@ -37,6 +37,9 @@ def main():
     print(report.human_table())
     print(f"\ncomputed in {elapsed:.0f}s; gap-audited at {args.gap_tol:g}")
     for cell in report.row("w1k"):
+        if not cell.converged:
+            print(f"  w1k {cell.pair}: {cell.note}, iterations {cell.iterations}")
+            continue
         print(
             f"  w1k {cell.pair}: value {cell.value:.5f}, primal {cell.primal_value:.5f}, "
             f"relative gap {cell.relative_gap:.2e}, iterations {cell.iterations}"
@@ -54,6 +57,7 @@ def main():
             "relative_gap": c.relative_gap,
             "flagged": c.flagged,
             "note": c.note,
+            "converged": c.converged,
         }
         for c in report.cells
     ]

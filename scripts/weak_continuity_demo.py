@@ -54,7 +54,7 @@ def unboundedness_experiment():
     print(f"terminal slope {probe.final_slope:.4f} "
           f"(2 |q1 - q2| = {2 * 0.3:.4f})")
     flag = connes_distance(rho1, rho2, dirac, math.inf)
-    print(f"kappa=inf probe reports: {flag}")
+    print(f"kappa=inf (commutant test) reports: {flag}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,14 @@ study.
 
 __version__ = "0.1.0"
 
-from .connes import DiracSet, State, UnboundednessProbe, connes_distance, unboundedness_probe
+from .connes import (
+    DiracSet,
+    State,
+    UnboundednessProbe,
+    connes_distance,
+    sufficient_kappa,
+    unboundedness_probe,
+)
 from .linalg import (
     as_hermitian,
     commutator,
@@ -53,6 +60,7 @@ from .scalar_metrics import (
     kolmogorov,
     tv_scalar,
     w1_balanced,
+    w1_kappa_chain,
     w1_kappa_scalar,
     w1_kappa_scalar_all_pairs,
 )

@@ -7,8 +7,16 @@ the distance is
 
 over Hermitian f.  The commutator plays the role of a derivative; without
 the ``kappa`` bound the supremum can genuinely diverge (already for 2x2
-states differing in their off-diagonal entries), so the unbounded case is
-detected by a doubling probe rather than solved directly.
+states differing in their off-diagonal entries).  The commutant decides it:
+with the commutator superoperator ``A f = ([D_1, f], ..., [D_M, f])``, the
+supremum is infinite exactly when ``sigma = rho1 - rho2`` pairs nonzero with
+the null space of ``A`` (matrices commuting with every D_i, the identity
+among them).  Otherwise every feasible f may be projected onto the
+orthogonal complement of that null space without changing its commutators
+or its pairing with sigma, and there ``||f|| <= ||f||_F <= ||A f|| / s_min
+<= sqrt(M n) / s_min``, with ``s_min`` the smallest nonzero singular value
+of ``A``.  So the unbounded distance is the bounded one at that kappa,
+solved and certified like any other.
 
 The constraint images are anti-Hermitian; multiplying by -i makes them
 Hermitian with the same operator norm, which puts the problem in the shape
@@ -24,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .measures import _readonly
-from .pdhg import BallProgram, ConvergenceError, SolverOptions, solve_ball_program
+from .pdhg import BallProgram, SolverOptions, solve_ball_program
 
 __all__ = [
     "State",
@@ -32,12 +40,19 @@ __all__ = [
     "UnboundednessProbe",
     "connes_distance",
     "connes_witness",
+    "sufficient_kappa",
     "unboundedness_probe",
 ]
 
 STATE_TRACE_TOL = 1e-10
+# singular values of the commutator superoperator at most this share of the
+# largest count as zero (all of them when every D_i is a multiple of the
+# identity), and sigma pairs with the commutant when its projection onto
+# that null space exceeds this share of its Frobenius norm
+COMMUTANT_RTOL = 1e-9
+# a kappa = inf distance above this (reachable only through a tiny s_min)
+# is reported as unbounded
 UNBOUNDED_CAP = 1e6
-STABILIZE_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -88,8 +103,7 @@ class DiracSet:
 
 def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> BallProgram:
     # normalize the test function to the unit ball (f = kappa * f'); the
-    # iteration then behaves identically for every kappa, which matters for
-    # the doubling probe where kappa can grow past 1e6
+    # iteration then behaves identically for every kappa, however large
     ops = diracs.operators
 
     def forward(F: np.ndarray) -> np.ndarray:
@@ -141,10 +155,7 @@ def connes_witness(
     ``kappa``, every commutator norm at most 1, and the trace pairing with
     the state difference reproduces the value.
     """
-    if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
-        raise ValueError(
-            f"dimension mismatch: states {rho1.dim}, {rho2.dim}, diracs {diracs.dim}"
-        )
+    _check_dims(rho1, rho2, diracs)
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"witness extraction needs finite positive kappa, got {kappa}")
     options = options or SolverOptions()
@@ -152,6 +163,35 @@ def connes_witness(
     if not sigma.any():
         return 0.0, np.zeros_like(sigma)
     return _solve_finite(sigma, diracs, kappa, options)
+
+
+def _check_dims(rho1: State, rho2: State, diracs: DiracSet):
+    if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
+        raise ValueError(
+            f"dimension mismatch: states {rho1.dim}, {rho2.dim}, diracs {diracs.dim}"
+        )
+
+
+def sufficient_kappa(rho1: State, rho2: State, diracs: DiracSet) -> float:
+    """A kappa at which the bounded distance equals the unbounded one.
+
+    ``math.inf`` when the state difference pairs nonzero with the commutant
+    (the unbounded distance is infinite), otherwise ``sqrt(M n) / s_min``
+    (see the module docstring).  One SVD of the ``M n^2 x n^2`` commutator
+    superoperator, no iterative solve.
+    """
+    _check_dims(rho1, rho2, diracs)
+    sigma = rho1.matrix - rho2.matrix
+    n = diracs.dim
+    eye = np.eye(n)
+    # row-major vec: vec(D f - f D) = (D (x) I - I (x) D^T) vec(f)
+    A = np.concatenate([np.kron(D, eye) - np.kron(eye, D.T) for D in diracs.operators])
+    _, s, vh = np.linalg.svd(A)
+    null = s <= COMMUTANT_RTOL * s[0]
+    if np.linalg.norm(vh[null] @ sigma.ravel()) > COMMUTANT_RTOL * np.linalg.norm(sigma):
+        return math.inf
+    # no nonzero singular value: f orthogonal to the commutant is 0
+    return math.sqrt(diracs.count * n) / float(s[~null].min(initial=math.inf))
 
 
 def connes_distance(
@@ -164,14 +204,11 @@ def connes_distance(
     """Spectral distance between two states; ``math.inf`` flags divergence.
 
     With finite ``kappa`` the bounded variant is solved directly.  With
-    ``kappa = math.inf`` a doubling probe runs until the value stabilizes
-    (relative change below 1e-4, reported as the limit) or exceeds 1e6
-    (reported as unbounded).
+    ``kappa = math.inf`` the commutant decides divergence without a solve;
+    a finite distance is the bounded one at :func:`sufficient_kappa`,
+    certified to the options' gap like every finite-kappa value.
     """
-    if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
-        raise ValueError(
-            f"dimension mismatch: states {rho1.dim}, {rho2.dim}, diracs {diracs.dim}"
-        )
+    _check_dims(rho1, rho2, diracs)
     options = options or SolverOptions()
     sigma = rho1.matrix - rho2.matrix
     if not sigma.any():
@@ -180,22 +217,11 @@ def connes_distance(
         if kappa <= 0:
             raise ValueError(f"kappa must be positive, got {kappa}")
         return _solve_finite(sigma, diracs, kappa, options)[0]
-
-    previous = None
-    k = 1.0
-    for _ in range(64):
-        value = _solve_finite(sigma, diracs, k, options)[0]
-        if value > UNBOUNDED_CAP:
-            return math.inf
-        if previous is not None and abs(value - previous) <= STABILIZE_RTOL * max(
-            abs(value), 1e-300
-        ):
-            return value
-        previous = value
-        k *= 2.0
-    raise ConvergenceError(
-        f"doubling probe neither stabilized nor exceeded {UNBOUNDED_CAP:.0e}", None
-    )
+    kappa = sufficient_kappa(rho1, rho2, diracs)
+    if math.isinf(kappa):
+        return math.inf
+    value = _solve_finite(sigma, diracs, kappa, options)[0]
+    return math.inf if value > UNBOUNDED_CAP else value
 
 
 @dataclass(frozen=True)

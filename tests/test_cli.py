@@ -115,6 +115,32 @@ class TestDist:
         assert "gap_audit" not in doc
         assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
 
+    def test_gap_audit_solves_the_dual_once(self, tmp_path, capsys, monkeypatch):
+        from specdist import cli, matrix_primal
+
+        calls = []
+
+        def counting(solve):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+            return counted
+
+        for module in (cli, matrix_primal):
+            monkeypatch.setattr(module, "solve_dual", counting(module.solve_dual))
+        assert main(["gen-spectra", "--out", str(tmp_path), "--grid-points", "6"]) == 0
+        code = main(
+            ["dist", "--metric", "matrix-w1k", "--gap-audit", "--tol", "1e-3",
+             "--format", "structured", str(tmp_path / "f0.json"), str(tmp_path / "f2.json")]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        # the reported certificate is the audit's own dual, certified to half the gap
+        assert doc["value"] == doc["gap_audit"]["dual"]
+        cert = doc["certificate"]
+        assert cert["upper_bound"] - doc["value"] <= 0.5e-3 * cert["upper_bound"]
+
     def test_csv_format(self, spectra_dir, capsys):
         code = main(
             ["dist", "--metric", "matrix-tv", "--format", "csv",
@@ -184,6 +210,23 @@ class TestTable1Command:
         header = plot[0].split(",")
         assert "f0_12_abs" in header and "f2_12_angle" in header
         assert len(plot) == 37  # header + 36 grid rows
+
+    def test_unconverged_cells_are_written_and_exit_3(self, tmp_path):
+        out = tmp_path / "study"
+        code = main(
+            ["table1", "--grid-points", "6", "--max-iter", "50", "--format", "structured",
+             "--out", str(out)]
+        )
+        assert code == 3
+        doc = json.loads((out / "table1.json").read_text())
+        w1k = [c for c in doc["cells"] if c["metric"] == "w1k"]
+        assert len(w1k) == 3
+        for c in w1k:
+            assert c["converged"] is False
+            assert c["value"] <= c["upper_bound"]
+            assert "not converged" in c["note"]
+        assert all(c["converged"] for c in doc["cells"] if c["metric"] != "w1k")
+        assert len((out / "density_plot_data.csv").read_text().splitlines()) == 7
 
     def test_human_format_to_stdout(self, capsys):
         code = main(["table1", "--no-gap-audit", "--grid-points", "8"])

@@ -12,7 +12,8 @@ from specdist import (
     unboundedness_probe,
     w1_kappa_scalar,
 )
-from specdist.connes import connes_witness
+from specdist import connes
+from specdist.connes import connes_witness, sufficient_kappa
 from specdist.linalg import commutator, op_norm
 from specdist.measures import Grid
 
@@ -164,3 +165,85 @@ class TestScalarReduction:
             lp = w1_kappa_scalar(mu1, mu2, kappa)
             got = connes_distance(rho1, rho2, dirac, kappa, TIGHT)
             assert got == pytest.approx(lp, abs=1e-6)
+
+
+def _count_ball_solves(monkeypatch):
+    calls = []
+    original = connes.solve_ball_program
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(connes, "solve_ball_program", counted)
+    return calls
+
+
+# sigma_x (+) [2]: eigenvalues 1, -1, 2 are distinct, so the commutant is the
+# span of the three eigenprojections, larger than span{I}
+BLOCK = DiracSet(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex))
+
+
+def _diag3(*p):
+    return State(np.diag(p).astype(complex))
+
+
+class TestInfiniteKappa:
+    """kappa = inf: the commutant decides divergence, one bounded solve otherwise."""
+
+    def test_identity_dirac_is_unbounded_without_a_solve(self, monkeypatch):
+        calls = _count_ball_solves(monkeypatch)
+        identity = DiracSet(np.eye(2, dtype=complex))
+        assert sufficient_kappa(_diag_state(1.0), _diag_state(0.0), identity) == math.inf
+        assert connes_distance(_diag_state(1.0), _diag_state(0.0), identity) == math.inf
+        assert calls == []
+        # everything commutes, so equal states need no bound at all
+        assert sufficient_kappa(_diag_state(0.3), _diag_state(0.3), identity) == 0.0
+
+    def test_offdiagonal_difference_is_unbounded_without_a_solve(self, monkeypatch):
+        calls = _count_ball_solves(monkeypatch)
+        rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
+        assert connes_distance(rho1, rho2, SIGMA_X, math.inf) == math.inf
+        assert calls == []
+
+    def test_diagonal_difference_is_one(self, monkeypatch):
+        calls = _count_ball_solves(monkeypatch)
+        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, math.inf, TIGHT)
+        assert got == pytest.approx(1.0, rel=2e-7)
+        assert len(calls) == 2   # one bounded solve, both signs of the objective
+
+    def test_larger_commutant_unbounded(self):
+        # diag(1, 0, -1) pairs with the eigenprojection of the eigenvalue 2
+        rho1, rho2 = _diag3(1.0, 0.0, 0.0), _diag3(0.0, 0.0, 1.0)
+        assert sufficient_kappa(rho1, rho2, BLOCK) == math.inf
+        assert connes_distance(rho1, rho2, BLOCK) == math.inf
+
+    def test_larger_commutant_finite(self):
+        # diag(1, -1, 0) is orthogonal to every eigenprojection; the pinching
+        # to the sigma_x block cannot raise commutator norms, so the value is
+        # the 2x2 one
+        rho1, rho2 = _diag3(1.0, 0.0, 0.0), _diag3(0.0, 1.0, 0.0)
+        assert math.isfinite(sufficient_kappa(rho1, rho2, BLOCK))
+        assert connes_distance(rho1, rho2, BLOCK, math.inf, TIGHT) == pytest.approx(
+            1.0, rel=2e-7
+        )
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 3)])
+    def test_sufficient_kappa_is_sufficient(self, rng, n, m):
+        # the bounded value stops growing at kappa*: 4 kappa* gives the same
+        # value within the certified gaps of the two solves
+        rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
+        ops = DiracSet(np.array([np.diag(rng.normal(size=n)).astype(complex)
+                                 + 0.3 * _hermitian(rng, n) for _ in range(m)]))
+        kappa = sufficient_kappa(rho1, rho2, ops)
+        at_kappa = connes_distance(rho1, rho2, ops, kappa, TIGHT)
+        beyond = connes_distance(rho1, rho2, ops, 4 * kappa, TIGHT)
+        assert connes_distance(rho1, rho2, ops, math.inf, TIGHT) == at_kappa
+        assert abs(beyond - at_kappa) <= 2e-7 * beyond
+        # and the test has teeth: a much smaller bound binds
+        assert connes_distance(rho1, rho2, ops, kappa / 64, TIGHT) < at_kappa
+
+
+def _hermitian(rng, n):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (A + A.conj().T)

@@ -213,6 +213,21 @@ def paper_certificates():
     }
 
 
+class TestScalarOracle:
+    """At n = 1 the dual program is the chain program solved exactly."""
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
+    def test_bracket_contains_chain_value(self, kappa):
+        rng = np.random.default_rng(int(100 * kappa))
+        grid = random_grid(rng, 300)
+        mu1 = random_scalar_measure(rng, grid)
+        mu2 = random_scalar_measure(rng, grid, scale=1.3)
+        cert = solve_dual(assemble_dual(mu1, mu2, kappa), DEFAULT)
+        exact = w1_kappa_scalar(mu1, mu2, kappa)
+        slack = 1e-12 * max(1.0, exact)
+        assert cert.value - slack <= exact <= cert.upper_bound + slack
+
+
 class TestIterationCounts:
     """Deterministic iterations to the certified gap (the driver's restarts)."""
 

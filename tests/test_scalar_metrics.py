@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specdist import (
     cdf_table,
+    lp_simplex,
     kolmogorov,
     make_uniform_grid,
     scalar_measure,
@@ -15,6 +16,7 @@ from specdist import (
     w1_kappa_scalar_all_pairs,
 )
 from specdist.measures import Grid
+from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain
 
 from conftest import random_grid, random_scalar_measure, transport_lp_value
 
@@ -187,3 +189,50 @@ class TestW1KappaScalar:
         mu2 = random_scalar_measure(rng, random_grid(rng, 4))
         with pytest.raises(ValueError, match="grids"):
             w1_kappa_scalar(mu1, mu2, 1.0)
+
+
+class TestChainSolver:
+    """The exact chain solver against the dense simplex on the same program."""
+
+    @staticmethod
+    def _check(points, delta, kappa):
+        gaps = np.diff(points)
+        value, f = w1_kappa_chain(delta, gaps, kappa)
+        ref, _ = lp_simplex(_w1_kappa_lp(points, delta, kappa, all_pairs=False))
+        assert abs(value - ref) <= 1e-10 * max(abs(ref), 1e-300) or value == ref == 0.0
+        # the returned test function is the certificate
+        assert np.all(np.abs(f) <= kappa)
+        assert np.all(np.abs(np.diff(f)) <= gaps + 1e-14 * kappa)
+        assert float(delta @ f) == value
+        return value
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 13, 34, 89, 200])
+    def test_matches_simplex_on_nonuniform_grids(self, K, kappa):
+        rng = np.random.default_rng([K, int(100 * kappa)])
+        points = random_grid(rng, K).points
+        self._check(points, rng.normal(size=K) * rng.uniform(0.01, 2.0, size=K), kappa)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
+    def test_one_signed_and_equal_measures(self, kappa):
+        rng = np.random.default_rng(int(100 * kappa))
+        points = random_grid(rng, 40).points
+        mass = rng.uniform(0.0, 1.0, size=40)
+        assert self._check(points, mass, kappa) > 0.0
+        assert self._check(points, -mass, kappa) > 0.0
+        assert self._check(points, np.zeros(40), kappa) == 0.0
+
+    def test_one_point_grid(self):
+        for delta in (0.7, -0.7, 0.0):
+            value, f = w1_kappa_chain(np.array([delta]), np.zeros(0), 0.3)
+            assert value == pytest.approx(0.3 * abs(delta), abs=1e-15)
+            assert f.shape == (1,)
+
+    def test_rejects_mismatched_gaps(self):
+        with pytest.raises(ValueError, match="gaps"):
+            w1_kappa_chain(np.ones(4), np.ones(4), 1.0)
+
+    def test_rejects_infinite_kappa(self, rng):
+        mu = random_scalar_measure(rng, random_grid(rng, 3))
+        with pytest.raises(ValueError, match="kappa"):
+            w1_kappa_scalar(mu, mu, float("inf"))
