@@ -13,20 +13,10 @@ __version__ = "0.1.0"
 from .connes import (
     DiracSet,
     State,
-    UnboundednessProbe,
     connes_distance,
     sufficient_kappa,
-    unboundedness_probe,
 )
-from .linalg import (
-    as_hermitian,
-    commutator,
-    eig_soft_threshold,
-    eigh,
-    nuclear_norm,
-    op_norm,
-    project_opnorm_ball,
-)
+from .linalg import as_hermitian
 from .matrix_dual import (
     DualCertificate,
     DualProblem,
@@ -40,7 +30,6 @@ from .matrix_primal import (
     TransportSolution,
     duality_gap,
     solve_unbalanced_primal,
-    w1_matrix_balanced,
 )
 from .measures import (
     Grid,
@@ -55,8 +44,6 @@ from .measures import (
 )
 from .pdhg import ConvergenceError, SolverOptions
 from .scalar_metrics import (
-    CdfTable,
-    cdf_table,
     kolmogorov,
     tv_scalar,
     w1_balanced,

@@ -44,7 +44,7 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(
         max_iterations=args.max_iter,
         tolerance=args.tol,
-        gap_tolerance=getattr(args, "gap_tol", None),
+        gap_tolerance=args.gap_tol,
     )
 
 
@@ -193,17 +193,16 @@ def _write_out(text: str, out: str | None):
         print(text)
 
 
+def _grid(args):
+    if args.grid_points is None:
+        return paper_grid()
+    return make_uniform_grid(args.grid_points, 0.0, math.pi)
+
+
 def _cmd_table1(args) -> int:
-    options = SolverOptions(
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        gap_tolerance=args.gap_tol,
-    )
-    grid = paper_grid() if args.grid_points is None else make_uniform_grid(
-        args.grid_points, 0.0, math.pi
-    )
+    grid = _grid(args)
     report = table1_report(
-        kappa=args.kappa, options=options, grid=grid, gap_audit=args.gap_audit
+        kappa=args.kappa, options=_solver_options(args), grid=grid, gap_audit=args.gap_audit
     )
 
     out_dir = Path(args.out) if args.out else None
@@ -254,9 +253,7 @@ def _ext(fmt: str) -> str:
 
 
 def _cmd_gen_spectra(args) -> int:
-    grid = paper_grid() if args.grid_points is None else make_uniform_grid(
-        args.grid_points, 0.0, math.pi
-    )
+    grid = _grid(args)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(3):

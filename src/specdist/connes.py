@@ -37,11 +37,9 @@ from .pdhg import BallProgram, SolverOptions, solve_ball_program
 __all__ = [
     "State",
     "DiracSet",
-    "UnboundednessProbe",
     "connes_distance",
     "connes_witness",
     "sufficient_kappa",
-    "unboundedness_probe",
 ]
 
 STATE_TRACE_TOL = 1e-10
@@ -129,17 +127,10 @@ def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> Ba
 
 def _solve_finite(sigma: np.ndarray, diracs: DiracSet, kappa: float,
                   options: SolverOptions) -> tuple[float, np.ndarray]:
-    # the objective carries an absolute value; solve both sign variants and
-    # keep the larger (each one is a linear-objective convex program)
-    best = 0.0
-    witness = np.zeros_like(sigma)
-    for signed in (sigma, -sigma):
-        solution = solve_ball_program(_commutator_program(signed, diracs, kappa), options)
-        if kappa * solution.value > best:
-            best = kappa * solution.value
-            sign = 1.0 if signed is sigma else -1.0
-            witness = sign * kappa * solution.witness[0]
-    return best, witness
+    # the feasible set is symmetric under f -> -f, so the supremum of
+    # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
+    solution = solve_ball_program(_commutator_program(sigma, diracs, kappa), options)
+    return kappa * solution.value, kappa * solution.witness[0]
 
 
 def connes_witness(
@@ -223,36 +214,3 @@ def connes_distance(
     value = _solve_finite(sigma, diracs, kappa, options)[0]
     return math.inf if value > UNBOUNDED_CAP else value
 
-
-@dataclass(frozen=True)
-class UnboundednessProbe:
-    """Distance values along an increasing kappa schedule with the end slope."""
-
-    kappas: tuple[float, ...]
-    values: tuple[float, ...]
-    final_slope: float
-
-
-def unboundedness_probe(
-    rho1: State,
-    rho2: State,
-    diracs: DiracSet,
-    kappa_list,
-    options: SolverOptions | None = None,
-) -> UnboundednessProbe:
-    """Evaluate the bounded distance along increasing kappa values.
-
-    The values are monotone nondecreasing; a nonvanishing final slope is the
-    numerical signature of an unbounded underlying distance.
-    """
-    kappas = [float(k) for k in kappa_list]
-    if not kappas or any(k <= 0 for k in kappas) or any(
-        b <= a for a, b in zip(kappas, kappas[1:])
-    ):
-        raise ValueError("kappa_list must be strictly increasing and positive")
-    values = [connes_distance(rho1, rho2, diracs, k, options) for k in kappas]
-    if len(kappas) > 1:
-        slope = (values[-1] - values[-2]) / (kappas[-1] - kappas[-2])
-    else:
-        slope = 0.0
-    return UnboundednessProbe(tuple(kappas), tuple(values), slope)

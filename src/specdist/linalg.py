@@ -1,13 +1,15 @@
-"""Dense Hermitian/complex matrix kernels.
+"""Batched spectral kernels on stacks of Hermitian blocks ``(..., n, n)``.
 
 Everything downstream (measures, metrics, solvers) is built on the small set
-of spectral operations in this module: eigendecomposition, operator/nuclear
-norms, projection onto operator-norm balls and the eigenvalue soft-threshold
-(the proximal operator of the nuclear norm on Hermitian matrices).
+of spectral operations in this module: operator/nuclear norms, smallest
+eigenvalues, projection onto operator-norm balls, the eigenvalue
+soft-threshold (the proximal operator of the nuclear norm on Hermitian
+matrices), the PSD projection and the spectral sign.
 
-All functions accept plain complex ndarrays.  Batched variants operate on
-stacks of Hermitian blocks with shape ``(..., n, n)`` and use a closed-form
-eigendecomposition for ``n <= 2``, which is the hot path of the solvers.
+Each one is an eigenvalue map ``V diag(f(lam)) V*`` or a reduction of the
+eigenvalues, so all of them share one per-size dispatch: ``n = 1`` reads the
+real entry, ``n = 2`` uses the closed-form eigendecomposition (the hot path
+of the solvers) and ``n >= 3`` calls ``eigh``.
 """
 
 from __future__ import annotations
@@ -50,112 +52,54 @@ def as_hermitian(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return hermitian_part(M)
 
 
-def eigh(H: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    ``H = V diag(lam) V*``.  Rejects inputs whose hermiticity violation
-    exceeds ``tol``.
-    """
-    H = as_hermitian(H, tol)
-    lam, V = np.linalg.eigh(H)
-    return lam, V
-
-
-def op_norm(M: np.ndarray) -> float:
-    """Largest singular value of a complex matrix."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a single matrix, got shape {M.shape}")
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def nuclear_norm(M: np.ndarray) -> float:
-    """Sum of singular values of a complex matrix."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a single matrix, got shape {M.shape}")
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False).sum())
-
-
-def commutator(D: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """[D, F] = DF - FD.  Anti-Hermitian whenever both inputs are Hermitian."""
-    D = np.asarray(D, dtype=complex)
-    F = np.asarray(F, dtype=complex)
-    if D.shape != F.shape or D.ndim < 2 or D.shape[-1] != D.shape[-2]:
-        raise ValueError(f"incompatible shapes for commutator: {D.shape} vs {F.shape}")
-    return D @ F - F @ D
-
-
-def project_opnorm_ball(H: np.ndarray, r: float) -> np.ndarray:
-    """Frobenius-nearest Hermitian matrix with operator norm <= r.
-
-    Realized by clipping eigenvalues to [-r, r]; returns the input unchanged
-    when it is already inside the ball.
-    """
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
-    H = as_hermitian(H)
-    lam, V = np.linalg.eigh(H)
-    if np.abs(lam).max(initial=0.0) <= r:
-        return H
-    lam = np.clip(lam, -r, r)
-    return (V * lam) @ np.conj(V.T)
-
-
-def eig_soft_threshold(H: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink the eigenvalues of a Hermitian matrix toward 0 by ``tau``.
-
-    This is the proximal operator of ``tau * nuclear_norm`` restricted to
-    Hermitian matrices; eigenvectors are preserved.
-    """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
-    H = as_hermitian(H)
-    if tau == 0:
-        return H
-    lam, V = np.linalg.eigh(H)
-    lam = np.sign(lam) * np.maximum(np.abs(lam) - tau, 0.0)
-    return (V * lam) @ np.conj(V.T)
-
-
-# ---------------------------------------------------------------------------
-# batched spectral transforms on stacks of Hermitian blocks (..., n, n)
-# ---------------------------------------------------------------------------
-
 def _eig2(M: np.ndarray):
-    """Closed-form eigenvalues (lo, hi) of stacked 2x2 Hermitian blocks."""
+    """Closed form of stacked 2x2 Hermitian blocks: ``m, s`` and the
+    eigenvalues ``(m - s, m + s)`` stacked on a leading axis."""
     a = M[..., 0, 0].real
     d = M[..., 1, 1].real
     b = M[..., 0, 1]
     m = 0.5 * (a + d)
     s = np.sqrt(0.25 * (a - d) ** 2 + b.real**2 + b.imag**2)
-    return m - s, m + s
+    lam = np.empty((2,) + m.shape)
+    np.subtract(m, s, out=lam[0])
+    np.add(m, s, out=lam[1])
+    return m, s, lam
 
 
-def _spectral_map2(M: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
-    """Apply an eigenvalue map to 2x2 Hermitian blocks given mapped extremes.
+def _eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues ``(n, ...)`` of stacked Hermitian blocks, ascending along
+    the leading axis (so reductions over it are elementwise)."""
+    n = M.shape[-1]
+    if n == 1:
+        return M[None, ..., 0, 0].real
+    if n == 2:
+        return _eig2(M)[2]
+    return np.moveaxis(np.linalg.eigvalsh(M), -1, 0)
 
-    With M = m I + (M - m I) and spectral gap 2s, the mapped matrix is
-    c0 I + c1 (M - m I) where c0 = (f_hi + f_lo)/2, c1 = (f_hi - f_lo)/(2s).
-    The s = 0 (scalar multiple of I) case degenerates to c0 I.
+
+def _map_eigenvalues(M: np.ndarray, f) -> np.ndarray:
+    """``V diag(f(lam)) V*`` blockwise; ``f`` maps ``(n, ...)`` eigenvalue arrays.
+
+    For 2x2 blocks with spectral gap 2s around m the mapped matrix is
+    c0 I + c1 (M - m I) with c0 = (f_hi + f_lo)/2, c1 = (f_hi - f_lo)/(2s);
+    the s = 0 (scalar multiple of I) case degenerates to c0 I.
     """
-    a = M[..., 0, 0].real
-    d = M[..., 1, 1].real
-    b = M[..., 0, 1]
-    m = 0.5 * (a + d)
-    s = np.sqrt(0.25 * (a - d) ** 2 + b.real**2 + b.imag**2)
-    c0 = 0.5 * (f_hi + f_lo)
-    c1 = np.where(s > 0, (f_hi - f_lo) / (2.0 * np.where(s > 0, s, 1.0)), 0.0)
-    out = c1[..., None, None] * M
-    shift = c0 - c1 * m
-    out[..., 0, 0] += shift
-    out[..., 1, 1] += shift
-    return out
+    n = M.shape[-1]
+    if n == 1:
+        return f(M[None, ..., 0, 0].real)[0, ..., None, None].astype(complex)
+    if n == 2:
+        m, s, lam = _eig2(M)
+        f_lo, f_hi = f(lam)
+        c0 = 0.5 * (f_hi + f_lo)
+        c1 = np.where(s > 0, (f_hi - f_lo) / (2.0 * np.where(s > 0, s, 1.0)), 0.0)
+        out = c1[..., None, None] * M
+        shift = c0 - c1 * m
+        out[..., 0, 0] += shift
+        out[..., 1, 1] += shift
+        return out
+    lam, V = np.linalg.eigh(M)
+    mapped = np.moveaxis(f(np.moveaxis(lam, -1, 0)), 0, -1)
+    return np.einsum("...ij,...j,...kj->...ik", V, mapped, V.conj())
 
 
 def clip_eigenvalues(M: np.ndarray, radius) -> np.ndarray:
@@ -164,97 +108,44 @@ def clip_eigenvalues(M: np.ndarray, radius) -> np.ndarray:
     ``radius`` broadcasts against the batch shape ``M.shape[:-2]``.
     """
     M = np.asarray(M)
-    n = M.shape[-1]
     r = np.broadcast_to(np.asarray(radius, dtype=float), M.shape[:-2])
-    if n == 1:
-        return np.clip(M.real, -r[..., None, None], r[..., None, None]).astype(complex)
-    if n == 2:
-        lo, hi = _eig2(M)
-        return _spectral_map2(M, np.clip(lo, -r, r), np.clip(hi, -r, r))
-    lam, V = np.linalg.eigh(M)
-    lam = np.clip(lam, -r[..., None], r[..., None])
-    return np.einsum("...ij,...j,...kj->...ik", V, lam, V.conj())
+    return _map_eigenvalues(M, lambda lam: np.clip(lam, -r, r))
 
 
 def soft_threshold_eigenvalues(M: np.ndarray, tau) -> np.ndarray:
-    """Eigenvalue soft-threshold of stacked Hermitian blocks (batched prox)."""
+    """Eigenvalue soft-threshold of stacked Hermitian blocks (batched prox).
+
+    ``tau`` broadcasts against the batch shape ``M.shape[:-2]``.
+    """
     M = np.asarray(M)
-    n = M.shape[-1]
     t = np.broadcast_to(np.asarray(tau, dtype=float), M.shape[:-2])
-
-    def shrink(lam, thresh):
-        return np.sign(lam) * np.maximum(np.abs(lam) - thresh, 0.0)
-
-    if n == 1:
-        return shrink(M.real, t[..., None, None]).astype(complex)
-    if n == 2:
-        lo, hi = _eig2(M)
-        return _spectral_map2(M, shrink(lo, t), shrink(hi, t))
-    lam, V = np.linalg.eigh(M)
-    lam = shrink(lam, t[..., None])
-    return np.einsum("...ij,...j,...kj->...ik", V, lam, V.conj())
+    return _map_eigenvalues(M, lambda lam: np.sign(lam) * np.maximum(np.abs(lam) - t, 0.0))
 
 
 def spectral_sign(M: np.ndarray) -> np.ndarray:
     """Blockwise spectral sign: eigenvalues mapped to {-1, 0, +1}."""
-    M = np.asarray(M)
-    n = M.shape[-1]
-    if n == 1:
-        return np.sign(M.real).astype(complex)
-    if n == 2:
-        lo, hi = _eig2(M)
-        return _spectral_map2(M, np.sign(lo), np.sign(hi))
-    lam, V = np.linalg.eigh(M)
-    return np.einsum("...ij,...j,...kj->...ik", V, np.sign(lam), V.conj())
-
-
-def hermitian_op_norms(M: np.ndarray) -> np.ndarray:
-    """Batched operator norms (max |eigenvalue|) of Hermitian blocks."""
-    M = np.asarray(M)
-    n = M.shape[-1]
-    if n == 1:
-        return np.abs(M[..., 0, 0].real)
-    if n == 2:
-        lo, hi = _eig2(M)
-        return np.maximum(np.abs(lo), np.abs(hi))
-    return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
-
-
-def hermitian_nuclear_norms(M: np.ndarray) -> np.ndarray:
-    """Batched nuclear norms (sum of |eigenvalue|) of Hermitian blocks."""
-    M = np.asarray(M)
-    n = M.shape[-1]
-    if n == 1:
-        return np.abs(M[..., 0, 0].real)
-    if n == 2:
-        lo, hi = _eig2(M)
-        return np.abs(lo) + np.abs(hi)
-    return np.abs(np.linalg.eigvalsh(M)).sum(axis=-1)
-
-
-def min_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Batched smallest eigenvalues of Hermitian blocks."""
-    M = np.asarray(M)
-    n = M.shape[-1]
-    if n == 1:
-        return M[..., 0, 0].real.copy()
-    if n == 2:
-        lo, _ = _eig2(M)
-        return lo
-    return np.linalg.eigvalsh(M)[..., 0]
+    return _map_eigenvalues(np.asarray(M), np.sign)
 
 
 def positive_part(M: np.ndarray) -> np.ndarray:
     """Blockwise projection onto the PSD cone (negative eigenvalues to 0)."""
-    M = np.asarray(M)
-    n = M.shape[-1]
-    if n == 1:
-        return np.maximum(M.real, 0.0).astype(complex)
-    if n == 2:
-        lo, hi = _eig2(M)
-        return _spectral_map2(M, np.maximum(lo, 0.0), np.maximum(hi, 0.0))
-    lam, V = np.linalg.eigh(M)
-    return np.einsum("...ij,...j,...kj->...ik", V, np.maximum(lam, 0.0), V.conj())
+    return _map_eigenvalues(np.asarray(M), lambda lam: np.maximum(lam, 0.0))
+
+
+def hermitian_op_norms(M: np.ndarray) -> np.ndarray:
+    """Batched operator norms (max |eigenvalue|) of Hermitian blocks."""
+    lam = _eigenvalues(np.asarray(M))
+    return np.maximum(-lam[0], lam[-1])
+
+
+def hermitian_nuclear_norms(M: np.ndarray) -> np.ndarray:
+    """Batched nuclear norms (sum of |eigenvalue|) of Hermitian blocks."""
+    return np.abs(_eigenvalues(np.asarray(M))).sum(axis=0)
+
+
+def min_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Batched smallest eigenvalues of Hermitian blocks."""
+    return _eigenvalues(np.asarray(M))[0].copy()
 
 
 def trace_pairing(F: np.ndarray, G: np.ndarray) -> float:

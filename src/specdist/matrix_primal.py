@@ -34,13 +34,12 @@ import numpy as np
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible
 from .matrix_dual import DualCertificate, assemble_dual, solve_dual
-from .pdhg import Certified, SolverOptions, pdhg
+from .pdhg import Certified, ConvergenceError, SolverOptions, pdhg
 
 __all__ = [
     "TransportSolution",
     "GapReport",
     "solve_unbalanced_primal",
-    "w1_matrix_balanced",
     "duality_gap",
 ]
 
@@ -87,9 +86,8 @@ def _psd_repair(P: np.ndarray) -> np.ndarray:
 
 def _scaled_test_function(F, gaps, kappa) -> np.ndarray:
     """Scale stacked Hermitian blocks into the dual feasible set."""
-    s = float((linalg.hermitian_op_norms(F[:-1] - F[1:]) / gaps).max(initial=0.0))
-    if kappa is not None:
-        s = max(s, float((linalg.hermitian_op_norms(F) / kappa).max(initial=0.0)))
+    s = max(float((linalg.hermitian_op_norms(F[:-1] - F[1:]) / gaps).max(initial=0.0)),
+            float((linalg.hermitian_op_norms(F) / kappa).max(initial=0.0)))
     return F / max(1.0, s)
 
 
@@ -180,73 +178,6 @@ def solve_unbalanced_primal(
     )
 
 
-def _corner_repair(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Route marginal mismatches through row/column 0 to restore feasibility.
-
-    Row deficits move into column 0, column deficits into row 0, and the
-    (0, 0) block balances the books.  Exact up to the (preconditioned)
-    total-mass mismatch, which lands in the cost-free (0, 0) block.
-    """
-    dr, dc = M - _plan_marginals(P)
-    out = P.copy()
-    out[1:, 0] += dr[1:]
-    out[0, 1:] += dc[1:]
-    out[0, 0] += dr[0] - dc[1:].sum(axis=0)
-    return out
-
-
-def w1_matrix_balanced(
-    mu1: MatrixMeasure,
-    mu2: MatrixMeasure,
-    options: SolverOptions | None = None,
-) -> float:
-    """Balanced matricial 1-Wasserstein distance (exact marginal constraints).
-
-    Requires equal total matricial mass.  The returned value is the objective
-    of an exactly feasible plan, certified against a concurrently maintained
-    dual bound.
-    """
-    _check_compatible(mu1, mu2)
-    options = options or SolverOptions()
-    M = np.stack([mu1.masses, mu2.masses])
-    t1, t2 = M.sum(axis=1)
-    scale = max(1.0, float(linalg.hermitian_op_norms(t1[None])[0]))
-    if float(linalg.hermitian_op_norms((t1 - t2)[None])[0]) > 1e-8 * scale:
-        raise ValueError(
-            "total matricial masses differ; the balanced distance is undefined "
-            "(use solve_unbalanced_primal)"
-        )
-    if np.array_equal(M[0], M[1]):
-        return 0.0
-
-    K = M.shape[1]
-    gaps = mu1.grid.spacings
-    D = mu1.grid.distance_matrix()
-    delta = M[0] - M[1]
-
-    def certify(P, Y):
-        repaired = _corner_repair(P, M)
-        F = _scaled_test_function(0.5 * (Y[1] - Y[0]), gaps, kappa=None)
-        cost = float((D * linalg.hermitian_nuclear_norms(repaired)).sum())
-        return linalg.trace_pairing(F, delta), None, cost, repaired
-
-    def package(lower, _, upper, plan, iterations) -> TransportSolution:
-        return TransportSolution(plan, (mu1, mu2), upper, 0.0, upper, lower, iterations)
-
-    return pdhg(
-        np.zeros((K,) + M.shape[1:], dtype=complex),
-        np.zeros(M.shape, dtype=complex),
-        _plan_marginals,
-        _marginal_adjoint,
-        lambda G, tau: linalg.soft_threshold_eigenvalues(G, tau * D),
-        lambda W, sigma: W - sigma * M,
-        math.sqrt(2.0 * K),
-        certify,
-        package,
-        options,
-    ).objective
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Primal and dual values of one instance with their (certified) gap."""
@@ -271,14 +202,19 @@ def duality_gap(
     (cross) gap meets it; the dual certificate value also feeds the primal
     stopping test as a known lower bound.  ``gap = primal - dual`` is
     nonnegative up to roundoff on every instance (weak duality) and within
-    the gap target at convergence (strong duality).
+    the gap target at convergence (strong duality).  When the primal runs
+    out of iterations the :class:`ConvergenceError` carries the dual
+    certificate, whose bracket is already within half the gap target.
     """
     options = options or SolverOptions()
     halved = replace(options, gap_tolerance=0.5 * options.gap_target)
     certificate = solve_dual(assemble_dual(mu1, mu2, kappa), halved)
-    primal = solve_unbalanced_primal(
-        mu1, mu2, kappa, halved, lower_hint=certificate.value
-    )
+    try:
+        primal = solve_unbalanced_primal(
+            mu1, mu2, kappa, halved, lower_hint=certificate.value
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"gap audit: {exc}", certificate) from exc
     gap = primal.objective - certificate.value
     rel = gap / max(abs(primal.objective), abs(certificate.value), 1e-12)
     return GapReport(

@@ -140,7 +140,8 @@ def density_to_measure(grid: Grid, density) -> MatrixMeasure:
 
     ``density`` maps a frequency to a PSD Hermitian matrix (or a nonnegative
     scalar, taken as a 1x1 matrix).  A non-PSD sample raises ``ValueError``
-    naming the offending grid point.
+    naming the offending grid point (the weights are positive, so
+    :class:`MatrixMeasure` rejects the weighted sample).
     """
     samples = []
     for theta in grid.points:
@@ -148,18 +149,7 @@ def density_to_measure(grid: Grid, density) -> MatrixMeasure:
         if s.ndim == 0:
             s = s.reshape(1, 1)
         samples.append(s)
-    samples = np.asarray(samples)
-    samples = linalg.as_hermitian(samples)
-    floors = -PSD_TOL * np.maximum(1.0, linalg.hermitian_op_norms(samples))
-    min_eigs = linalg.min_eigenvalues(samples)
-    bad = np.nonzero(min_eigs < floors)[0]
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"density sample at theta={grid.points[k]:.6g} is not PSD "
-            f"(min eigenvalue {min_eigs[k]:.3e})"
-        )
-    return MatrixMeasure(grid, grid.weights[:, None, None] * samples)
+    return MatrixMeasure(grid, grid.weights[:, None, None] * np.asarray(samples))
 
 
 def total_mass(measure: MatrixMeasure) -> np.ndarray:

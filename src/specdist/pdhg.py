@@ -25,7 +25,7 @@ tolerance, which makes the reported value trustworthy independent of step
 sizes and iteration counts.
 
 :func:`pdhg` is the one PDHG driver of the package; the ball programs here
-and the transport programs of :mod:`specdist.matrix_primal` supply their
+and the transport program of :mod:`specdist.matrix_primal` supply their
 proximal maps, their linear map and a ``certify`` hook that turns any
 primal-dual pair into certified bounds.  The driver follows PDLP (Applegate
 et al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):

@@ -15,24 +15,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Grid, MatrixMeasure, _check_compatible
+from .measures import MatrixMeasure, _check_compatible
 from .simplex import LpProblem, lp_simplex
-
-
-@dataclass(frozen=True)
-class CdfTable:
-    """Right-closed cumulative sums F_k = sum_{j<=k} mass_j."""
-
-    grid: Grid
-    values: np.ndarray
-
-
-def cdf_table(mu: MatrixMeasure) -> CdfTable:
-    return CdfTable(mu.grid, np.cumsum(mu.scalar_values()))
 
 
 def _scalar_pair(mu1: MatrixMeasure, mu2: MatrixMeasure):

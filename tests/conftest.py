@@ -17,6 +17,22 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * 0.5 * (A + A.conj().T)
 
 
+def eig_map(M, f):
+    """V diag(f(lam)) V* blockwise through numpy's eigh (oracle for the kernels)."""
+    lam, V = np.linalg.eigh(M)
+    return np.einsum("...ij,...j,...kj->...ik", V, f(lam), V.conj())
+
+
+def clip_oracle(M, radius):
+    r = np.asarray(radius, dtype=float)[..., None]
+    return eig_map(M, lambda lam: np.clip(lam, -r, r))
+
+
+def soft_threshold_oracle(M, tau):
+    t = np.asarray(tau, dtype=float)[..., None]
+    return eig_map(M, lambda lam: np.sign(lam) * np.maximum(np.abs(lam) - t, 0.0))
+
+
 def random_psd(rng, n, scale=1.0):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (A @ A.conj().T) / n

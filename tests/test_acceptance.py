@@ -17,11 +17,9 @@ from specdist import (
     connes_distance,
     duality_gap,
     dw1_kappa,
-    nuclear_norm,
     scalar_measure,
     table1_report,
     tv_matrix,
-    unboundedness_probe,
     w1_balanced,
     w1_kappa_scalar,
     w1_kappa_scalar_all_pairs,
@@ -302,14 +300,15 @@ def test_criterion_8_connes_example():
     )
     q1 = State(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     q2 = State(np.array([[0.6, -0.1], [-0.1, 0.4]], dtype=complex))
-    probe = unboundedness_probe(q1, q2, dirac, [1.0, 2.0, 4.0, 8.0], opts)
-    q_ok = all(v >= 2 * k * 0.3 - 1e-4 for v, k in zip(probe.values, probe.kappas))
+    kappas = (1.0, 2.0, 4.0, 8.0)
+    q_values = [connes_distance(q1, q2, dirac, k, opts) for k in kappas]
+    q_ok = all(v >= 2 * k * 0.3 - 1e-4 for v, k in zip(q_values, kappas))
     unbounded = math.isinf(connes_distance(q1, q2, dirac, math.inf, opts))
     _line(
         "8 (spectral distance example)",
         diag_ok and q_ok and unbounded,
-        f"diag cells min(1, 2k) ok={diag_ok}, probe {[round(v, 4) for v in probe.values]}, "
-        f"kappa=inf unbounded={unbounded}",
+        f"diag cells min(1, 2k) ok={diag_ok}, kappa {kappas}: "
+        f"{[round(v, 4) for v in q_values]}, kappa=inf unbounded={unbounded}",
     )
 
 
@@ -334,7 +333,7 @@ def test_criterion_9_closed_forms():
         m1 = MatrixMeasure(grid, np.array([random_psd(rng, 2)]))
         m2 = MatrixMeasure(grid, np.array([random_psd(rng, 2)]))
         kappa = float(rng.choice([0.3, 1.0, 3.0]))
-        expected = kappa * nuclear_norm(m1.masses[0] - m2.masses[0])
+        expected = kappa * np.linalg.norm(m1.masses[0] - m2.masses[0], "nuc")
         err = abs(dw1_kappa(m1, m2, kappa, opts) - expected)
         worst_k1 = max(worst_k1, err)
         assert err <= 1e-6

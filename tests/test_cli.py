@@ -114,6 +114,8 @@ class TestDist:
         assert doc["converged"] is False
         assert "gap_audit" not in doc
         assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
+        # the bracket is the audit's dual certificate, certified to half the gap
+        assert doc["upper_bound"] - doc["lower_bound"] <= 5e-4 * doc["upper_bound"]
 
     def test_gap_audit_solves_the_dual_once(self, tmp_path, capsys, monkeypatch):
         from specdist import cli, matrix_primal

@@ -3,85 +3,105 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist import (
-    as_hermitian,
-    commutator,
-    eig_soft_threshold,
-    eigh,
-    nuclear_norm,
-    op_norm,
-    project_opnorm_ball,
-)
+from specdist import DiracSet, as_hermitian
 from specdist import linalg
+from specdist.connes import _commutator_program
 
-from conftest import random_hermitian
+from conftest import clip_oracle, eig_map, random_hermitian, soft_threshold_oracle
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _op(H):
+    return float(linalg.hermitian_op_norms(H[None])[0])
+
+
+def _nuc(H):
+    return float(linalg.hermitian_nuclear_norms(H[None])[0])
+
+
+def _clip(H, r):
+    return linalg.clip_eigenvalues(H[None], r)[0]
+
+
+def _shrink(H, tau):
+    return linalg.soft_threshold_eigenvalues(H[None], tau)[0]
+
+
 class TestEigh:
+    """The eigenvalue reductions and maps against numpy's eigh, every size path."""
+
     def test_identity(self):
-        lam, V = eigh(np.eye(2, dtype=complex))
-        assert np.allclose(lam, [1.0, 1.0])
-        assert np.allclose(V @ V.conj().T, np.eye(2))
+        eye = np.eye(2, dtype=complex)[None]
+        assert linalg.min_eigenvalues(eye) == pytest.approx([1.0])
+        assert linalg.hermitian_op_norms(eye) == pytest.approx([1.0])
+        assert linalg.hermitian_nuclear_norms(eye) == pytest.approx([2.0])
+        assert np.allclose(linalg.spectral_sign(eye), eye)
 
     def test_flip(self):
-        lam, _ = eigh(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(lam, [-1.0, 1.0])
+        flip = np.array([[[0, 1], [1, 0]]], dtype=complex)
+        assert linalg.min_eigenvalues(flip) == pytest.approx([-1.0])
+        assert linalg.hermitian_op_norms(flip) == pytest.approx([1.0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_reconstruction(self, rng, n):
-        H = random_hermitian(rng, n, scale=3.0)
-        lam, V = eigh(H)
-        scale = max(1.0, op_norm(H))
-        assert np.abs((V * lam) @ V.conj().T - H).max() <= 1e-10 * scale
-        assert np.abs(V @ V.conj().T - np.eye(n)).max() <= 1e-10
-        assert np.all(np.diff(lam) >= 0)
+        H = np.array([random_hermitian(rng, n, scale=3.0) for _ in range(5)])
+        lam = np.linalg.eigh(H)[0]
+        scale = max(1.0, float(np.abs(lam).max()))
+        assert np.abs(linalg.min_eigenvalues(H) - lam[:, 0]).max() <= 1e-10 * scale
+        assert np.abs(linalg.hermitian_op_norms(H) - np.abs(lam).max(axis=-1)).max() \
+            <= 1e-10 * scale
+        assert np.abs(linalg.hermitian_nuclear_norms(H) - np.abs(lam).sum(axis=-1)).max() \
+            <= 1e-10 * scale
+        # the eigenvalue map rebuilds H from its positive and negative parts
+        rebuilt = linalg.positive_part(H) - linalg.positive_part(-H)
+        assert np.abs(rebuilt - H).max() <= 1e-10 * scale
 
     def test_rejects_non_hermitian(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(ValueError, match="Hermitian"):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            as_hermitian(stack)
 
 
 class TestNorms:
     def test_op_norm_permutation(self):
-        assert op_norm(np.array([[0, 1], [1, 0]])) == pytest.approx(1.0)
+        assert _op(np.array([[0, 1], [1, 0]], dtype=complex)) == pytest.approx(1.0)
 
     def test_op_norm_diagonal(self):
-        assert op_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+        assert _op(np.diag([3.0, -4.0]).astype(complex)) == pytest.approx(4.0)
 
     def test_nuclear_diagonal(self):
-        assert nuclear_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
+        assert _nuc(np.diag([3.0, -4.0]).astype(complex)) == pytest.approx(7.0)
 
     def test_nuclear_identity(self):
-        assert nuclear_norm(np.eye(2)) == pytest.approx(2.0)
+        assert _nuc(np.eye(2, dtype=complex)) == pytest.approx(2.0)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_op_norm_gram_oracle(self, seed):
         rng = _rng(seed)
-        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        gram = np.linalg.eigvalsh(M.conj().T @ M)
-        assert op_norm(M) == pytest.approx(np.sqrt(gram[-1]), abs=1e-10)
+        H = random_hermitian(rng, 3, scale=2.0)
+        gram = np.linalg.eigvalsh(H.conj().T @ H)
+        assert _op(H) == pytest.approx(np.sqrt(gram[-1]), abs=1e-10)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_nuclear_gram_oracle(self, seed):
         rng = _rng(seed)
-        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        gram = np.linalg.eigvalsh(M.conj().T @ M)
-        assert nuclear_norm(M) == pytest.approx(np.sqrt(np.maximum(gram, 0)).sum(), abs=1e-9)
+        H = random_hermitian(rng, 3, scale=2.0)
+        gram = np.linalg.eigvalsh(H.conj().T @ H)
+        assert _nuc(H) == pytest.approx(np.sqrt(np.maximum(gram, 0)).sum(), abs=1e-9)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_hermitian_norms_are_eigenvalue_sums(self, seed):
         rng = _rng(seed)
-        H = random_hermitian(rng, 3, scale=2.0)
+        H = random_hermitian(rng, 2, scale=2.0)
         lam = np.linalg.eigvalsh(H)
-        assert nuclear_norm(H) == pytest.approx(np.abs(lam).sum(), abs=1e-10)
-        assert op_norm(H) == pytest.approx(np.abs(lam).max(), abs=1e-10)
+        assert _nuc(H) == pytest.approx(np.abs(lam).sum(), abs=1e-10)
+        assert _op(H) == pytest.approx(np.abs(lam).max(), abs=1e-10)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -90,131 +110,153 @@ class TestNorms:
         F = random_hermitian(rng, 3)
         delta = random_hermitian(rng, 3)
         pairing = abs(np.trace(F @ delta).real)
-        assert pairing <= op_norm(F) * nuclear_norm(delta) + 1e-10
+        assert pairing <= _op(F) * _nuc(delta) + 1e-10
 
 
 class TestProjectOpnormBall:
+    """``clip_eigenvalues`` on one-block stacks is the operator-norm ball projection."""
+
     def test_interior_point_unchanged(self, rng):
         H = random_hermitian(rng, 3)
-        H = 0.5 * H / op_norm(H)
-        assert np.array_equal(project_opnorm_ball(H, 1.0), H)
+        H = 0.5 * H / _op(H)
+        assert np.abs(_clip(H, 1.0) - H).max() <= 1e-12
 
     def test_diagonal_clipping(self):
-        P = project_opnorm_ball(np.diag([3.0, -4.0]).astype(complex), 1.0)
+        P = _clip(np.diag([3.0, -4.0]).astype(complex), 1.0)
         assert np.allclose(P, np.diag([1.0, -1.0]))
 
     def test_random_feasible_point_optimality(self, rng):
-        H = random_hermitian(rng, 3, scale=3.0)
-        P = project_opnorm_ball(H, 1.0)
-        dist = np.linalg.norm(H - P)
-        for _ in range(100):
-            Q = random_hermitian(rng, 3, scale=2.0)
-            if op_norm(Q) > 1.0:
-                Q = project_opnorm_ball(Q, 1.0)
-            assert dist <= np.linalg.norm(H - Q) + 1e-12
+        for n in (2, 3):
+            H = random_hermitian(rng, n, scale=3.0)
+            P = _clip(H, 1.0)
+            dist = np.linalg.norm(H - P)
+            for _ in range(100):
+                Q = _clip(random_hermitian(rng, n, scale=2.0), 1.0)
+                assert dist <= np.linalg.norm(H - Q) + 1e-12
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_idempotent_and_nonexpansive(self, seed):
         rng = _rng(seed)
-        H1 = random_hermitian(rng, 3, scale=2.0)
-        H2 = random_hermitian(rng, 3, scale=2.0)
-        P1 = project_opnorm_ball(H1, 1.0)
-        P2 = project_opnorm_ball(H2, 1.0)
-        assert np.abs(project_opnorm_ball(P1, 1.0) - P1).max() <= 1e-12
-        assert np.linalg.norm(P1 - P2) <= np.linalg.norm(H1 - H2) + 1e-12
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            project_opnorm_ball(np.eye(2, dtype=complex), 0.0)
+        for n in (2, 3):
+            H1 = random_hermitian(rng, n, scale=2.0)
+            H2 = random_hermitian(rng, n, scale=2.0)
+            P1 = _clip(H1, 1.0)
+            P2 = _clip(H2, 1.0)
+            assert np.abs(_clip(P1, 1.0) - P1).max() <= 1e-12
+            assert np.linalg.norm(P1 - P2) <= np.linalg.norm(H1 - H2) + 1e-12
 
 
 class TestEigSoftThreshold:
+    """``soft_threshold_eigenvalues`` on one-block stacks is the nuclear-norm prox."""
+
     def test_diagonal(self):
-        S = eig_soft_threshold(np.diag([3.0, -4.0]).astype(complex), 1.0)
+        S = _shrink(np.diag([3.0, -4.0]).astype(complex), 1.0)
         assert np.allclose(S, np.diag([2.0, -3.0]))
 
     def test_full_shrinkage(self, rng):
         H = random_hermitian(rng, 3)
-        assert np.abs(eig_soft_threshold(H, op_norm(H) + 0.1)).max() <= 1e-12
+        assert np.abs(_shrink(H, _op(H) + 0.1)).max() <= 1e-12
 
     def test_zero_threshold_exact(self, rng):
-        H = random_hermitian(rng, 4)
-        assert np.array_equal(eig_soft_threshold(H, 0.0), H)
+        # exact up to the rounding of the eigenvalue map
+        for n in (1, 2, 4):
+            H = random_hermitian(rng, n)
+            assert np.abs(_shrink(H, 0.0) - H).max() <= 1e-12
 
     def test_prox_optimality_probe(self, rng):
-        H = random_hermitian(rng, 3, scale=2.0)
         tau = 0.7
-        P = eig_soft_threshold(H, tau)
+        for n in (2, 3):
+            H = random_hermitian(rng, n, scale=2.0)
+            P = _shrink(H, tau)
 
-        def prox_objective(X):
-            return 0.5 * np.linalg.norm(H - X) ** 2 + tau * nuclear_norm(X)
+            def prox_objective(X):
+                return 0.5 * np.linalg.norm(H - X) ** 2 + tau * _nuc(X)
 
-        base = prox_objective(P)
-        for _ in range(100):
-            assert base <= prox_objective(P + 0.1 * random_hermitian(rng, 3)) + 1e-12
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            eig_soft_threshold(np.eye(2, dtype=complex), -0.1)
+            base = prox_objective(P)
+            for _ in range(100):
+                assert base <= prox_objective(P + 0.1 * random_hermitian(rng, n)) + 1e-12
 
 
 class TestCommutator:
+    """The commutator images -i[D, f] of the spectral-distance program."""
+
+    @staticmethod
+    def _images(D, f):
+        program = _commutator_program(np.zeros_like(f), DiracSet(D), 1.0)
+        return program.forward(f[None])
+
     def test_off_diagonal_pattern(self):
         D = np.array([[0, 1], [1, 0]], dtype=complex)
         F = np.diag([2.0, 5.0]).astype(complex)
-        C = commutator(D, F)
-        assert np.allclose(C, [[0, 5.0 - 2.0], [2.0 - 5.0, 0]])
+        assert np.allclose(self._images(D, F)[0], -1j * np.array([[0, 3.0], [-3.0, 0]]))
 
     def test_identity_commutes(self, rng):
         D = random_hermitian(rng, 3)
-        assert np.abs(commutator(D, np.eye(3, dtype=complex))).max() == 0.0
+        assert np.abs(self._images(D, np.eye(3, dtype=complex))).max() == 0.0
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_anti_hermitian(self, seed):
+        # [D, f] is anti-Hermitian, so the images are Hermitian, and the
+        # adjoint map matches the forward one in the trace pairing
         rng = _rng(seed)
-        C = commutator(random_hermitian(rng, 3), random_hermitian(rng, 3))
-        assert np.abs(C + C.conj().T).max() <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            commutator(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+        D = np.array([random_hermitian(rng, 3) for _ in range(2)])
+        f = random_hermitian(rng, 3)
+        program = _commutator_program(np.zeros_like(f), DiracSet(D), 1.0)
+        images = program.forward(f[None])
+        assert np.abs(images + 1j * (D @ f - f @ D)).max() <= 1e-12
+        assert np.abs(images - images.conj().swapaxes(-1, -2)).max() <= 1e-12
+        Y = np.array([random_hermitian(rng, 3) for _ in range(2)])
+        assert linalg.trace_pairing(images, Y) == pytest.approx(
+            linalg.trace_pairing(f[None], program.adjoint(Y)), abs=1e-10)
 
 
 class TestBatchedTransforms:
     """The closed-form n <= 2 paths must agree with the eigh-based route."""
 
-    def _reference_clip(self, M, r):
-        lam, V = np.linalg.eigh(M)
-        lam = np.clip(lam, -np.asarray(r)[..., None], np.asarray(r)[..., None])
-        return np.einsum("...ij,...j,...kj->...ik", V, lam, V.conj())
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_clip_matches_eigh(self, rng, n):
         M = np.array([random_hermitian(rng, n, 2.0) for _ in range(40)])
         r = rng.uniform(0.1, 2.0, size=40)
-        assert np.abs(
-            linalg.clip_eigenvalues(M, r) - self._reference_clip(M, r)
-        ).max() <= 1e-12
+        assert np.abs(linalg.clip_eigenvalues(M, r) - clip_oracle(M, r)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_soft_threshold_matches_single(self, rng, n):
         M = np.array([random_hermitian(rng, n, 2.0) for _ in range(20)])
         tau = rng.uniform(0.0, 1.5, size=20)
         batched = linalg.soft_threshold_eigenvalues(M, tau)
-        for k in range(20):
-            assert np.abs(batched[k] - eig_soft_threshold(M[k], tau[k])).max() <= 1e-12
+        assert np.abs(batched - soft_threshold_oracle(M, tau)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_norm_batches(self, rng, n):
         M = np.array([random_hermitian(rng, n, 2.0) for _ in range(25)])
         assert np.allclose(
-            linalg.hermitian_op_norms(M), [op_norm(m) for m in M], atol=1e-11
+            linalg.hermitian_op_norms(M), np.linalg.norm(M, 2, axis=(-2, -1)), atol=1e-11
         )
         assert np.allclose(
-            linalg.hermitian_nuclear_norms(M), [nuclear_norm(m) for m in M], atol=1e-11
+            linalg.hermitian_nuclear_norms(M), np.linalg.norm(M, "nuc", axis=(-2, -1)),
+            atol=1e-11,
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_shapes(self, rng, n):
+        # the transport primal feeds (K, K, n, n) and (2, K, n, n) stacks with
+        # per-block thresholds
+        M = np.array([[random_hermitian(rng, n, 2.0) for _ in range(3)] for _ in range(2)])
+        r = rng.uniform(0.1, 1.5, size=(2, 3))
+        lam = np.linalg.eigvalsh(M)
+        assert np.abs(linalg.clip_eigenvalues(M, r) - clip_oracle(M, r)).max() <= 1e-12
+        assert np.abs(linalg.soft_threshold_eigenvalues(M, r)
+                      - soft_threshold_oracle(M, r)).max() <= 1e-12
+        assert np.abs(linalg.positive_part(M)
+                      - eig_map(M, lambda x: np.maximum(x, 0.0))).max() <= 1e-12
+        assert np.abs(linalg.spectral_sign(M) - eig_map(M, np.sign)).max() <= 1e-12
+        assert linalg.min_eigenvalues(M).shape == (2, 3)
+        assert np.abs(linalg.min_eigenvalues(M) - lam[..., 0]).max() <= 1e-12
+        assert np.abs(linalg.hermitian_op_norms(M) - np.abs(lam).max(axis=-1)).max() <= 1e-12
+        assert np.abs(linalg.hermitian_nuclear_norms(M)
+                      - np.abs(lam).sum(axis=-1)).max() <= 1e-12
 
     def test_degenerate_identity_blocks(self):
         M = np.einsum("k,ij->kij", np.array([1.5, -2.0, 0.0]), np.eye(2)).astype(complex)
@@ -237,7 +279,7 @@ class TestBatchedTransforms:
         S = linalg.spectral_sign(H[None])[0]
         lam = np.linalg.eigvalsh(S)
         assert np.all(np.abs(np.abs(lam) - 1.0) <= 1e-12)
-        assert np.trace(S @ H).real == pytest.approx(nuclear_norm(H), abs=1e-10)
+        assert np.trace(S @ H).real == pytest.approx(np.linalg.norm(H, "nuc"), abs=1e-10)
 
 
 def test_as_hermitian_repairs_small_drift(rng):

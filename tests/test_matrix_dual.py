@@ -8,13 +8,10 @@ from specdist import (
     assemble_dual,
     check_certificate,
     dw1_kappa,
-    nuclear_norm,
-    op_norm,
     scalar_measure,
     solve_dual,
     tv_matrix,
     w1_kappa_scalar,
-    w1_matrix_balanced,
 )
 from specdist.measures import Grid
 
@@ -80,7 +77,7 @@ class TestSolveDual:
         m1 = MatrixMeasure(grid, np.array([random_psd(rng, 2)]))
         m2 = MatrixMeasure(grid, np.array([random_psd(rng, 2)]))
         for kappa in (0.5, 1.0, 3.0):
-            expected = kappa * nuclear_norm(m1.masses[0] - m2.masses[0])
+            expected = kappa * np.linalg.norm(m1.masses[0] - m2.masses[0], "nuc")
             assert dw1_kappa(m1, m2, kappa, TIGHT) == pytest.approx(expected, abs=1e-6)
 
     def test_two_point_scalar_diracs(self):
@@ -103,6 +100,25 @@ class TestSolveDual:
         assert cert.feasibility_residual <= 1e-12
         assert cert.gap >= -1e-12
         assert cert.value <= cert.upper_bound + 1e-12
+
+    def test_check_certificate_flags_tampering(self, rng):
+        # the re-check sees a test function pushed out of the kappa ball or
+        # across a Lipschitz bound, and a value that is not its pairing
+        from dataclasses import replace
+
+        grid = random_grid(rng, 5)
+        problem = assemble_dual(random_matrix_measure(rng, grid, 2),
+                                random_matrix_measure(rng, grid, 2), 1.0)
+        cert = solve_dual(problem, DEFAULT)
+        F = np.array(cert.test_function)
+        worst_ball = float(np.linalg.norm(F, 2, axis=(-2, -1)).max())
+        scaled = replace(cert, test_function=(3.0 / worst_ball) * F)
+        assert check_certificate(problem, scaled)[0] == pytest.approx(2.0, abs=1e-9)
+        jump = F.copy()
+        jump[0] = -jump[1]
+        assert check_certificate(problem, replace(cert, test_function=jump))[0] > 0.0
+        assert check_certificate(problem, replace(cert, value=cert.value + 0.5))[1] \
+            == pytest.approx(0.5, abs=1e-9)
 
     def test_exhausted_budget_raises_with_best_iterate(self, rng):
         grid = random_grid(rng, 8)
@@ -175,8 +191,11 @@ class TestDw1Kappa:
         # same blocks in permuted positions: equal total matricial mass
         mu1 = MatrixMeasure(grid, masses)
         mu2 = MatrixMeasure(grid, masses[::-1])
-        balanced = w1_matrix_balanced(mu1, mu2, SolverOptions(tolerance=1e-6))
-        assert dw1_kappa(mu1, mu2, 1.0, DEFAULT) <= balanced + 1e-5
+        # the reversal plan moves block k from theta_k to theta_{K-1-k}; it is
+        # balanced, so its cost bounds the unbalanced distance for every kappa
+        reversal = sum(abs(grid.points[k] - grid.points[-1 - k]) * np.linalg.norm(M, "nuc")
+                       for k, M in enumerate(masses))
+        assert dw1_kappa(mu1, mu2, 1.0, DEFAULT) <= reversal + 1e-5
 
     def test_weak_continuity_probe(self):
         block = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)

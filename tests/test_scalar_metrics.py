@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist import (
-    cdf_table,
     lp_simplex,
     kolmogorov,
     make_uniform_grid,
@@ -66,12 +65,6 @@ class TestKolmogorov:
             f2 = sum(float(v) for v in m2[: k + 1])
             best = max(best, abs(f1 - f2))
         assert kolmogorov(mu1, mu2) == pytest.approx(best, abs=1e-12)
-
-    def test_cdf_table_monotone(self, rng):
-        mu = random_scalar_measure(rng, random_grid(rng, 6))
-        table = cdf_table(mu)
-        assert np.all(np.diff(table.values) >= 0)
-        assert table.values[-1] == pytest.approx(mu.scalar_values().sum(), abs=1e-12)
 
 
 class TestW1Balanced:
