@@ -89,21 +89,16 @@ def _cmd_dist(args) -> int:
     }
     partial_exit = EXIT_OK
     try:
-        if args.metric == "tv":
+        if args.metric in SCALAR_METRICS:
             _require_scalar(mu1, args.first)
             _require_scalar(mu2, args.second)
+        if args.metric == "tv":
             report["value"] = tv_scalar(mu1, mu2)
         elif args.metric == "kolmogorov":
-            _require_scalar(mu1, args.first)
-            _require_scalar(mu2, args.second)
             report["value"] = kolmogorov(mu1, mu2)
         elif args.metric == "w1":
-            _require_scalar(mu1, args.first)
-            _require_scalar(mu2, args.second)
             report["value"] = w1_balanced(mu1, mu2)
         elif args.metric == "w1k":
-            _require_scalar(mu1, args.first)
-            _require_scalar(mu2, args.second)
             report["kappa"] = args.kappa
             report["value"] = w1_kappa_scalar(mu1, mu2, args.kappa)
         elif args.metric == "matrix-tv":

@@ -14,6 +14,18 @@ block by its Hermitian part preserves both (Hermitian) marginals and cannot
 increase nuclear norms, so the restriction loses nothing.  Diagonal blocks
 travel distance zero and act as free variables absorbing common mass.
 
+The plan is banded: only adjacent points exchange mass.  A block m_ij with
+i < j can instead move over every edge (k, k+1) with i <= k < j and be
+subtracted from the diagonal blocks strictly between i and j (Hermitian, no
+sign constraint); both marginals stay the same and so does the cost, since
+the gaps telescope to |theta_i - theta_j| ||m_ij||_*.  This is the flux
+(Beckmann) form of the transport program and the primal side of the
+adjacent-point constraints in :mod:`specdist.matrix_dual`.  The plan is
+stored as one (3, K, n, n) stack: ``P[0][k] = m_kk``,
+``P[1][k] = m_k,k+1`` and ``P[2][k] = m_k+1,k``; slot K-1 of ``P[1]`` and
+``P[2]`` has no edge behind it and stays zero.  The solve starts from the
+diagonal plan ``P[0] = (M1 + M2) / 2``.
+
 The denoised marginals are PSD-cone constrained (they stand for measures);
 without the cone the minimizer can settle on indefinite marginals whose PSD
 repair costs a visible objective increase.  The cone enters the splitting as
@@ -33,8 +45,8 @@ import numpy as np
 
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible
-from .matrix_dual import DualCertificate, assemble_dual, solve_dual
-from .pdhg import Certified, ConvergenceError, SolverOptions, pdhg
+from .matrix_dual import DualCertificate, _forward, assemble_dual, solve_dual
+from .pdhg import Certified, ConvergenceError, SolverOptions, _feasibility_scale, pdhg
 
 __all__ = [
     "TransportSolution",
@@ -48,7 +60,7 @@ __all__ = [
 class TransportSolution(Certified):
     """Transport plan, denoised marginals and objective decomposition."""
 
-    plan: np.ndarray = field(repr=False)       # (K, K, n, n), Hermitian blocks
+    plan: np.ndarray = field(repr=False)       # (3, K, n, n) banded, Hermitian blocks
     denoised_marginals: tuple[MatrixMeasure, MatrixMeasure]
     transport_cost: float
     tv_penalty: float
@@ -66,11 +78,18 @@ class TransportSolution(Certified):
 
 
 def _plan_marginals(P: np.ndarray) -> np.ndarray:
-    return np.stack([P.sum(axis=1), P.sum(axis=0)])
+    """(rows, cols) of a banded plan: point k sums m_k,k-1, m_kk and m_k,k+1."""
+    out = np.stack([P[0], P[0]])
+    out[:, :-1] += P[1:, :-1]      # rows gain m_k,k+1, cols gain m_k+1,k
+    out[:, 1:] += P[:0:-1, :-1]    # rows gain m_k,k-1, cols gain m_k-1,k
+    return out
 
 
 def _marginal_adjoint(Y: np.ndarray) -> np.ndarray:
-    return Y[0][:, None] + Y[1][None, :]
+    out = np.zeros((3,) + Y.shape[1:], dtype=Y.dtype)
+    out[0] = Y[0] + Y[1]
+    out[1:, :-1] = Y[:, :-1] + Y[::-1, 1:]
+    return out
 
 
 def _psd_repair(P: np.ndarray) -> np.ndarray:
@@ -79,31 +98,8 @@ def _psd_repair(P: np.ndarray) -> np.ndarray:
     if not X.any():
         return P
     out = P.copy()
-    K = P.shape[0]
-    out[np.arange(K), np.arange(K)] += X
+    out[0] += X
     return out
-
-
-def _scaled_test_function(F, gaps, kappa) -> np.ndarray:
-    """Scale stacked Hermitian blocks into the dual feasible set."""
-    s = max(float((linalg.hermitian_op_norms(F[:-1] - F[1:]) / gaps).max(initial=0.0)),
-            float((linalg.hermitian_op_norms(F) / kappa).max(initial=0.0)))
-    return F / max(1.0, s)
-
-
-def _exact_match_solution(mu1: MatrixMeasure, mu2: MatrixMeasure) -> TransportSolution:
-    K, n = mu1.grid.size, mu1.dim
-    plan = np.zeros((K, K, n, n), dtype=complex)
-    plan[np.arange(K), np.arange(K)] = mu1.masses
-    return TransportSolution(
-        plan=plan,
-        denoised_marginals=(mu1, mu2),
-        transport_cost=0.0,
-        tv_penalty=0.0,
-        objective=0.0,
-        lower_bound=0.0,
-        iterations=0,
-    )
 
 
 def solve_unbalanced_primal(
@@ -126,18 +122,18 @@ def solve_unbalanced_primal(
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
     options = options or SolverOptions()
-    if np.array_equal(mu1.masses, mu2.masses):
-        return _exact_match_solution(mu1, mu2)
-
     M = np.stack([mu1.masses, mu2.masses])
     K = M.shape[1]
     gaps = mu1.grid.spacings
-    D = mu1.grid.distance_matrix()
+    costs = np.zeros((3, K))           # diagonal blocks travel for free
+    costs[1:, :-1] = gaps
     delta = M[0] - M[1]
+    start = np.zeros((3,) + M.shape[1:], dtype=complex)
+    start[0] = 0.5 * (M[0] + M[1])
     hint = lower_hint if lower_hint is not None else 0.0
 
     def decompose(P) -> tuple[float, float]:
-        cost = float((D * linalg.hermitian_nuclear_norms(P)).sum())
+        cost = float((costs * linalg.hermitian_nuclear_norms(P)).sum())
         return cost, float(linalg.hermitian_nuclear_norms(M - _plan_marginals(P)).sum())
 
     def certify(P, Y):
@@ -146,13 +142,19 @@ def solve_unbalanced_primal(
         repaired = _psd_repair(P)
         cost, tv_pen = decompose(repaired)
         S = Y.sum(axis=0)
-        F = _scaled_test_function(0.5 * (S[1] - S[0]), gaps, kappa)
+        F = 0.5 * (S[1] - S[0])
+        F = F / _feasibility_scale(F, _forward(F), kappa, gaps)
         return max(hint, linalg.trace_pairing(F, delta)), None, cost + kappa * tv_pen, repaired
 
     def package(lower, _, upper, plan, iterations) -> TransportSolution:
         cost, tv_pen = decompose(plan)
         hats = tuple(MatrixMeasure(mu.grid, m) for mu, m in zip((mu1, mu2), _plan_marginals(plan)))
         return TransportSolution(plan, hats, cost, tv_pen, cost + kappa * tv_pen, lower, iterations)
+
+    # the start plan is optimal; a solve would face a roundoff-level upper
+    # bound that no relative gap against 0 can certify
+    if np.array_equal(M[0], M[1]):
+        return package(0.0, None, 0.0, start, 0)
 
     def prox_dual(W, sigma):
         # W[0]: (rows, cols) duals of the TV penalties; W[1]: of the PSD cones,
@@ -163,15 +165,16 @@ def solve_unbalanced_primal(
         out[1] = W[1] - linalg.positive_part(W[1])
         return out
 
-    # both dual pairs see the same (rows, cols) image, so ||A||^2 <= 2 * 2K
+    # each block enters one row and one column, and each marginal sums at most
+    # three blocks, so ||(rows, cols)||^2 <= 6; both dual pairs see that image
     return pdhg(
-        np.zeros((K,) + M.shape[1:], dtype=complex),
+        start,
         np.zeros((2,) + M.shape, dtype=complex),
         _plan_marginals,
         lambda Y: _marginal_adjoint(Y.sum(axis=0)),
-        lambda G, tau: linalg.soft_threshold_eigenvalues(G, tau * D),
+        lambda G, tau: linalg.soft_threshold_eigenvalues(G, tau * costs),
         prox_dual,
-        math.sqrt(4.0 * K),
+        math.sqrt(12.0),
         certify,
         package,
         options,

@@ -21,7 +21,6 @@ import numpy as np
 from . import linalg
 
 PSD_TOL = 1e-10
-MASS_EQUALITY_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -62,10 +61,6 @@ class Grid:
     def spacings(self) -> np.ndarray:
         """Adjacent gaps theta_{k+1} - theta_k (length K - 1)."""
         return np.diff(self.points)
-
-    def distance_matrix(self) -> np.ndarray:
-        """All pairwise ground distances |theta_i - theta_j|."""
-        return np.abs(self.points[:, None] - self.points[None, :])
 
     def same_as(self, other: "Grid") -> bool:
         return (

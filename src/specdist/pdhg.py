@@ -224,8 +224,8 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
 
 def _feasibility_scale(F, LF, ball_radii, image_radii) -> float:
     """Smallest s >= 1 such that F / s satisfies every ball constraint."""
-    s = max((linalg.hermitian_op_norms(F) / ball_radii).max(),
-            (linalg.hermitian_op_norms(LF) / image_radii).max())
+    s = max((linalg.hermitian_op_norms(F) / ball_radii).max(initial=0.0),
+            (linalg.hermitian_op_norms(LF) / image_radii).max(initial=0.0))
     return max(1.0, float(s))
 
 

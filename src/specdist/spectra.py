@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .matrix_dual import assemble_dual, solve_dual
 from .matrix_primal import duality_gap
-from .measures import Grid, MatrixMeasure, make_uniform_grid
+from .measures import Grid, MatrixMeasure, make_uniform_grid, tv_matrix
 from .pdhg import ConvergenceError, SolverOptions
 
 __all__ = [
@@ -269,8 +269,6 @@ def table1_report(
     samples = [benchmark_density(i, grid.points) for i in range(3)]
     totals = [float(np.einsum("k,kii->", grid.weights, s).real) for s in samples]
     normalized = [s / c for s, c in zip(samples, totals)]
-
-    from .measures import tv_matrix  # local import keeps module deps one-way
 
     cells: list[TableCell] = []
     for (i, j), ref in zip(PAIRS, IS_REFERENCE):

@@ -60,9 +60,10 @@ class TestDist:
         assert code == 2
         assert "w1_kappa_scalar" in capsys.readouterr().err
 
-    def test_w1_on_matrix_measure_exits_2(self, spectra_dir, capsys):
+    @pytest.mark.parametrize("metric", ["tv", "kolmogorov", "w1", "w1k"])
+    def test_w1_on_matrix_measure_exits_2(self, spectra_dir, capsys, metric):
         code = main(
-            ["dist", "--metric", "w1", str(spectra_dir / "f0.json"),
+            ["dist", "--metric", metric, str(spectra_dir / "f0.json"),
              str(spectra_dir / "f1.json")]
         )
         assert code == 2
@@ -101,13 +102,13 @@ class TestDist:
         from specdist import SolverOptions, assemble_dual, solve_dual
 
         assert main(["gen-spectra", "--out", str(tmp_path), "--grid-points", "6"]) == 0
-        mu0, mu2 = load_measure(tmp_path / "f0.json"), load_measure(tmp_path / "f2.json")
+        mu1, mu2 = load_measure(tmp_path / "f1.json"), load_measure(tmp_path / "f2.json")
         halved = SolverOptions(tolerance=1e-3, gap_tolerance=5e-4)
-        budget = solve_dual(assemble_dual(mu0, mu2, 1.0), halved).iterations
+        budget = solve_dual(assemble_dual(mu1, mu2, 1.0), halved).iterations
         code = main(
             ["dist", "--metric", "matrix-w1k", "--gap-audit", "--tol", "1e-3",
              "--max-iter", str(budget), "--format", "structured",
-             str(tmp_path / "f0.json"), str(tmp_path / "f2.json")]
+             str(tmp_path / "f1.json"), str(tmp_path / "f2.json")]
         )
         assert code == 3
         doc = json.loads(capsys.readouterr().out)

@@ -8,11 +8,12 @@ from specdist import (
     scalar_measure,
     solve_unbalanced_primal,
     w1_balanced,
+    w1_kappa_scalar,
 )
 from specdist import linalg
 from specdist.measures import Grid
 
-from conftest import random_grid, random_matrix_measure, random_psd
+from conftest import random_grid, random_matrix_measure, random_psd, random_scalar_measure
 
 GAP_OPTS = SolverOptions(tolerance=1e-4, gap_tolerance=1e-3)
 
@@ -20,16 +21,27 @@ GAP_OPTS = SolverOptions(tolerance=1e-4, gap_tolerance=1e-3)
 class TestUnbalancedPrimal:
     def test_identical_measures_diagonal_plan(self, rng):
         grid = random_grid(rng, 5)
-        mu = random_matrix_measure(rng, grid, 2)
-        sol = solve_unbalanced_primal(mu, mu, 1.0)
-        assert sol.objective == 0.0
-        assert sol.transport_cost == 0.0
-        assert sol.tv_penalty == 0.0
-        for k in range(5):
-            assert np.array_equal(sol.plan[k, k], mu.masses[k])
-        off = sol.plan.copy()
-        off[np.arange(5), np.arange(5)] = 0.0
-        assert not off.any()
+        # rank-1 masses at n = 3 put roundoff into a solve's upper bound
+        v = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        rank_one = MatrixMeasure(grid, np.einsum("ki,kj->kij", v, v.conj()))
+        for mu in (random_matrix_measure(rng, grid, 2), rank_one):
+            sol = solve_unbalanced_primal(mu, mu, 1.0)
+            assert sol.objective == 0.0
+            assert sol.transport_cost == 0.0
+            assert sol.tv_penalty == 0.0
+            assert sol.iterations == 0
+            assert np.array_equal(sol.plan[0], mu.masses)
+            assert not sol.plan[1:].any()
+
+    def test_plan_is_banded(self, rng):
+        for K, n in ((1, 2), (2, 1), (5, 2), (4, 3)):
+            grid = random_grid(rng, K)
+            mu1 = random_matrix_measure(rng, grid, n)
+            mu2 = random_matrix_measure(rng, grid, n)
+            sol = solve_unbalanced_primal(mu1, mu2, 1.0, GAP_OPTS)
+            assert sol.plan.shape == (3, K, n, n)
+            # slot K-1 of the off-diagonal stacks has no edge behind it
+            assert not sol.plan[1:, -1].any()
 
     def test_single_dirac_move_with_large_kappa(self, rng):
         # the optimal VALUE is |theta_i - theta_j|; the optimal plan is not
@@ -51,8 +63,8 @@ class TestUnbalancedPrimal:
         mu1 = random_matrix_measure(rng, grid, 2)
         mu2 = random_matrix_measure(rng, grid, 2)
         sol = solve_unbalanced_primal(mu1, mu2, 1.0, GAP_OPTS)
-        D = grid.distance_matrix()
-        cost = float((D * linalg.hermitian_nuclear_norms(sol.plan)).sum())
+        norms = linalg.hermitian_nuclear_norms(sol.plan)
+        cost = float((grid.spacings * (norms[1, :-1] + norms[2, :-1])).sum())
         mu1_hat, mu2_hat = sol.denoised_marginals
         tv_pen = float(
             linalg.hermitian_nuclear_norms(mu1.masses - mu1_hat.masses).sum()
@@ -67,8 +79,13 @@ class TestUnbalancedPrimal:
         mu1 = random_matrix_measure(rng, grid, 2)
         mu2 = random_matrix_measure(rng, grid, 2)
         sol = solve_unbalanced_primal(mu1, mu2, 0.7, GAP_OPTS)
-        rows = sol.plan.sum(axis=1)
-        cols = sol.plan.sum(axis=0)
+        # P[1][k] = m_k,k+1 and P[2][k] = m_k+1,k
+        P = sol.plan
+        rows, cols = P[0].copy(), P[0].copy()
+        rows[:-1] += P[1, :-1]
+        rows[1:] += P[2, :-1]
+        cols[:-1] += P[2, :-1]
+        cols[1:] += P[1, :-1]
         mu1_hat, mu2_hat = sol.denoised_marginals
         assert np.abs(rows - mu1_hat.masses).max() <= 1e-8
         assert np.abs(cols - mu2_hat.masses).max() <= 1e-8
@@ -86,6 +103,36 @@ class TestUnbalancedPrimal:
         mu = random_matrix_measure(rng, random_grid(rng, 3), 2)
         with pytest.raises(ValueError, match="kappa"):
             solve_unbalanced_primal(mu, mu, 0.0)
+
+
+class TestScalarOracle:
+    """At n = 1 the transport primal is the dual of the exact chain program."""
+
+    def test_bracket_contains_chain_value(self):
+        rng = np.random.default_rng(41)
+        kappas = (0.05, 0.3, 1.0, 10.0)
+        for K in range(1, 41):
+            kappa = kappas[K % 4]
+            grid = random_grid(rng, K)
+            mu1 = random_scalar_measure(rng, grid)
+            mu2 = random_scalar_measure(rng, grid, scale=1.3)
+            sol = solve_unbalanced_primal(mu1, mu2, kappa, SolverOptions(tolerance=1e-6))
+            exact = w1_kappa_scalar(mu1, mu2, kappa)
+            slack = 1e-12 * max(1.0, exact)
+            assert sol.lower_bound - slack <= exact <= sol.upper_bound + slack, (K, kappa)
+
+
+class TestIterationCounts:
+    """The banded plan certifies the paper pairs' audit at K = 36 quickly."""
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+    def test_paper_pairs_certify_within_3000(self, pair):
+        from specdist import benchmark_measure
+
+        i, j = pair
+        report = duality_gap(benchmark_measure(i), benchmark_measure(j), 1.0, GAP_OPTS)
+        assert report.primal_solution.iterations <= 3_000
+        assert report.relative_gap <= 1e-3
 
 
 class TestHermitianRestriction:
@@ -156,11 +203,11 @@ class TestDualityGap:
                               make_uniform_grid, solve_dual)
 
         grid = make_uniform_grid(6, 0.0, np.pi)
-        mu0, mu2 = benchmark_measure(0, grid), benchmark_measure(2, grid)
+        mu1, mu2 = benchmark_measure(1, grid), benchmark_measure(2, grid)
         halved = SolverOptions(tolerance=1e-3, gap_tolerance=5e-4)
-        budget = solve_dual(assemble_dual(mu0, mu2, 1.0), halved).iterations
+        budget = solve_dual(assemble_dual(mu1, mu2, 1.0), halved).iterations
         with pytest.raises(ConvergenceError) as info:
-            duality_gap(mu0, mu2, 1.0, SolverOptions(tolerance=1e-3, max_iterations=budget))
+            duality_gap(mu1, mu2, 1.0, SolverOptions(tolerance=1e-3, max_iterations=budget))
         cert = info.value.solution
         assert cert.iterations == budget
         assert cert.lower_bound == cert.value
