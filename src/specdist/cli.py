@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .connes import DiracSet, State, connes_distance
 from .matrix_dual import assemble_dual, solve_dual
 from .matrix_primal import duality_gap
-from .measures import MatrixMeasure, load_measure, make_uniform_grid, save_measure, tv_matrix
+from .measures import (MatrixMeasure, _matrix_decode, _matrix_encode, load_measure,
+                       make_uniform_grid, save_measure, tv_matrix)
 from .pdhg import ConvergenceError, SolverOptions
 from .scalar_metrics import kolmogorov, tv_scalar, w1_balanced, w1_kappa_scalar
 from .spectra import benchmark_measure, density_plot_data, paper_grid, itakura_saito, table1_report
@@ -41,11 +41,7 @@ ALL_METRICS = SCALAR_METRICS + ("matrix-tv", "matrix-w1k", "is", "connes")
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        gap_tolerance=args.gap_tol,
-    )
+    return SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
 
 
 def _require_scalar(measure: MatrixMeasure, name: str):
@@ -56,26 +52,16 @@ def _require_scalar(measure: MatrixMeasure, name: str):
         )
 
 
-def _matrix_encode(M: np.ndarray) -> list:
-    return [[[float(M[i, j].real), float(M[i, j].imag)] for j in range(M.shape[1])]
-            for i in range(M.shape[0])]
-
-
-def _matrix_decode(doc) -> np.ndarray:
-    arr = np.asarray(doc, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected an n x n matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def _load_diracs(path: str) -> DiracSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not a valid Dirac operator file: {exc}") from exc
-    ops = doc["operators"] if isinstance(doc, dict) else doc
-    return DiracSet(np.array([_matrix_decode(op) for op in ops]))
+    ops = _matrix_decode(doc.get("operators") if isinstance(doc, dict) else doc)
+    if ops.ndim != 3:
+        raise ValueError("expected a list of n x n Dirac operators")
+    return DiracSet(ops)
 
 
 def _cmd_dist(args) -> int:
@@ -124,9 +110,7 @@ def _cmd_dist(args) -> int:
                 "gap": cert.gap,
             }
             if args.format == "structured":
-                report["certificate"]["test_function"] = [
-                    _matrix_encode(F) for F in cert.test_function
-                ]
+                report["certificate"]["test_function"] = _matrix_encode(cert.test_function)
             if audit is not None:
                 report["gap_audit"] = {
                     "primal": audit.primal,
@@ -162,11 +146,10 @@ def _cmd_dist(args) -> int:
 def _emit_report(report: dict, args):
     fmt = args.format
     if fmt == "structured":
-        text = json.dumps(report, indent=1)
+        text = json.dumps(report, indent=1) + "\n"
     elif fmt == "csv":
         keys = [k for k in ("metric", "kappa", "value", "converged") if k in report]
-        lines = [",".join(keys), ",".join(str(report[k]) for k in keys)]
-        text = "\n".join(lines)
+        text = _csv_text(keys, [[report[k] for k in keys]])
     else:
         lines = [f"{k:>22}: {v}" for k, v in report.items() if not isinstance(v, dict)]
         for key in ("certificate", "gap_audit"):
@@ -177,15 +160,26 @@ def _emit_report(report: dict, args):
                     for k, v in report[key].items()
                     if k != "test_function"
                 )
-        text = "\n".join(lines)
+        text = "\n".join(lines) + "\n"
     _write_out(text, args.out)
 
 
+def _csv_text(header: list, rows) -> str:
+    """CSV in the ``csv`` module's default dialect; None is written empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_out(text: str, out: str | None):
+    """Write ``text`` unchanged to the file ``out``, or to stdout."""
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _grid(args):
@@ -221,25 +215,17 @@ def _cmd_table1(args) -> int:
         for c in report.cells
     ]
     if args.format == "structured":
-        text = json.dumps({"kappa": report.kappa, "cells": cells}, indent=1)
+        text = json.dumps({"kappa": report.kappa, "cells": cells}, indent=1) + "\n"
     elif args.format == "csv":
-        keys = list(cells[0].keys())
-        rows = [",".join(keys)]
-        rows += [",".join("" if c[k] is None else str(c[k]) for k in keys) for c in cells]
-        text = "\n".join(rows)
+        text = _csv_text(list(cells[0]), [list(c.values()) for c in cells])
     else:
-        text = report.human_table()
+        text = report.human_table() + "\n"
     _write_out(text, str(out_dir / f"table1.{_ext(args.format)}") if out_dir else None)
 
-    plot = density_plot_data(grid)
     if out_dir:
-        plot_path = out_dir / "density_plot_data.csv"
-        with open(plot_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            keys = list(plot.keys())
-            writer.writerow(keys)
-            for row in zip(*(plot[k] for k in keys)):
-                writer.writerow([repr(float(v)) for v in row])
+        plot = density_plot_data(grid)
+        rows = zip(*(plot[k].tolist() for k in plot))
+        _write_out(_csv_text(list(plot), rows), str(out_dir / "density_plot_data.csv"))
     return EXIT_OK if all(c.converged for c in report.cells) else EXIT_SOLVER
 
 
@@ -273,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bound on test functions (0 means unbounded, connes only)")
     dist.add_argument("--tol", type=float, default=1e-6)
     dist.add_argument("--max-iter", type=int, default=200_000)
-    dist.add_argument("--gap-tol", type=float, default=None, dest="gap_tol")
     dist.add_argument("--gap-audit", action="store_true",
                       help="also solve the transport side and report the duality gap")
     dist.add_argument("--dirac", default=None, help="JSON file with Dirac operators")
@@ -286,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--kappa", type=float, default=1.0)
     table.add_argument("--tol", type=float, default=1e-3)
     table.add_argument("--max-iter", type=int, default=400_000)
-    table.add_argument("--gap-tol", type=float, default=1e-3, dest="gap_tol")
     table.add_argument("--no-gap-audit", dest="gap_audit", action="store_false")
     table.add_argument("--grid-points", type=int, default=None)
     table.add_argument("--format", choices=("human-table", "csv", "structured"),

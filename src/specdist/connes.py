@@ -130,7 +130,7 @@ def _solve_finite(sigma: np.ndarray, diracs: DiracSet, kappa: float,
     # the feasible set is symmetric under f -> -f, so the supremum of
     # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
     solution = solve_ball_program(_commutator_program(sigma, diracs, kappa), options)
-    return kappa * solution.value, kappa * solution.witness[0]
+    return kappa * solution.value, kappa * solution.test_function[0]
 
 
 def connes_witness(
@@ -148,7 +148,7 @@ def connes_witness(
     """
     _check_dims(rho1, rho2, diracs)
     if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"witness extraction needs finite positive kappa, got {kappa}")
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     options = options or SolverOptions()
     sigma = rho1.matrix - rho2.matrix
     if not sigma.any():
@@ -194,23 +194,21 @@ def connes_distance(
 ) -> float:
     """Spectral distance between two states; ``math.inf`` flags divergence.
 
-    With finite ``kappa`` the bounded variant is solved directly.  With
-    ``kappa = math.inf`` the commutant decides divergence without a solve;
-    a finite distance is the bounded one at :func:`sufficient_kappa`,
-    certified to the options' gap like every finite-kappa value.
+    With finite ``kappa`` the bounded variant is solved directly, as in
+    :func:`connes_witness`; any other non-finite ``kappa`` raises
+    ``ValueError``.  With ``kappa = math.inf`` the commutant decides
+    divergence without a solve; a finite distance is the bounded one at
+    :func:`sufficient_kappa`, certified to the options' tolerance like every
+    finite-kappa value.
     """
+    if kappa != math.inf:
+        return connes_witness(rho1, rho2, diracs, kappa, options)[0]
     _check_dims(rho1, rho2, diracs)
-    options = options or SolverOptions()
     sigma = rho1.matrix - rho2.matrix
     if not sigma.any():
         return 0.0
-    if math.isfinite(kappa):
-        if kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
-        return _solve_finite(sigma, diracs, kappa, options)[0]
     kappa = sufficient_kappa(rho1, rho2, diracs)
     if math.isinf(kappa):
         return math.inf
-    value = _solve_finite(sigma, diracs, kappa, options)[0]
+    value = _solve_finite(sigma, diracs, kappa, options or SolverOptions())[0]
     return math.inf if value > UNBOUNDED_CAP else value
-

@@ -34,20 +34,24 @@ def hermiticity_violation(M: np.ndarray) -> float:
     return viol / scale
 
 
-def as_hermitian(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def as_hermitian(M) -> np.ndarray:
     """Validate and symmetrize a (stack of) Hermitian matrix.
 
-    Violations below ``tol`` (relative to the largest absolute entry) are
-    repaired by symmetrization, which keeps solver iterates exactly Hermitian
-    despite floating-point drift; anything larger raises ``ValueError``.
+    Violations below ``HERMITICITY_TOL`` (relative to the largest absolute
+    entry) are repaired by symmetrization, which keeps solver iterates exactly
+    Hermitian despite floating-point drift; anything larger, and any
+    non-finite entry, raises ``ValueError``.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrix blocks, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
     viol = hermiticity_violation(M)
-    if viol > tol:
+    if viol > HERMITICITY_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: relative violation {viol:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: relative violation {viol:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e}"
         )
     return hermitian_part(M)
 

@@ -25,7 +25,8 @@ import numpy as np
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible, _readonly
 from .measures import Grid
-from .pdhg import BallProgram, Certified, ConvergenceError, SolverOptions, solve_ball_program
+from .pdhg import (BallProgram, ConvergenceError, DualCertificate, SolverOptions,
+                   solve_ball_program)
 
 __all__ = [
     "DualProblem",
@@ -63,21 +64,6 @@ class DualProblem:
         return self.grid.spacings
 
 
-@dataclass(frozen=True)
-class DualCertificate(Certified):
-    """Feasible test function witnessing a lower bound on the supremum."""
-
-    test_function: np.ndarray = field(repr=False)   # (K, n, n) Hermitian
-    value: float
-    feasibility_residual: float
-    iterations: int
-    upper_bound: float
-
-    @property
-    def lower_bound(self) -> float:
-        return self.value
-
-
 def _forward(F: np.ndarray) -> np.ndarray:
     return F[:-1] - F[1:]
 
@@ -100,7 +86,7 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
 
     The certificate value is a guaranteed lower bound on the supremum and
     ``upper_bound`` a guaranteed upper bound; their relative gap is at most
-    the options' gap target.  Raises :class:`ConvergenceError` (carrying the
+    the options' tolerance.  Raises :class:`ConvergenceError` (carrying the
     best iterate) if the budget runs out first.
     """
     options = options or SolverOptions()
@@ -113,9 +99,7 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
         image_radii=problem.gaps,
         map_norm=DIFFERENCE_MAP_NORM,
     )
-    ball = solve_ball_program(program, options)
-    return DualCertificate(ball.witness, ball.value, ball.feasibility_residual, ball.iterations,
-                           ball.upper_bound)
+    return solve_ball_program(program, options)
 
 
 def dw1_kappa(

@@ -112,7 +112,7 @@ def solve_unbalanced_primal(
     """Minimize transport cost plus ``kappa`` times the TV denoising penalty.
 
     Returns a feasible plan whose objective is certified to be within the
-    options' gap target of the optimum.  ``lower_hint`` may carry an already
+    options' tolerance of the optimum.  ``lower_hint`` may carry an already
     certified lower bound (e.g. from a prior dual solve); it tightens the
     stopping test but is never reported beyond ``lower_bound``.  Raises
     :class:`ConvergenceError` carrying the best solution if the iteration
@@ -201,16 +201,16 @@ def duality_gap(
 ) -> GapReport:
     """Cross-certify the transport and test-function solvers on one instance.
 
-    Each side solves to half the requested gap target so their combined
+    Each side solves to half the requested tolerance so their combined
     (cross) gap meets it; the dual certificate value also feeds the primal
     stopping test as a known lower bound.  ``gap = primal - dual`` is
     nonnegative up to roundoff on every instance (weak duality) and within
-    the gap target at convergence (strong duality).  When the primal runs
+    the tolerance at convergence (strong duality).  When the primal runs
     out of iterations the :class:`ConvergenceError` carries the dual
-    certificate, whose bracket is already within half the gap target.
+    certificate, whose bracket is already within half the tolerance.
     """
     options = options or SolverOptions()
-    halved = replace(options, gap_tolerance=0.5 * options.gap_target)
+    halved = replace(options, tolerance=0.5 * options.tolerance)
     certificate = solve_dual(assemble_dual(mu1, mu2, kappa), halved)
     try:
         primal = solve_unbalanced_primal(

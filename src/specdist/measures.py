@@ -97,8 +97,6 @@ class MatrixMeasure:
             raise ValueError(
                 f"got {masses.shape[0]} masses for a grid of {self.grid.size} points"
             )
-        if not np.isfinite(masses).all():
-            raise ValueError("masses must be finite")
         masses = linalg.as_hermitian(masses)
         floors = -PSD_TOL * np.maximum(1.0, linalg.hermitian_op_norms(masses))
         min_eigs = linalg.min_eigenvalues(masses)
@@ -170,20 +168,29 @@ def tv_matrix(mu1: MatrixMeasure, mu2: MatrixMeasure) -> float:
 # measure file format
 # ---------------------------------------------------------------------------
 
+def _matrix_encode(M: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs for a stack of complex matrices."""
+    return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
+def _matrix_decode(doc) -> np.ndarray:
+    """Inverse of :func:`_matrix_encode` for square blocks ``(..., n, n, 2)``."""
+    arr = np.asarray(doc, dtype=float)
+    if arr.ndim < 3 or arr.shape[-1] != 2 or arr.shape[-2] != arr.shape[-3]:
+        raise ValueError("expected n x n matrices of [re, im] pairs")
+    # a view keeps signed zeros, which re + 1j * im would not
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
+
+
 def measure_to_dict(measure: MatrixMeasure) -> dict:
     """Plain-data form of a measure (floats keep full double precision)."""
-    n = measure.dim
-    masses = [
-        [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(n)] for i in range(n)]
-        for m in measure.masses
-    ]
     return {
-        "dim": n,
+        "dim": measure.dim,
         "grid": [
             {"theta": float(t), "weight": float(w)}
             for t, w in zip(measure.grid.points, measure.grid.weights)
         ],
-        "masses": masses,
+        "masses": _matrix_encode(measure.masses),
     }
 
 
@@ -192,15 +199,12 @@ def measure_from_dict(doc: dict) -> MatrixMeasure:
         n = int(doc["dim"])
         points = [float(entry["theta"]) for entry in doc["grid"]]
         weights = [float(entry["weight"]) for entry in doc["grid"]]
-        raw = doc["masses"]
-        masses = np.empty((len(raw), n, n), dtype=complex)
-        for k, mat in enumerate(raw):
-            for i in range(n):
-                for j in range(n):
-                    re, im = mat[i][j]
-                    masses[k, i, j] = complex(re, im)
-    except (KeyError, TypeError, IndexError) as exc:
+        masses = _matrix_decode(doc["masses"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
+    if masses.shape != (len(points), n, n):
+        raise ValueError(f"expected masses of shape ({len(points)}, {n}, {n}), "
+                         f"got {masses.shape}")
     return MatrixMeasure(Grid(np.array(points), np.array(weights)), masses)
 
 

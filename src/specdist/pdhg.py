@@ -22,7 +22,9 @@ Every solve is certified from both sides without trusting the iteration:
 
 The iteration stops when the certified relative gap reaches the requested
 tolerance, which makes the reported value trustworthy independent of step
-sizes and iteration counts.
+sizes and iteration counts.  A ball program's result is a
+:class:`DualCertificate`: the feasible iterate with the best lower bound,
+its value and the best upper bound.
 
 :func:`pdhg` is the one PDHG driver of the package; the ball programs here
 and the transport program of :mod:`specdist.matrix_primal` supply their
@@ -32,9 +34,9 @@ et al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):
 
 * steps ``tau = 0.999 omega / ||L||`` and ``sigma = 0.999 / (omega ||L||)``,
   so ``tau sigma ||L||^2 < 1`` for every primal weight ``omega``;
-* at every check point both the current iterate and the running average
-  since the last restart are certified, and either may improve the best
-  bounds;
+* at every check point (every ``CHECK_EVERY`` iterations) both the current
+  iterate and the running average since the last restart are certified,
+  and either may improve the best bounds;
 * the iteration restarts from the one with the smaller relative gap once
   that gap falls to 0.2 times its value at the last restart, or once the
   iterations since the last restart reach 0.36 times all iterations so far;
@@ -46,13 +48,14 @@ et al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import linalg
 
+CHECK_EVERY = 50            # iterations between certifications (the only restart points)
 RESTART_SUFFICIENT = 0.2    # restart once the gap falls to this share of its last-restart value
 RESTART_ARTIFICIAL = 0.36   # ... or once the current run is this share of all iterations
 WEIGHT_SMOOTHING = 0.5      # weight of the newest move ratio in log(omega)
@@ -62,30 +65,20 @@ WEIGHT_SMOOTHING = 0.5      # weight of the newest move ratio in log(omega)
 class SolverOptions:
     """Iteration controls shared by all first-order solves.
 
-    ``tolerance`` bounds the certified relative duality gap at which a solve
-    is declared converged.  ``gap_tolerance`` overrides it when a looser
-    certification is acceptable (e.g. benchmark reproduction at 1e-3).
-    ``check_every`` is the number of iterations between certifications, which
-    are also the only points where the driver may restart.  Step sizes are not
-    options: the driver derives them from ``||L||`` and its adaptive primal
-    weight (see the module docstring).
+    ``tolerance`` is the certified relative duality gap at which a solve is
+    declared converged, and ``max_iterations`` its budget.  Step sizes are
+    not options: the driver derives them from ``||L||`` and its adaptive
+    primal weight (see the module docstring).
     """
 
     max_iterations: int = 200_000
     tolerance: float = 1e-6
-    gap_tolerance: float | None = None
-    check_every: int = 50
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.check_every <= 0:
-            raise ValueError("solver options must be positive")
-        for tol in (self.tolerance, self.gap_tolerance):
-            if tol is not None and not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"solver tolerances must be finite and positive, got {tol}")
-
-    @property
-    def gap_target(self) -> float:
-        return self.gap_tolerance if self.gap_tolerance is not None else self.tolerance
+        if self.max_iterations <= 0:
+            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 class ConvergenceError(RuntimeError):
@@ -125,12 +118,20 @@ class BallProgram:
 
 
 @dataclass(frozen=True)
-class BallSolution(Certified):
-    witness: np.ndarray            # feasible blocks achieving ``value``
-    value: float                   # tr pairing of witness with the objective
-    upper_bound: float             # certified bound on the true supremum
-    feasibility_residual: float    # measured constraint violation of witness
+class DualCertificate(Certified):
+    """Feasible test function witnessing a lower bound on the supremum.
+
+    The result of every ball program: ``test_function`` (stacked Hermitian
+    blocks) satisfies the constraints up to ``feasibility_residual``,
+    ``value`` is its pairing with the objective and ``upper_bound`` a
+    certified bound on the supremum.
+    """
+
+    test_function: np.ndarray = field(repr=False)   # (B, n, n) Hermitian
+    value: float
+    feasibility_residual: float
     iterations: int
+    upper_bound: float
 
     @property
     def lower_bound(self) -> float:
@@ -145,7 +146,7 @@ def _move(new: np.ndarray, old: np.ndarray) -> float:
 
 def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, package,
          options: SolverOptions):
-    """Run PDHG from ``(x, y)`` until the best certified bounds meet the gap target.
+    """Run PDHG from ``(x, y)`` until the best certified bounds meet the tolerance.
 
     One iteration is ``y <- prox_dual(y + sigma L xbar, sigma)``,
     ``x <- prox_primal(x - tau L* y, tau)``, ``xbar <- 2 x_new - x_old``.
@@ -173,7 +174,7 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
 
     def certified() -> bool:
         lower, upper = best[0], best[2]
-        return upper - lower <= options.gap_target * max(abs(upper), abs(lower), floor)
+        return upper - lower <= options.tolerance * max(abs(upper), abs(lower), floor)
 
     if certified():
         return package(*best, 0)
@@ -194,7 +195,7 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
         x_sum += x
         y_sum += y
         run += 1
-        if it % options.check_every and it < options.max_iterations:
+        if it % CHECK_EVERY and it < options.max_iterations:
             continue
         gap = check(x, y)
         x_avg, y_avg = x_sum / run, y_sum / run
@@ -215,7 +216,7 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
         y_sum[...] = 0.0
 
     raise ConvergenceError(
-        f"no certificate at relative gap {options.gap_target:.1e} within "
+        f"no certificate at relative gap {options.tolerance:.1e} within "
         f"{options.max_iterations} iterations (bounds [{best[0]:.6g}, {best[2]:.6g}], "
         f"reached {relative(best[0], best[2]):.2e})",
         package(*best, options.max_iterations),
@@ -242,7 +243,7 @@ def _residual(F, LF, ball_radii, image_radii) -> float:
     return max(0.0, res)
 
 
-def solve_ball_program(program: BallProgram, options: SolverOptions) -> BallSolution:
+def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCertificate:
     C = np.asarray(program.objective, dtype=complex)
     rho = np.asarray(program.ball_radii, dtype=float)
     r = np.asarray(program.image_radii, dtype=float)
@@ -254,15 +255,15 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> BallSolu
         F = rho[:, None, None] * linalg.spectral_sign(C)
         value = linalg.trace_pairing(F, C)
         res = _residual(F, program.forward(F), rho, r)
-        return BallSolution(F, value, value, res, 0)
+        return DualCertificate(F, value, res, 0, value)
 
     def certify(F, Y):
         scale = _feasibility_scale(F, program.forward(F), rho, r)
         return linalg.trace_pairing(F, C) / scale, F / scale, _upper_bound(program, Y), None
 
-    def package(lower, witness, upper, _, iterations) -> BallSolution:
+    def package(lower, witness, upper, _, iterations) -> DualCertificate:
         res = _residual(witness, program.forward(witness), rho, r)
-        return BallSolution(witness, linalg.trace_pairing(witness, C), upper, res, iterations)
+        return DualCertificate(witness, linalg.trace_pairing(witness, C), res, iterations, upper)
 
     return pdhg(
         np.zeros_like(C),

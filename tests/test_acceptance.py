@@ -139,7 +139,7 @@ def test_criterion_3_w1_third_cell(table):
 
 def test_criterion_4_duality_on_random_instances():
     rng = np.random.default_rng(1234)
-    opts = SolverOptions(tolerance=1e-4, gap_tolerance=1e-3, max_iterations=400_000)
+    opts = SolverOptions(tolerance=1e-3, max_iterations=400_000)
     worst_rel = 0.0
     worst_weak = 0.0
     for trial in range(50):

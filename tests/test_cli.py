@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,7 +77,7 @@ class TestDist:
 
     def test_matrix_w1k_reference_value(self, spectra_dir, capsys):
         code = main(
-            ["dist", "--metric", "matrix-w1k", "--kappa", "1", "--gap-tol", "1e-4",
+            ["dist", "--metric", "matrix-w1k", "--kappa", "1", "--tol", "1e-4",
              "--format", "structured",
              str(spectra_dir / "f0.json"), str(spectra_dir / "f1.json")]
         )
@@ -103,7 +105,7 @@ class TestDist:
 
         assert main(["gen-spectra", "--out", str(tmp_path), "--grid-points", "6"]) == 0
         mu1, mu2 = load_measure(tmp_path / "f1.json"), load_measure(tmp_path / "f2.json")
-        halved = SolverOptions(tolerance=1e-3, gap_tolerance=5e-4)
+        halved = SolverOptions(tolerance=5e-4)
         budget = solve_dual(assemble_dual(mu1, mu2, 1.0), halved).iterations
         code = main(
             ["dist", "--metric", "matrix-w1k", "--gap-audit", "--tol", "1e-3",
@@ -170,7 +172,8 @@ class TestDist:
         )
         assert code == 0
 
-    def test_connes_metric(self, tmp_path, capsys):
+    @staticmethod
+    def _connes(tmp_path, off_diagonal, *flags):
         from specdist import Grid, MatrixMeasure
 
         grid = Grid(np.array([0.0]), np.array([1.0]))
@@ -178,16 +181,29 @@ class TestDist:
         rho2 = MatrixMeasure(grid, np.array([np.diag([0.0, 1.0])], dtype=complex))
         save_measure(rho1, tmp_path / "rho1.json")
         save_measure(rho2, tmp_path / "rho2.json")
-        dirac_doc = [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]
+        dirac_doc = [[[[0.0, 0.0], [off_diagonal, 0.0]], [[off_diagonal, 0.0], [0.0, 0.0]]]]
         (tmp_path / "dirac.json").write_text(json.dumps(dirac_doc))
-        code = main(
-            ["dist", "--metric", "connes", "--kappa", "0.25",
+        return main(
+            ["dist", "--metric", "connes", "--kappa", "0.25", *flags,
              "--dirac", str(tmp_path / "dirac.json"),
              str(tmp_path / "rho1.json"), str(tmp_path / "rho2.json")]
         )
-        assert code == 0
+
+    def test_connes_metric(self, tmp_path, capsys):
+        assert self._connes(tmp_path, 1.0) == 0
         out = capsys.readouterr().out
         assert "0.5" in out
+
+    def test_connes_nonfinite_dirac_exits_2(self, tmp_path, capsys):
+        # json writes the entry as Infinity, which the decoder reads back
+        assert self._connes(tmp_path, math.inf, "--max-iter", "1000") == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_connes_dirac_file_without_operators_exits_2(self, tmp_path, spectra_dir):
+        (tmp_path / "dirac.json").write_text(json.dumps({"ops": []}))
+        code = main(["dist", "--metric", "connes", "--dirac", str(tmp_path / "dirac.json"),
+                     str(spectra_dir / "f0.json"), str(spectra_dir / "f1.json")])
+        assert code == 2
 
     def test_connes_without_dirac_exits_2(self, tmp_path, spectra_dir, capsys):
         code = main(
@@ -230,6 +246,17 @@ class TestTable1Command:
             assert "not converged" in c["note"]
         assert all(c["converged"] for c in doc["cells"] if c["metric"] != "w1k")
         assert len((out / "density_plot_data.csv").read_text().splitlines()) == 7
+
+    def test_csv_rows_have_the_header_field_count(self, tmp_path):
+        out = tmp_path / "study"
+        code = main(["table1", "--no-gap-audit", "--grid-points", "8", "--format", "csv",
+                     "--out", str(out)])
+        assert code == 0
+        with open(out / "table1.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 12
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][header.index("pair")] == "f0,f1"
 
     def test_human_format_to_stdout(self, capsys):
         code = main(["table1", "--no-gap-audit", "--grid-points", "8"])

@@ -43,6 +43,13 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="trace"):
             State(np.diag([0.7, 0.7]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            State(np.array([[0.5, bad], [bad, 0.5]], dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            DiracSet(np.diag([1.0, bad]).astype(complex))
+
     def test_dirac_set_needs_operators(self):
         with pytest.raises(ValueError):
             DiracSet(np.zeros((0, 2, 2), dtype=complex))
@@ -52,6 +59,12 @@ class TestClosedForms:
     def test_equal_states(self):
         rho = _diag_state(0.3)
         assert connes_distance(rho, rho, SIGMA_X, 1.0) == 0.0
+
+    @pytest.mark.parametrize("kappa", [math.nan, -math.inf, 0.0])
+    def test_rejects_invalid_kappa(self, kappa):
+        # only math.inf selects the unbounded distance
+        with pytest.raises(ValueError, match="kappa"):
+            connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, kappa)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.4, 1.0, 10.0])
     def test_diagonal_difference_states(self, kappa):

@@ -128,7 +128,7 @@ class TestSolveDual:
             solve_dual(assemble_dual(mu1, mu2, 1.0), SolverOptions(max_iterations=3))
         best = info.value.solution
         assert best.value <= best.upper_bound
-        assert best.witness.shape == (8, 2, 2)
+        assert best.test_function.shape == (8, 2, 2)
 
 
 class TestDw1Kappa:

@@ -15,7 +15,7 @@ from specdist.measures import Grid
 
 from conftest import random_grid, random_matrix_measure, random_psd, random_scalar_measure
 
-GAP_OPTS = SolverOptions(tolerance=1e-4, gap_tolerance=1e-3)
+GAP_OPTS = SolverOptions(tolerance=1e-3)
 
 
 class TestUnbalancedPrimal:
@@ -51,7 +51,7 @@ class TestUnbalancedPrimal:
         mu1 = scalar_measure(grid, np.eye(5)[1])
         mu2 = scalar_measure(grid, np.eye(5)[3])
         d = abs(grid.points[3] - grid.points[1])
-        sol = solve_unbalanced_primal(mu1, mu2, 100.0, SolverOptions(gap_tolerance=1e-6))
+        sol = solve_unbalanced_primal(mu1, mu2, 100.0, SolverOptions(tolerance=1e-6))
         assert sol.objective == pytest.approx(d, rel=1e-4)
         assert sol.tv_penalty <= 1e-6
         mu1_hat, mu2_hat = sol.denoised_marginals
@@ -186,7 +186,7 @@ class TestDualityGap:
         # weak duality is certificate-structural, so it must hold at any
         # certification level; loose tolerances keep 100 instances cheap
         rng = np.random.default_rng(777)
-        opts = SolverOptions(tolerance=1e-2, gap_tolerance=1e-2)
+        opts = SolverOptions(tolerance=1e-2)
         for _ in range(100):
             n = int(rng.integers(1, 4))
             K = int(rng.integers(2, 6))
@@ -204,7 +204,7 @@ class TestDualityGap:
 
         grid = make_uniform_grid(6, 0.0, np.pi)
         mu1, mu2 = benchmark_measure(1, grid), benchmark_measure(2, grid)
-        halved = SolverOptions(tolerance=1e-3, gap_tolerance=5e-4)
+        halved = SolverOptions(tolerance=5e-4)
         budget = solve_dual(assemble_dual(mu1, mu2, 1.0), halved).iterations
         with pytest.raises(ConvergenceError) as info:
             duality_gap(mu1, mu2, 1.0, SolverOptions(tolerance=1e-3, max_iterations=budget))
@@ -220,7 +220,7 @@ class TestDualityGap:
         mu1 = MatrixMeasure(grid, np.array([random_psd(rng, 2)]))
         mu2 = MatrixMeasure(grid, np.array([random_psd(rng, 2)]))
         expected = 0.6 * np.linalg.norm(mu1.masses[0] - mu2.masses[0], "nuc")
-        report = duality_gap(mu1, mu2, 0.6, SolverOptions(gap_tolerance=1e-5))
+        report = duality_gap(mu1, mu2, 0.6, SolverOptions(tolerance=1e-5))
         assert report.primal == pytest.approx(expected, rel=1e-4)
         assert report.dual == pytest.approx(expected, rel=1e-4)
 

@@ -230,6 +230,18 @@ class TestMeasureFiles:
         with pytest.raises(ValueError, match="not PSD"):
             load_measure(path)
 
+    def test_load_rejects_masses_of_another_dimension(self, tmp_path):
+        # 2 x 2 mass entries under dim 1 are not read as their [0][0] entries
+        doc = {
+            "dim": 1,
+            "grid": [{"theta": 0.0, "weight": 1.0}],
+            "masses": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        }
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="shape"):
+            load_measure(path)
+
     def test_load_rejects_malformed_document(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"dim": 2, "grid": []}))

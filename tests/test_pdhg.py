@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,32 +26,28 @@ class TestSolverOptions:
         opts = SolverOptions()
         assert opts.max_iterations == 200_000
         assert opts.tolerance == 1e-6
-        assert opts.gap_target == 1e-6
-
-    def test_gap_tolerance_overrides(self):
-        assert SolverOptions(gap_tolerance=1e-3).gap_target == 1e-3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_iterations": 0},
             {"tolerance": 0.0},
-            {"check_every": 0},
-            {"gap_tolerance": -1.0},
             {"tolerance": math.nan},
             {"tolerance": math.inf},
-            {"gap_tolerance": math.nan},
-            {"gap_tolerance": math.inf},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
 
-    @pytest.mark.parametrize("name", ["primal_step", "dual_step"])
+    @pytest.mark.parametrize("name", ["primal_step", "dual_step", "check_every"])
     def test_step_sizes_are_not_options(self, name):
         with pytest.raises(TypeError):
             SolverOptions(**{name: 0.5})
+
+    def test_budget_and_tolerance_are_the_only_options(self):
+        # one gap target: no second tolerance can override ``tolerance``
+        assert [f.name for f in fields(SolverOptions)] == ["max_iterations", "tolerance"]
 
 
 class TestUnconstrainedImage:
@@ -70,7 +67,7 @@ class TestUnconstrainedImage:
         solution = solve_ball_program(_no_constraints_program(C, np.ones(3)), SolverOptions())
         assert solution.value == 0.0
         assert solution.upper_bound == 0.0
-        assert not solution.witness.any()
+        assert not solution.test_function.any()
 
 
 def test_certified_bounds_sandwich_the_value(rng):
