@@ -32,6 +32,8 @@ class TestSolverOptions:
         [
             {"max_iterations": 0},
             {"tolerance": 0.0},
+            {"max_iterations": -1},
+            {"tolerance": -1.0},
             {"tolerance": math.nan},
             {"tolerance": math.inf},
         ],
