@@ -45,7 +45,6 @@ from .measures import (
 from .pdhg import ConvergenceError, SolverOptions
 from .scalar_metrics import (
     kolmogorov,
-    tv_scalar,
     w1_balanced,
     w1_kappa_chain,
     w1_kappa_scalar,

@@ -125,14 +125,6 @@ def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> Ba
     )
 
 
-def _solve_finite(sigma: np.ndarray, diracs: DiracSet, kappa: float,
-                  options: SolverOptions) -> tuple[float, np.ndarray]:
-    # the feasible set is symmetric under f -> -f, so the supremum of
-    # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
-    solution = solve_ball_program(_commutator_program(sigma, diracs, kappa), options)
-    return kappa * solution.value, kappa * solution.test_function[0]
-
-
 def connes_witness(
     rho1: State,
     rho2: State,
@@ -153,7 +145,10 @@ def connes_witness(
     sigma = rho1.matrix - rho2.matrix
     if not sigma.any():
         return 0.0, np.zeros_like(sigma)
-    return _solve_finite(sigma, diracs, kappa, options)
+    # the feasible set is symmetric under f -> -f, so the supremum of
+    # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
+    solution = solve_ball_program(_commutator_program(sigma, diracs, kappa), options)
+    return kappa * solution.value, kappa * solution.test_function[0]
 
 
 def _check_dims(rho1: State, rho2: State, diracs: DiracSet):
@@ -197,18 +192,16 @@ def connes_distance(
     With finite ``kappa`` the bounded variant is solved directly, as in
     :func:`connes_witness`; any other non-finite ``kappa`` raises
     ``ValueError``.  With ``kappa = math.inf`` the commutant decides
-    divergence without a solve; a finite distance is the bounded one at
-    :func:`sufficient_kappa`, certified to the options' tolerance like every
-    finite-kappa value.
+    divergence without a solve; a finite distance is :func:`connes_witness`
+    at :func:`sufficient_kappa`, certified to the options' tolerance like
+    every finite-kappa value (equal states give 0.0 without a solve), and a
+    value above ``UNBOUNDED_CAP`` is reported as ``math.inf``.
     """
     if kappa != math.inf:
         return connes_witness(rho1, rho2, diracs, kappa, options)[0]
-    _check_dims(rho1, rho2, diracs)
-    sigma = rho1.matrix - rho2.matrix
-    if not sigma.any():
-        return 0.0
     kappa = sufficient_kappa(rho1, rho2, diracs)
-    if math.isinf(kappa):
-        return math.inf
-    value = _solve_finite(sigma, diracs, kappa, options or SolverOptions())[0]
+    if kappa == 0.0 or math.isinf(kappa):
+        # 0 only for equal states when every D_i is a multiple of the identity
+        return kappa
+    value = connes_witness(rho1, rho2, diracs, kappa, options)[0]
     return math.inf if value > UNBOUNDED_CAP else value

@@ -47,7 +47,6 @@ class DualProblem:
     """Mass differences, adjacent gaps and the bound kappa of one dual solve."""
 
     grid: Grid
-    dim: int
     deltas: np.ndarray = field(repr=False)   # (K, n, n) Hermitian
     kappa: float
 
@@ -55,9 +54,13 @@ class DualProblem:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
         deltas = linalg.as_hermitian(self.deltas)
-        if deltas.shape != (self.grid.size, self.dim, self.dim):
+        if deltas.ndim != 3 or deltas.shape[0] != self.grid.size:
             raise ValueError(f"deltas have shape {deltas.shape}")
         object.__setattr__(self, "deltas", _readonly(deltas))
+
+    @property
+    def dim(self) -> int:
+        return self.deltas.shape[-1]
 
     @property
     def gaps(self) -> np.ndarray:
@@ -78,7 +81,7 @@ def _adjoint(Y: np.ndarray) -> np.ndarray:
 def assemble_dual(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> DualProblem:
     """Set up the dual program for a pair of measures on a shared grid."""
     _check_compatible(mu1, mu2)
-    return DualProblem(mu1.grid, mu1.dim, mu1.masses - mu2.masses, kappa)
+    return DualProblem(mu1.grid, mu1.masses - mu2.masses, kappa)
 
 
 def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> DualCertificate:

@@ -46,6 +46,8 @@ class Grid:
             raise ValueError("grid points and weights must be 1-d of equal length")
         if pts.size < 1:
             raise ValueError("grid needs at least one point")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise ValueError("grid points and weights must be finite")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         if not np.all(wts > 0):
@@ -63,11 +65,8 @@ class Grid:
         return np.diff(self.points)
 
     def same_as(self, other: "Grid") -> bool:
-        return (
-            self.points.size == other.points.size
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
-        )
+        return (np.array_equal(self.points, other.points)
+                and np.array_equal(self.weights, other.weights))
 
 
 def make_uniform_grid(K: int, a: float, b: float) -> Grid:
@@ -182,9 +181,9 @@ def _matrix_decode(doc) -> np.ndarray:
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
-def measure_to_dict(measure: MatrixMeasure) -> dict:
-    """Plain-data form of a measure (floats keep full double precision)."""
-    return {
+def save_measure(measure: MatrixMeasure, path) -> None:
+    """Write a measure file (floats keep full double precision)."""
+    doc = {
         "dim": measure.dim,
         "grid": [
             {"theta": float(t), "weight": float(w)}
@@ -192,9 +191,17 @@ def measure_to_dict(measure: MatrixMeasure) -> dict:
         ],
         "masses": _matrix_encode(measure.masses),
     }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
-def measure_from_dict(doc: dict) -> MatrixMeasure:
+def load_measure(path) -> MatrixMeasure:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not a valid measure file: {exc}") from exc
     try:
         n = int(doc["dim"])
         points = [float(entry["theta"]) for entry in doc["grid"]]
@@ -206,18 +213,3 @@ def measure_from_dict(doc: dict) -> MatrixMeasure:
         raise ValueError(f"expected masses of shape ({len(points)}, {n}, {n}), "
                          f"got {masses.shape}")
     return MatrixMeasure(Grid(np.array(points), np.array(weights)), masses)
-
-
-def save_measure(measure: MatrixMeasure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(measure), fh, indent=1)
-        fh.write("\n")
-
-
-def load_measure(path) -> MatrixMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not a valid measure file: {exc}") from exc
-    return measure_from_dict(doc)

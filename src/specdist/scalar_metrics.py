@@ -1,4 +1,6 @@
-"""Classical scalar metrics: total variation, Kolmogorov, 1-Wasserstein.
+"""Classical scalar metrics: Kolmogorov and 1-Wasserstein.
+
+The scalar total variation is ``measures.tv_matrix`` at n = 1.
 
 The balanced Wasserstein distance uses the closed CDF-area form.  The
 unbalanced variant (Lipschitz + box-constrained test functions) is the 1-d
@@ -25,12 +27,6 @@ from .simplex import LpProblem, lp_simplex
 def _scalar_pair(mu1: MatrixMeasure, mu2: MatrixMeasure):
     _check_compatible(mu1, mu2)
     return mu1.scalar_values(), mu2.scalar_values()
-
-
-def tv_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure) -> float:
-    """Total variation: sum of |mass differences|."""
-    m1, m2 = _scalar_pair(mu1, mu2)
-    return float(np.abs(m1 - m2).sum())
 
 
 def kolmogorov(mu1: MatrixMeasure, mu2: MatrixMeasure) -> float:

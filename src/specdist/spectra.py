@@ -264,9 +264,7 @@ def table1_report(
     grid = grid or paper_grid()
     options = options or SolverOptions(tolerance=1e-3)
     measures = [benchmark_measure(i, grid) for i in range(3)]
-    samples = [benchmark_density(i, grid.points) for i in range(3)]
-    totals = [float(np.einsum("k,kii->", grid.weights, s).real) for s in samples]
-    normalized = [s / c for s, c in zip(samples, totals)]
+    normalized = [mu.masses / grid.weights[:, None, None] for mu in measures]
 
     cells: list[TableCell] = []
     for (i, j), ref in zip(PAIRS, IS_REFERENCE):

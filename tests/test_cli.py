@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from specdist import load_measure, save_measure
 from specdist.cli import main
+from specdist.spectra import TableCell
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,29 @@ class TestDist:
         )
         assert code == 2
         assert "dim=1" in capsys.readouterr().err
+
+    def test_is_on_different_grids_exits_2(self, tmp_path, capsys):
+        from specdist import MatrixMeasure, make_uniform_grid
+
+        masses = np.array([np.eye(2)] * 3, dtype=complex)
+        for name, b in (("a.json", 1.0), ("b.json", 2.0)):
+            save_measure(MatrixMeasure(make_uniform_grid(3, 0.0, b), masses), tmp_path / name)
+        code = main(["dist", "--metric", "is", str(tmp_path / "a.json"),
+                     str(tmp_path / "b.json")])
+        assert code == 2
+        assert "different grids" in capsys.readouterr().err
+
+    def test_infinite_theta_exits_2(self, tmp_path, capsys):
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+        files = [tmp_path / "f0.json", tmp_path / "f1.json"]
+        for path in files:
+            doc = json.loads(path.read_text())
+            doc["grid"][-1]["theta"] = math.inf   # json writes Infinity
+            path.write_text(json.dumps(doc))
+        code = main(["dist", "--metric", "matrix-w1k", "--max-iter", "2000",
+                     *map(str, files)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, capsys):
         code = main(["dist", "--metric", "tv", "missing_a.json", "missing_b.json"])
@@ -225,6 +250,8 @@ class TestTable1Command:
         assert doc["kappa"] == 1.0
         metrics = {c["metric"] for c in doc["cells"]}
         assert metrics == {"is", "tv", "w1k", "t_external"}
+        names = [f.name for f in fields(TableCell)]
+        assert all(list(c) == names for c in doc["cells"])
         plot = (out / "density_plot_data.csv").read_text().splitlines()
         header = plot[0].split(",")
         assert "f0_12_abs" in header and "f2_12_angle" in header

@@ -207,6 +207,17 @@ def _diag3(*p):
 class TestInfiniteKappa:
     """kappa = inf: the commutant decides divergence, one bounded solve otherwise."""
 
+    # the identity commutes with everything: its sufficient kappa is 0
+    @pytest.mark.parametrize("dirac,kappa_is_zero", [
+        (SIGMA_X, False), (DiracSet(np.eye(2, dtype=complex)), True),
+    ], ids=["sigma_x", "identity"])
+    def test_equal_states_are_zero_without_a_solve(self, monkeypatch, dirac, kappa_is_zero):
+        calls = _count_ball_solves(monkeypatch)
+        rho = _offdiag_state(0.3, 0.2)
+        assert (sufficient_kappa(rho, rho, dirac) == 0.0) is kappa_is_zero
+        assert connes_distance(rho, rho, dirac, math.inf) == 0.0
+        assert calls == []
+
     def test_identity_dirac_is_unbounded_without_a_solve(self, monkeypatch):
         calls = _count_ball_solves(monkeypatch)
         identity = DiracSet(np.eye(2, dtype=complex))

@@ -9,12 +9,11 @@ from specdist import (
     make_uniform_grid,
     scalar_measure,
     tv_matrix,
-    tv_scalar,
     w1_balanced,
     w1_kappa_scalar,
     w1_kappa_scalar_all_pairs,
 )
-from specdist.measures import Grid
+from specdist.measures import Grid, MatrixMeasure
 from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain
 
 from conftest import random_grid, random_scalar_measure, transport_lp_value
@@ -27,19 +26,29 @@ def _point_mass(grid, index, weight=1.0):
 
 
 class TestTvScalar:
+    """The scalar total variation is tv_matrix at n = 1."""
+
     def test_disjoint_unit_masses(self, rng):
         grid = random_grid(rng, 5)
-        assert tv_scalar(_point_mass(grid, 0), _point_mass(grid, 3)) == pytest.approx(2.0)
+        assert tv_matrix(_point_mass(grid, 0), _point_mass(grid, 3)) == pytest.approx(2.0)
 
     def test_identical(self, rng):
         mu = random_scalar_measure(rng, random_grid(rng, 6))
-        assert tv_scalar(mu, mu) == 0.0
+        assert tv_matrix(mu, mu) == 0.0
 
     def test_matches_matrix_tv(self, rng):
+        # a scalar pair and its embedding as the (0, 0) entry of 2x2 masses
         grid = random_grid(rng, 6)
         mu1 = random_scalar_measure(rng, grid)
         mu2 = random_scalar_measure(rng, grid)
-        assert tv_scalar(mu1, mu2) == pytest.approx(tv_matrix(mu1, mu2), abs=1e-12)
+
+        def embed(mu):
+            masses = np.zeros((grid.size, 2, 2), dtype=complex)
+            masses[:, 0, 0] = mu.scalar_values()
+            return MatrixMeasure(grid, masses)
+
+        assert tv_matrix(mu1, mu2) == pytest.approx(tv_matrix(embed(mu1), embed(mu2)),
+                                                    abs=1e-12)
 
 
 class TestKolmogorov:
@@ -150,7 +159,7 @@ class TestW1KappaScalar:
         mu1 = random_scalar_measure(rng, grid)
         mu2 = random_scalar_measure(rng, grid)
         kappa = float(rng.choice([0.3, 1.0, 3.0]))
-        assert w1_kappa_scalar(mu1, mu2, kappa) <= kappa * tv_scalar(mu1, mu2) + 1e-9
+        assert w1_kappa_scalar(mu1, mu2, kappa) <= kappa * tv_matrix(mu1, mu2) + 1e-9
 
     def test_equal_mass_large_kappa_matches_balanced(self, rng):
         for _ in range(10):
@@ -173,7 +182,7 @@ class TestW1KappaScalar:
             grid = Grid(np.array([0.0, h]), np.array([1.0, 1.0]))
             mu1 = scalar_measure(grid, [1.0, 0.0])
             mu2 = scalar_measure(grid, [0.0, 1.0])
-            assert tv_scalar(mu1, mu2) == pytest.approx(2.0)
+            assert tv_matrix(mu1, mu2) == pytest.approx(2.0)
             values.append(w1_kappa_scalar(mu1, mu2, 1.0))
         assert np.allclose(values, [0.4, 0.2, 0.1, 0.05], atol=1e-9)
 
