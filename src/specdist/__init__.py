@@ -53,7 +53,6 @@ from .scalar_metrics import (
 from .simplex import LpInfeasibleError, LpProblem, LpUnboundedError, lp_simplex
 from .spectra import (
     AR_FACTORS,
-    ArPolySpec,
     Table1Report,
     ar_poly_abs2,
     benchmark_density,

@@ -203,7 +203,9 @@ def load_measure(path) -> MatrixMeasure:
         except json.JSONDecodeError as exc:
             raise ValueError(f"not a valid measure file: {exc}") from exc
     try:
-        n = int(doc["dim"])
+        n = doc["dim"]
+        if type(n) is not int:   # a JSON integer; bool is a subclass of int
+            raise ValueError(f"dim must be an integer, got {n!r}")
         points = [float(entry["theta"]) for entry in doc["grid"]]
         weights = [float(entry["weight"]) for entry in doc["grid"]]
         masses = _matrix_decode(doc["masses"])

@@ -1,16 +1,17 @@
 """Benchmark 2x2 power spectral densities and the comparison study.
 
 Three AR-type matricial densities on [0, pi] with distinct peak frequencies
-and channel directionality, the generalized Itakura-Saito divergence, and the
-machinery that computes the full distance table (Itakura-Saito, matricial
-total variation, and the certified Wasserstein-like metric) against recorded
-reference values.
+and channel directionality, given as data (the AR factors and a three-row
+table of triangular factors), the generalized Itakura-Saito divergence of two
+measures, and the machinery that computes the full distance table
+(Itakura-Saito, matricial total variation, and the certified
+Wasserstein-like metric) against recorded reference values.
 
 The study compares trace-normalized densities (total power 1); the recorded
 reference values are only reproduced under that normalization.  The
 Itakura-Saito reference values correspond to a plain sum of the pointwise
-divergence over the grid samples, so that is the default weighting here;
-pass quadrature weights for a proper integral.
+divergence over the grid points, so that is the default here;
+``weighted=True`` integrates with the grid weights instead.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import numpy as np
 from . import linalg
 from .matrix_dual import assemble_dual, solve_dual
 from .matrix_primal import duality_gap
-from .measures import Grid, MatrixMeasure, make_uniform_grid, tv_matrix
+from .measures import Grid, MatrixMeasure, _check_compatible, make_uniform_grid, tv_matrix
 from .pdhg import ConvergenceError, SolverOptions
 
 __all__ = [
-    "ArPolySpec",
     "AR_FACTORS",
     "ar_poly_abs2",
     "benchmark_density",
@@ -53,70 +53,44 @@ PAIRS = ((0, 1), (1, 2), (0, 2))
 FLAG_THRESHOLD = 0.10
 
 
-@dataclass(frozen=True)
-class ArPolySpec:
-    """Product of quadratic factors 1 - 2 r cos(phi) z + r^2 z^2, r in (0,1)."""
-
-    factors: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        for r, _ in self.factors:
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"pole radius must lie in (0, 1), got {r}")
-
-
+# (r, phi) of the quadratic factors 1 - 2 r cos(phi) z + r^2 z^2 of a_i(z), r < 1
 AR_FACTORS = (
-    ArPolySpec(((0.95, math.pi / 6), (0.75, math.pi / 3))),
-    ArPolySpec(((0.95, 5 * math.pi / 12), (0.75, math.pi / 2))),
-    ArPolySpec(((0.95, 2 * math.pi / 3), (0.75, 5 * math.pi / 8))),
+    ((0.95, math.pi / 6), (0.75, math.pi / 3)),
+    ((0.95, 5 * math.pi / 12), (0.75, math.pi / 2)),
+    ((0.95, 2 * math.pi / 3), (0.75, 5 * math.pi / 8)),
 )
 
+# f_i = L D L* with L(theta) = [[1, u], [l e^{j theta}, 1]] and D = 1/|a_i|^2 I,
+# except the diagonal entry ``small`` of D, which is 0.01: rows (u, l, small)
+_LDL = ((0.4, 0.0, 0), (0.5, 0.5, None), (0.0, 0.4, 1))
 
-def ar_poly_abs2(spec: ArPolySpec, theta) -> np.ndarray | float:
-    """|a(e^{j theta})|^2 for the factored polynomial (positive for r < 1)."""
+
+def ar_poly_abs2(factors, theta) -> np.ndarray | float:
+    """|a(e^{j theta})|^2 for a product of (r, phi) quadratic factors."""
     theta = np.asarray(theta, dtype=float)
     z = np.exp(1j * theta)
     val = np.ones_like(z)
-    for r, phi in spec.factors:
+    for r, phi in factors:
         val = val * (1.0 - 2.0 * r * math.cos(phi) * z + (r * r) * z * z)
     out = np.abs(val) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def _outer_factor(index: int, theta: np.ndarray) -> np.ndarray:
-    """Left factor L(theta) of the triangular factorization, stacked (..., 2, 2)."""
-    L = np.zeros(theta.shape + (2, 2), dtype=complex)
-    L[..., 0, 0] = 1.0
-    L[..., 1, 1] = 1.0
-    if index == 0:
-        L[..., 0, 1] = 0.4
-    elif index == 1:
-        L[..., 0, 1] = 0.5
-        L[..., 1, 0] = 0.5 * np.exp(1j * theta)
-    else:
-        L[..., 1, 0] = 0.4 * np.exp(1j * theta)
-    return L
 
 
 def benchmark_density(index: int, theta) -> np.ndarray:
     """Benchmark density f_index(theta) as stacked 2x2 Hermitian PSD blocks."""
     if index not in (0, 1, 2):
         raise ValueError(f"benchmark index must be 0, 1 or 2, got {index}")
+    u, l, small = _LDL[index]
     theta = np.asarray(theta, dtype=float)
-    g = np.asarray(1.0 / ar_poly_abs2(AR_FACTORS[index], theta))
-    diag = np.zeros(theta.shape + (2, 2), dtype=complex)
-    if index == 0:
-        diag[..., 0, 0] = 0.01
-        diag[..., 1, 1] = g
-    elif index == 1:
-        diag[..., 0, 0] = g
-        diag[..., 1, 1] = g
-    else:
-        diag[..., 0, 0] = g
-        diag[..., 1, 1] = 0.01
-    L = _outer_factor(index, theta)
-    out = L @ diag @ np.conj(np.swapaxes(L, -1, -2))
-    return linalg.hermitian_part(out)
+    L = np.zeros(theta.shape + (2, 2), dtype=complex)
+    L[..., 0, 0] = L[..., 1, 1] = 1.0
+    L[..., 0, 1] = u
+    L[..., 1, 0] = l * np.exp(1j * theta)
+    D = np.zeros_like(L)
+    D[..., 0, 0] = D[..., 1, 1] = 1.0 / ar_poly_abs2(AR_FACTORS[index], theta)
+    if small is not None:
+        D[..., small, small] = 0.01
+    return linalg.hermitian_part(L @ D @ np.conj(np.swapaxes(L, -1, -2)))
 
 
 def paper_grid() -> Grid:
@@ -139,40 +113,33 @@ def benchmark_measure(index: int, grid: Grid | None = None,
     return MatrixMeasure(grid, masses)
 
 
-def itakura_saito(f_samples, g_samples, weights=None, thetas=None) -> float:
-    """Generalized Itakura-Saito divergence of two sampled densities.
+def itakura_saito(mu1: MatrixMeasure, mu2: MatrixMeasure, weighted: bool = False) -> float:
+    """Generalized Itakura-Saito divergence of the densities of two measures.
 
-    Accumulates ``tr(f g^{-1}) - log det(f g^{-1}) - n`` over the grid.  With
-    ``weights=None`` every sample counts with weight 1 (the convention behind
-    the recorded reference values); pass quadrature weights to integrate.
+    The densities are the masses over the grid weights.  Accumulates
+    ``tr(f g^{-1}) - log det(f g^{-1}) - n`` over the grid: every point counts
+    with weight 1 (the convention behind the recorded reference values), or
+    with its grid weight when ``weighted``, which integrates.
 
     The log-determinant is evaluated through the eigenvalues of the Hermitian
     whitening ``g^{-1/2} f g^{-1/2}`` (same trace-log by similarity, and each
-    term x - log x - 1 is nonnegative).  Raises ``ValueError`` naming the grid
-    point if either density fails to be positive definite somewhere.
+    term x - log x - 1 is nonnegative).  Raises ``ValueError`` naming theta
+    if either density fails to be positive definite somewhere.
     """
-    f = linalg.as_hermitian(f_samples)
-    g = linalg.as_hermitian(g_samples)
-    if f.shape != g.shape or f.ndim != 3:
-        raise ValueError(f"sample stacks must share shape (K, n, n): {f.shape} vs {g.shape}")
-    K, n, _ = f.shape
-    w = np.ones(K) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (K,):
-        raise ValueError(f"expected {K} weights, got shape {w.shape}")
-
-    def describe(k):
-        return f"theta={thetas[k]:.6g}" if thetas is not None else f"grid index {k}"
-
+    _check_compatible(mu1, mu2)
+    w = mu1.grid.weights
+    f = mu1.masses / w[:, None, None]
+    g = mu2.masses / w[:, None, None]
     total = 0.0
-    for k in range(K):
+    for k, theta in enumerate(mu1.grid.points):
         lam_g, V = np.linalg.eigh(g[k])
         if lam_g[0] <= 0.0:
-            raise ValueError(f"second density is singular at {describe(k)}")
+            raise ValueError(f"second density is singular at theta={theta:.6g}")
         white = (V / np.sqrt(lam_g)) @ np.conj(V.T)
         lam = np.linalg.eigvalsh(white @ f[k] @ white)
         if lam[0] <= 0.0:
-            raise ValueError(f"first density is singular at {describe(k)}")
-        total += float(w[k]) * float((lam - np.log(lam) - 1.0).sum())
+            raise ValueError(f"first density is singular at theta={theta:.6g}")
+        total += (float(w[k]) if weighted else 1.0) * float((lam - np.log(lam) - 1.0).sum())
     return total
 
 
@@ -264,11 +231,10 @@ def table1_report(
     grid = grid or paper_grid()
     options = options or SolverOptions(tolerance=1e-3)
     measures = [benchmark_measure(i, grid) for i in range(3)]
-    normalized = [mu.masses / grid.weights[:, None, None] for mu in measures]
 
     cells: list[TableCell] = []
     for (i, j), ref in zip(PAIRS, IS_REFERENCE):
-        value = itakura_saito(normalized[i], normalized[j], thetas=grid.points)
+        value = itakura_saito(measures[i], measures[j])
         cells.append(_cell("is", (i, j), value, ref))
     tv_values = {}
     for (i, j), ref in zip(PAIRS, TV_REFERENCE):

@@ -96,6 +96,16 @@ class TestDist:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [2.7, "2"])
+    def test_non_integer_dim_exits_2(self, spectra_dir, tmp_path, capsys, dim):
+        doc = json.loads((spectra_dir / "f0.json").read_text())
+        doc["dim"] = dim
+        path = tmp_path / "f0.json"
+        path.write_text(json.dumps(doc))
+        code = main(["dist", "--metric", "matrix-tv", str(path), str(spectra_dir / "f1.json")])
+        assert code == 2
+        assert "dim must be an integer" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, capsys):
         code = main(["dist", "--metric", "tv", "missing_a.json", "missing_b.json"])
         assert code == 1

@@ -251,6 +251,17 @@ class TestMeasureFiles:
         with pytest.raises(ValueError, match="shape"):
             load_measure(path)
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "2", True])
+    def test_load_rejects_non_integer_dim(self, tmp_path, dim):
+        # the masses are int(dim) x int(dim), so a truncating reader accepts the file
+        n = int(dim)
+        eye = [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+        doc = {"dim": dim, "grid": [{"theta": 0.0, "weight": 1.0}], "masses": [eye]}
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            load_measure(path)
+
     def test_load_rejects_malformed_document(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"dim": 2, "grid": []}))

@@ -6,7 +6,7 @@ import pytest
 
 from specdist import (
     AR_FACTORS,
-    ArPolySpec,
+    MatrixMeasure,
     ar_poly_abs2,
     benchmark_density,
     benchmark_measure,
@@ -16,13 +16,14 @@ from specdist import (
     total_mass,
 )
 from specdist.linalg import hermiticity_violation
+from specdist.measures import Grid
 
 from conftest import random_psd
 
 
 class TestArPoly:
     def test_empty_product(self):
-        assert ar_poly_abs2(ArPolySpec(()), 1.2345) == pytest.approx(1.0)
+        assert ar_poly_abs2((), 1.2345) == pytest.approx(1.0)
 
     def test_direct_substitution_at_zero(self):
         # at theta = 0 every factor is the real number 1 - 2 r cos(phi) + r^2
@@ -33,19 +34,14 @@ class TestArPoly:
 
     def test_single_factor_against_complex_arithmetic(self):
         r, phi = 0.6, 1.1
-        spec = ArPolySpec(((r, phi),))
         z = cmath.exp(1j * phi)
         expected = abs(1 - 2 * r * math.cos(phi) * z + r * r * z * z) ** 2
-        assert ar_poly_abs2(spec, phi) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_unstable_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            ArPolySpec(((1.0, 0.5),))
+        assert ar_poly_abs2(((r, phi),), phi) == pytest.approx(expected, rel=1e-12)
 
     def test_bounded_away_from_zero_on_dense_scan(self):
         thetas = np.linspace(0.0, math.pi, 10_000)
-        for spec in AR_FACTORS:
-            assert ar_poly_abs2(spec, thetas).min() > 0.0
+        for factors in AR_FACTORS:
+            assert ar_poly_abs2(factors, thetas).min() > 0.0
 
 
 class TestBenchmarkDensity:
@@ -101,45 +97,53 @@ class TestBenchmarkMeasure:
         assert np.trace(total_mass(raw)).real > 100.0
 
 
+def _measure(densities, weight=1.0, thetas=None):
+    """Measure with the given densities on a grid of equal weights."""
+    K = len(densities)
+    thetas = np.arange(K, dtype=float) if thetas is None else thetas
+    return MatrixMeasure(Grid(thetas, np.full(K, weight)), weight * np.asarray(densities))
+
+
 class TestItakuraSaito:
     def test_identical_densities(self, rng):
-        f = np.array([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(5)])
+        f = _measure([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(5)])
         assert itakura_saito(f, f) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetry_on_benchmark_data(self):
-        grid = paper_grid()
-        f0 = benchmark_density(0, grid.points)
-        f1 = benchmark_density(1, grid.points)
+        f0 = benchmark_measure(0, normalize=False)
+        f1 = benchmark_measure(1, normalize=False)
         forward = itakura_saito(f0, f1)
         backward = itakura_saito(f1, f0)
         assert abs(forward - backward) > 1.0
 
     def test_nonnegative_zero_iff_equal(self, rng):
         for _ in range(10):
-            f = np.array([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)])
-            g = np.array([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)])
+            f = _measure([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)])
+            g = _measure([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)])
             val = itakura_saito(f, g)
             assert val >= 0.0
             assert val > 1e-8  # distinct random densities never coincide
 
     def test_quadrature_weights_scale_result(self, rng):
-        f = np.array([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)])
-        g = np.array([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)])
-        plain = itakura_saito(f, g)
-        weighted = itakura_saito(f, g, weights=np.full(4, 0.25))
-        assert weighted == pytest.approx(0.25 * plain, rel=1e-12)
+        f = [random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)]
+        g = [random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(4)]
+        plain = itakura_saito(_measure(f), _measure(g))
+        mu, nu = _measure(f, 0.25), _measure(g, 0.25)
+        assert itakura_saito(mu, nu) == pytest.approx(plain, rel=1e-12)
+        assert itakura_saito(mu, nu, weighted=True) == pytest.approx(0.25 * plain, rel=1e-12)
 
     def test_singular_second_density_names_point(self):
-        f = np.array([np.eye(2)] * 3, dtype=complex)
-        g = np.array([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
-        with pytest.raises(ValueError, match="index 1"):
+        f = _measure([np.eye(2)] * 3)
+        g = _measure([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+        with pytest.raises(ValueError, match="second density is singular at theta=1"):
             itakura_saito(f, g)
 
     def test_singular_with_thetas_names_frequency(self):
-        f = np.array([np.eye(2)] * 2, dtype=complex)
-        g = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
-        with pytest.raises(ValueError, match="theta=0.25"):
-            itakura_saito(f, g, thetas=np.array([0.25, 0.5]))
+        thetas = np.array([0.25, 0.5])
+        f = _measure([np.diag([1.0, 0.0]), np.eye(2)], thetas=thetas)
+        g = _measure([np.eye(2)] * 2, thetas=thetas)
+        with pytest.raises(ValueError, match="first density is singular at theta=0.25"):
+            itakura_saito(f, g)
 
 
 class TestPlotData:
