@@ -13,6 +13,12 @@ telescope), which keeps the constraint count linear in the grid size.
 Solved by the projection solver in :mod:`specdist.pdhg`; the returned
 certificate is exactly feasible and re-checkable without rerunning the
 solver (feasibility by operator norms, value by the trace pairing).
+
+At n = 1 the program is the scalar flat metric's chain program, and
+``solve_dual`` certifies it exactly without iterating: the chain solver's
+test function gives the lower bound and the optimal edge flow of the dual
+chain (:func:`specdist.scalar_metrics.w1_kappa_flow`), used as the ball
+program's dual variable, the upper bound.  The two meet to roundoff.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from . import linalg
 from .measures import MatrixMeasure, _check_compatible, _readonly
 from .measures import Grid
 from .pdhg import (BallProgram, ConvergenceError, DualCertificate, SolverOptions,
-                   solve_ball_program)
+                   _residual, solve_ball_program, within_tolerance)
+from .scalar_metrics import w1_kappa_chain, w1_kappa_flow
 
 __all__ = [
     "DualProblem",
@@ -34,6 +41,7 @@ __all__ = [
     "SolverOptions",
     "ConvergenceError",
     "assemble_dual",
+    "ball_program",
     "solve_dual",
     "dw1_kappa",
     "check_certificate",
@@ -84,25 +92,56 @@ def assemble_dual(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> DualP
     return DualProblem(mu1.grid, mu1.masses - mu2.masses, kappa)
 
 
+def ball_program(problem: DualProblem) -> BallProgram:
+    """The dual program as a ball program for :func:`solve_ball_program`."""
+    return BallProgram(
+        objective=problem.deltas,
+        ball_radii=np.full(problem.grid.size, problem.kappa),
+        forward=_forward,
+        adjoint=_adjoint,
+        image_radii=problem.gaps,
+        map_norm=DIFFERENCE_MAP_NORM,
+    )
+
+
 def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> DualCertificate:
     """Certified solve of the dual program.
 
     The certificate value is a guaranteed lower bound on the supremum and
     ``upper_bound`` a guaranteed upper bound; their relative gap is at most
     the options' tolerance.  Raises :class:`ConvergenceError` (carrying the
-    best iterate) if the budget runs out first.
+    best iterate) if the budget runs out first.  At n = 1 (and K >= 2) the
+    certificate is exact and takes 0 iterations; a tolerance below its
+    roundoff raises :class:`ConvergenceError` carrying it.
     """
     options = options or SolverOptions()
-    K = problem.grid.size
-    program = BallProgram(
-        objective=problem.deltas,
-        ball_radii=np.full(K, problem.kappa),
-        forward=_forward,
-        adjoint=_adjoint,
-        image_radii=problem.gaps,
-        map_norm=DIFFERENCE_MAP_NORM,
-    )
-    return solve_ball_program(program, options)
+    if problem.dim == 1 and problem.grid.size >= 2:
+        return _chain_certificate(problem, options)
+    return solve_ball_program(ball_program(problem), options)
+
+
+def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCertificate:
+    delta, gaps, kappa = problem.deltas[:, 0, 0].real, problem.gaps, problem.kappa
+    f = w1_kappa_chain(delta, gaps, kappa)[1]
+    phi = w1_kappa_flow(delta, gaps, kappa)
+    # delta . f <= optimum <= the ball program's upper bound at Y = phi in exact
+    # arithmetic.  Both sums are correctly rounded, and the upper bound is
+    # rounded up by a bound on the rounding of their terms and of f's
+    # Lipschitz steps, so the computed bracket keeps that order
+    value = math.fsum(delta * f)
+    cost = np.concatenate((kappa * np.abs(delta - _adjoint(phi)), gaps * np.abs(phi)))
+    tv = float(np.abs(delta).sum())
+    rounding = 4.0 * np.finfo(float).eps * (kappa * (tv + np.abs(phi).sum()) + gaps @ np.abs(phi))
+    upper = math.fsum(cost) + float(rounding)
+    F = f[:, None, None].astype(complex)
+    residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)
+    cert = DualCertificate(F, value, residual, 0, upper)
+    # the driver's floor: 1% of the larger bound at F = 0, Y = 0
+    if not within_tolerance(value, upper, 0.01 * kappa * tv, options.tolerance):
+        raise ConvergenceError(
+            f"the exact chain certificate misses relative gap {options.tolerance:.1e} "
+            f"by roundoff (bounds [{value:.6g}, {upper:.6g}])", cert)
+    return cert
 
 
 def dw1_kappa(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -172,11 +173,24 @@ def _matrix_encode(M: np.ndarray) -> list:
     return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
+def _json_numbers(leaves) -> bool:
+    """Are all ``leaves`` what ``json.load`` gives for numbers (int or float)?
+
+    ``float()`` and numpy would also take a str or a bool.
+    """
+    return {int, float}.issuperset(map(type, leaves))
+
+
 def _matrix_decode(doc) -> np.ndarray:
     """Inverse of :func:`_matrix_encode` for square blocks ``(..., n, n, 2)``."""
     arr = np.asarray(doc, dtype=float)
     if arr.ndim < 3 or arr.shape[-1] != 2 or arr.shape[-2] != arr.shape[-3]:
         raise ValueError("expected n x n matrices of [re, im] pairs")
+    leaves = doc   # nested lists of depth arr.ndim, or asarray would have failed
+    for _ in range(arr.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not _json_numbers(leaves):
+        raise ValueError("matrix entries must be JSON numbers")
     # a view keeps signed zeros, which re + 1j * im would not
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
@@ -206,8 +220,10 @@ def load_measure(path) -> MatrixMeasure:
         n = doc["dim"]
         if type(n) is not int:   # a JSON integer; bool is a subclass of int
             raise ValueError(f"dim must be an integer, got {n!r}")
-        points = [float(entry["theta"]) for entry in doc["grid"]]
-        weights = [float(entry["weight"]) for entry in doc["grid"]]
+        points = [entry["theta"] for entry in doc["grid"]]
+        weights = [entry["weight"] for entry in doc["grid"]]
+        if not _json_numbers(points + weights):
+            raise ValueError("every theta and weight must be a JSON number")
         masses = _matrix_decode(doc["masses"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc

@@ -138,6 +138,11 @@ class DualCertificate(Certified):
         return self.value
 
 
+def within_tolerance(lower: float, upper: float, floor: float, tolerance: float) -> bool:
+    """The stopping test: a relative gap, against at least ``floor``, within tolerance."""
+    return upper - lower <= tolerance * max(abs(upper), abs(lower), floor)
+
+
 def _move(new: np.ndarray, old: np.ndarray) -> float:
     """Norm of ``new - old``; 0 when negligible against the iterates themselves."""
     moved = float(np.linalg.norm(new - old))
@@ -173,8 +178,7 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
         return relative(lower, upper)
 
     def certified() -> bool:
-        lower, upper = best[0], best[2]
-        return upper - lower <= options.tolerance * max(abs(upper), abs(lower), floor)
+        return within_tolerance(best[0], best[2], floor, options.tolerance)
 
     if certified():
         return package(*best, 0)

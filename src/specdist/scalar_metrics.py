@@ -6,7 +6,10 @@ The balanced Wasserstein distance uses the closed CDF-area form.  The
 unbalanced variant (Lipschitz + box-constrained test functions) is the 1-d
 flat, or bounded-Lipschitz, metric (Piccoli & Rossi, ARMA 2014); on a grid
 it is a chain program, solved exactly in O(K log K) by ``w1_kappa_chain``,
-which also returns an optimal test function.  On a 1-d grid with ground
+which also returns an optimal test function.  ``w1_kappa_flow`` solves its
+dual, a chain program over edge flows, by the same slope trick; the flow's
+cost is the matching upper bound (``matrix_dual.solve_dual`` certifies n = 1
+problems with the pair).  On a 1-d grid with ground
 distance |x - y| the Lipschitz constraints between adjacent points imply all
 pairwise ones (telescoping), which is what makes it a chain; the all-pairs
 linear program on the dense simplex is kept as a test oracle for that
@@ -105,6 +108,9 @@ def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
     gaps = np.asarray(gaps, dtype=float).tolist()
     if len(gaps) != K - 1:
         raise ValueError(f"{K} points need {K - 1} gaps, got {len(gaps)}")
+    # a gap of 2 kappa or more constrains nothing inside [-kappa, kappa], and
+    # cutting a longer one off lengths of order kappa would lose them to roundoff
+    gaps = [min(g, 2.0 * kappa) for g in gaps]
     # the piece entering flat at stage k has slope P_{k'+1} - P_k after any
     # later stage k', with P the prefix sums of delta: rank the P_k once
     # (1-based, for the tree); the rising pieces rank below P_{k'+1}
@@ -174,6 +180,66 @@ def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
         f[k] = lo if f[k] < lo else hi if f[k] > hi else f[k]
     f = np.array(f)
     return float(delta @ f), f
+
+
+def w1_kappa_flow(delta: np.ndarray, gaps: np.ndarray, kappa: float) -> np.ndarray:
+    """Optimal edge flow ``phi`` of the dual of :func:`w1_kappa_chain`.
+
+    Minimizes ``sum_e g_e |phi_e| + kappa sum_k |delta_k - phi_k + phi_{k-1}|``
+    with ``phi_{-1} = phi_{K-1} = 0`` (``K - 1`` edge flows), whose optimum is
+    the chain value by LP duality, so the cost of the returned ``phi`` is an
+    upper bound anyone can recheck in O(K).  ``W_e(x)``, the least cost of
+    the first ``e + 1`` points with ``phi_e = x``, is convex and piecewise
+    linear: ``W_e = (W_{e-1} [] kappa|.|)(. - delta_e) + g_e|.|``.  The
+    inf-convolution clips its slopes to ``[-kappa, kappa]``, which removes
+    slope weight ``g_{e-1}`` at either end (the end slopes are always
+    ``-+(kappa + g_{e-1})``), and records the clip points ``a_e, b_e``; the
+    shift is a lazy offset and ``g_e|.|`` adds a breakpoint of weight
+    ``2 g_e`` at 0.  Breakpoints sit in a min-heap and a max-heap with a
+    shared weight each.  Backtracking from ``phi_{K-1} = 0`` clamps:
+    ``phi_{e-1} = clip(phi_e - delta_e, a_e, b_e)``.  O(K log K).  An edge
+    with ``g_e >= 2 kappa`` carries no flow and restarts the recursion.
+    """
+    delta = np.asarray(delta, dtype=float).tolist()
+    gaps = np.asarray(gaps, dtype=float).tolist()
+    K = len(delta)
+    if len(gaps) != K - 1:
+        raise ValueError(f"{K} points need {K - 1} gaps, got {len(gaps)}")
+    weight = [2.0 * kappa]             # W_{-1} [] kappa|.| = kappa|.|
+    heaps = ([(0.0, 0)], [(0.0, 0)])   # raw positions; the right heap negated
+    offset = delta[0]
+    clips = ([0.0] * K, [0.0] * K)
+    for e in range(K - 1):
+        g = gaps[e]
+        if g >= 2.0 * kappa:
+            # moving mass across e costs more than removing and creating it:
+            # phi_e = 0, and the clipped W_e is kappa|.| about 0 (done exactly,
+            # as cutting g >> kappa off weights of order kappa would not be)
+            weight.append(2.0 * kappa)
+            heaps = ([(-offset, e + 1)], [(offset, e + 1)])
+            offset += delta[e + 1]
+            continue
+        weight.append(2.0 * g)
+        heapq.heappush(heaps[0], (-offset, e + 1))
+        heapq.heappush(heaps[1], (offset, e + 1))
+        for heap, sign, clip in zip(heaps, (1.0, -1.0), clips):
+            rest = g
+            while True:    # 2 kappa of weight outlasts both cuts
+                raw, i = heap[0]
+                if weight[i] > rest:
+                    weight[i] -= rest
+                    break
+                heapq.heappop(heap)    # spent, or already spent from the other end
+                rest -= weight[i]
+                weight[i] = 0.0
+            clip[e + 1] = sign * raw + offset
+        offset += delta[e + 1]
+    phi = [0.0] * K
+    lo, hi = clips
+    for e in range(K - 1, 0, -1):
+        x = phi[e] - delta[e]
+        phi[e - 1] = lo[e] if x < lo[e] else hi[e] if x > hi[e] else x
+    return np.array(phi[:-1])
 
 
 def w1_kappa_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> float:

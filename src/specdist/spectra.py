@@ -130,17 +130,19 @@ def itakura_saito(mu1: MatrixMeasure, mu2: MatrixMeasure, weighted: bool = False
     w = mu1.grid.weights
     f = mu1.masses / w[:, None, None]
     g = mu2.masses / w[:, None, None]
-    total = 0.0
-    for k, theta in enumerate(mu1.grid.points):
-        lam_g, V = np.linalg.eigh(g[k])
-        if lam_g[0] <= 0.0:
-            raise ValueError(f"second density is singular at theta={theta:.6g}")
-        white = (V / np.sqrt(lam_g)) @ np.conj(V.T)
-        lam = np.linalg.eigvalsh(white @ f[k] @ white)
-        if lam[0] <= 0.0:
-            raise ValueError(f"first density is singular at theta={theta:.6g}")
-        total += (float(w[k]) if weighted else 1.0) * float((lam - np.log(lam) - 1.0).sum())
-    return total
+    lam_g, V = np.linalg.eigh(g)
+    singular_g = ~(lam_g[:, 0] > 0.0)
+    lam_g[singular_g] = 1.0   # whitened but never used: the check below raises
+    white = (V / np.sqrt(lam_g)[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    lam = np.linalg.eigvalsh(white @ f @ white)
+    # the first singular point; at one point the second density is named first
+    singular = singular_g | ~(lam[:, 0] > 0.0)
+    if singular.any():
+        k = int(np.argmax(singular))
+        which = "second" if singular_g[k] else "first"
+        raise ValueError(f"{which} density is singular at theta={mu1.grid.points[k]:.6g}")
+    terms = (lam - np.log(lam) - 1.0).sum(axis=-1)
+    return float(w @ terms) if weighted else float(terms.sum())
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,13 @@ def random_scalar_measure(rng, grid, scale=1.0):
     return scalar_measure(grid, rng.uniform(0.0, scale, size=grid.size))
 
 
+def flow_cost(delta, gaps, kappa, phi):
+    """Cost of the edge flow ``phi`` in the dual of the chain program, by plain numpy:
+    ``kappa sum_k |delta_k - phi_k + phi_{k-1}| + sum_e g_e |phi_e|``."""
+    slack = np.asarray(delta) - np.append(phi, 0.0) + np.insert(phi, 0, 0.0)
+    return float(kappa * np.abs(slack).sum() + np.asarray(gaps) @ np.abs(phi))
+
+
 def transport_lp_value(mu1, mu2):
     """Minimum-cost transport between equal-mass scalar measures via the LP.
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -106,6 +107,24 @@ class TestDist:
         assert code == 2
         assert "dim must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["grid"][0].update(theta="0"),
+        lambda doc: doc["grid"][1].update(weight=True),
+        lambda doc: doc["masses"][0][0][0].__setitem__(0, "0"),
+        lambda doc: doc["masses"][0][0][0].__setitem__(0, True),
+        lambda doc: doc["masses"][0][0].__setitem__(0, [True, False]),
+    ], ids=["theta-str", "weight-bool", "mass-str", "mass-bool", "mass-bool-pair"])
+    @pytest.mark.parametrize("metric", ["matrix-tv", "is"])
+    def test_non_number_leaf_exits_2(self, tmp_path, capsys, edit, metric):
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "f0.json").read_text())
+        edit(doc)
+        (tmp_path / "f0.json").write_text(json.dumps(doc))
+        code = main(["dist", "--metric", metric, str(tmp_path / "f0.json"),
+                     str(tmp_path / "f1.json")])
+        assert code == 2
+        assert "JSON number" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, capsys):
         code = main(["dist", "--metric", "tv", "missing_a.json", "missing_b.json"])
         assert code == 1
@@ -133,6 +152,37 @@ class TestDist:
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is False
         assert "value" in doc and "upper_bound" in doc
+
+    @staticmethod
+    def _scalar_pair(tmp_path, K=12):
+        from specdist import make_uniform_grid, scalar_measure
+
+        rng = np.random.default_rng(5)
+        grid = make_uniform_grid(K, 0.0, math.pi)
+        paths = [tmp_path / "s1.json", tmp_path / "s2.json"]
+        for path in paths:
+            save_measure(scalar_measure(grid, rng.uniform(0.0, 1.0, size=K)), path)
+        return [str(p) for p in paths]
+
+    def test_scalar_matrix_w1k_is_exact(self, tmp_path, capsys):
+        code = main(["dist", "--metric", "matrix-w1k", "--format", "structured",
+                     *self._scalar_pair(tmp_path)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        cert = doc["certificate"]
+        assert cert["iterations"] == 0
+        assert doc["value"] <= cert["upper_bound"] <= doc["value"] * (1 + 1e-12)
+        assert len(cert["test_function"]) == 12
+
+    def test_scalar_tolerance_below_roundoff_exits_3_with_partial(self, tmp_path, capsys):
+        code = main(["dist", "--metric", "matrix-w1k", "--tol", "1e-300",
+                     "--format", "structured", *self._scalar_pair(tmp_path)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        assert doc["lower_bound"] == doc["value"] <= doc["upper_bound"]
+        assert "Traceback" not in err
 
     def test_stalled_gap_audit_exits_3_with_partial(self, tmp_path, capsys):
         # a budget that certifies both dual solves but not the transport primal
@@ -234,6 +284,11 @@ class TestDist:
         assert self._connes(tmp_path, math.inf, "--max-iter", "1000") == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_connes_dirac_entry_of_another_type_exits_2(self, tmp_path, capsys):
+        code = self._connes(tmp_path, "0.5")
+        assert code == 2
+        assert "JSON number" in capsys.readouterr().err
+
     def test_connes_dirac_file_without_operators_exits_2(self, tmp_path, spectra_dir):
         (tmp_path / "dirac.json").write_text(json.dumps({"ops": []}))
         code = main(["dist", "--metric", "connes", "--dirac", str(tmp_path / "dirac.json"),
@@ -300,6 +355,28 @@ class TestTable1Command:
         assert code == 0
         out = capsys.readouterr().out
         assert "metric" in out and "w1k" in out
+
+
+def test_dist_imports_numpy_only(spectra_dir, tmp_path):
+    # matrix-w1k at n = 1 and n = 2 and Itakura-Saito, in a fresh interpreter
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pair = TestDist._scalar_pair(tmp_path)
+    f0, f1 = str(spectra_dir / "f0.json"), str(spectra_dir / "f1.json")
+    runs = [["--metric", "matrix-w1k", *pair], ["--metric", "matrix-w1k", "--tol", "1e-2", f0, f1],
+            ["--metric", "is", f0, f1]]
+    script = (
+        "import sys\n"
+        "from specdist.cli import main\n"
+        f"codes = [main(['dist', '--out', {str(tmp_path / 'out.txt')!r}, *r]) for r in {runs!r}]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.stdout.strip() == "[0, 0, 0] False", result.stderr
 
 
 def test_round_trip_of_cli_generated_file(spectra_dir, tmp_path):

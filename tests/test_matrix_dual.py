@@ -13,9 +13,13 @@ from specdist import (
     tv_matrix,
     w1_kappa_scalar,
 )
+from specdist.matrix_dual import ball_program
 from specdist.measures import Grid
+from specdist.pdhg import solve_ball_program
+from specdist.scalar_metrics import w1_kappa_flow
 
-from conftest import random_grid, random_matrix_measure, random_psd, random_scalar_measure
+from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
+                      random_scalar_measure)
 
 TIGHT = SolverOptions(tolerance=1e-7)
 DEFAULT = SolverOptions(tolerance=1e-6)
@@ -131,6 +135,80 @@ class TestSolveDual:
         assert best.test_function.shape == (8, 2, 2)
 
 
+def _relative_gap(cert, problem):
+    floor = 0.01 * problem.kappa * float(np.abs(problem.deltas).sum())
+    return cert.gap / max(abs(cert.upper_bound), abs(cert.value), floor)
+
+
+class TestChainCertificate:
+    """At n = 1 the dual is certified exactly by the chain test function and its
+    dual edge flow, without iterating."""
+
+    @staticmethod
+    def _problem(seed, K, kappa, one_signed=False):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, K)
+        delta = rng.normal(size=K) * rng.uniform(0.01, 2.0, size=K)
+        if one_signed:
+            delta = np.abs(delta)
+        mu1 = scalar_measure(grid, np.maximum(delta, 0.0))
+        mu2 = scalar_measure(grid, np.maximum(-delta, 0.0))
+        return assemble_dual(mu1, mu2, kappa)
+
+    @pytest.mark.parametrize("kappa", [1e-12, 0.05, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("K", [2, 3, 8, 34, 200, 1024])
+    @pytest.mark.parametrize("one_signed", [False, True])
+    def test_exact_bracket(self, K, kappa, one_signed):
+        problem = self._problem([K, int(1e14 * kappa)], K, kappa, one_signed)
+        cert = solve_dual(problem, DEFAULT)
+        assert cert.iterations == 0
+        assert cert.upper_bound >= cert.value
+        assert _relative_gap(cert, problem) <= 1e-12
+        violation, mismatch = check_certificate(problem, cert)
+        assert violation <= 1e-14 * max(1.0, kappa)   # roundoff in f's Lipschitz steps
+        assert mismatch <= 1e-12 * max(1.0, cert.value)
+        # the upper bound is the flow's cost, recomputed here by plain numpy
+        delta = problem.deltas[:, 0, 0].real
+        phi = w1_kappa_flow(delta, problem.gaps, kappa)
+        assert flow_cost(delta, problem.gaps, kappa, phi) \
+            == pytest.approx(cert.upper_bound, rel=1e-12)
+
+    def test_zero_difference(self, rng):
+        mu = random_scalar_measure(rng, random_grid(rng, 9))
+        cert = solve_dual(assemble_dual(mu, mu, 1.0), SolverOptions(tolerance=1e-300))
+        assert cert.value == cert.upper_bound == 0.0
+        assert cert.iterations == 0
+
+    def test_two_points(self):
+        grid = Grid(np.array([0.0, 0.7]), np.array([1.0, 1.0]))
+        problem = assemble_dual(scalar_measure(grid, [1.0, 0.0]),
+                                scalar_measure(grid, [0.0, 1.0]), 1.0)
+        cert = solve_dual(problem, DEFAULT)
+        assert cert.iterations == 0
+        assert cert.value <= 0.7 <= cert.upper_bound
+        assert cert.gap <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    def test_overlaps_the_pdhg_bracket(self, kappa):
+        # the ball program's PDHG solve stays the oracle for the exact path
+        problem = self._problem(7, 48, kappa)
+        cert = solve_dual(problem, DEFAULT)
+        oracle = solve_ball_program(ball_program(problem), DEFAULT)
+        assert oracle.iterations > 0
+        slack = 1e-12 * cert.upper_bound
+        assert oracle.value <= cert.upper_bound + slack
+        assert cert.value <= oracle.upper_bound + slack
+
+    def test_tolerance_below_roundoff_raises_with_certificate(self):
+        problem = self._problem(3, 20, 1.0)
+        with pytest.raises(ConvergenceError) as info:
+            solve_dual(problem, SolverOptions(tolerance=1e-300))
+        cert = info.value.solution
+        assert cert.iterations == 0
+        assert cert.value <= cert.upper_bound
+        assert cert.test_function.shape == (20, 1, 1)
+
+
 class TestDw1Kappa:
     def test_equal_measures_exact_zero(self, rng):
         mu = random_matrix_measure(rng, random_grid(rng, 5), 2)
@@ -233,7 +311,8 @@ def paper_certificates():
 
 
 class TestScalarOracle:
-    """At n = 1 the dual program is the chain program solved exactly."""
+    """At n = 1 the dual program is the chain program solved exactly; the
+    ball program's PDHG bracket contains its value."""
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
     def test_bracket_contains_chain_value(self, kappa):
@@ -241,7 +320,7 @@ class TestScalarOracle:
         grid = random_grid(rng, 300)
         mu1 = random_scalar_measure(rng, grid)
         mu2 = random_scalar_measure(rng, grid, scale=1.3)
-        cert = solve_dual(assemble_dual(mu1, mu2, kappa), DEFAULT)
+        cert = solve_ball_program(ball_program(assemble_dual(mu1, mu2, kappa)), DEFAULT)
         exact = w1_kappa_scalar(mu1, mu2, kappa)
         slack = 1e-12 * max(1.0, exact)
         assert cert.value - slack <= exact <= cert.upper_bound + slack
@@ -274,7 +353,7 @@ class TestIterationCounts:
         rng = np.random.default_rng(0)
         grid = random_grid(rng, 64)
         mu1, mu2 = random_scalar_measure(rng, grid), random_scalar_measure(rng, grid)
-        cert = solve_dual(assemble_dual(mu1, mu2, 1.0), DEFAULT)
+        cert = solve_ball_program(ball_program(assemble_dual(mu1, mu2, 1.0)), DEFAULT)
         assert cert.iterations <= 4_000
         exact = w1_kappa_scalar(mu1, mu2, 1.0)
         assert cert.value - 1e-9 <= exact <= cert.upper_bound + 1e-9

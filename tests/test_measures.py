@@ -262,6 +262,32 @@ class TestMeasureFiles:
         with pytest.raises(ValueError, match="dim must be an integer"):
             load_measure(path)
 
+    @pytest.mark.parametrize("field, leaf", [
+        ("theta", "0"), ("theta", True), ("weight", True), ("weight", "1"),
+        ("mass", "0"), ("mass", True), ("mass", [True, False]), ("mass", None),
+    ])
+    def test_load_rejects_non_number_leaves(self, tmp_path, field, leaf):
+        # float() and numpy read "0", true and [true, false] as numbers
+        doc = {
+            "dim": 1,
+            "grid": [{"theta": 0.0, "weight": 0.5}, {"theta": 1, "weight": 0.5}],
+            "masses": [[[[1.0, 0.0]]], [[[2, 0]]]],
+        }
+        if field == "mass":
+            doc["masses"][1][0][0] = leaf if isinstance(leaf, list) else [leaf, 0.0]
+        else:
+            doc["grid"][1][field] = leaf
+        path = tmp_path / "leaf.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="JSON number"):
+            load_measure(path)
+
+    def test_load_accepts_integer_leaves(self, tmp_path):
+        doc = {"dim": 1, "grid": [{"theta": 0, "weight": 1}], "masses": [[[[2, 0]]]]}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        assert load_measure(path).masses[0, 0, 0] == 2.0
+
     def test_load_rejects_malformed_document(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"dim": 2, "grid": []}))

@@ -14,9 +14,9 @@ from specdist import (
     w1_kappa_scalar_all_pairs,
 )
 from specdist.measures import Grid, MatrixMeasure
-from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain
+from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain, w1_kappa_flow
 
-from conftest import random_grid, random_scalar_measure, transport_lp_value
+from conftest import flow_cost, random_grid, random_scalar_measure, transport_lp_value
 
 
 def _point_mass(grid, index, weight=1.0):
@@ -194,7 +194,8 @@ class TestW1KappaScalar:
 
 
 class TestChainSolver:
-    """The exact chain solver against the dense simplex on the same program."""
+    """The exact chain solver and its dual edge flow against the dense simplex
+    on the same program."""
 
     @staticmethod
     def _check(points, delta, kappa):
@@ -206,6 +207,11 @@ class TestChainSolver:
         assert np.all(np.abs(f) <= kappa)
         assert np.all(np.abs(np.diff(f)) <= gaps + 1e-14 * kappa)
         assert float(delta @ f) == value
+        # and the flow's cost, an upper bound, meets it (LP duality)
+        phi = w1_kappa_flow(delta, gaps, kappa)
+        assert phi.shape == (points.size - 1,)
+        cost = flow_cost(delta, gaps, kappa, phi)
+        assert abs(cost - ref) <= 1e-12 * max(abs(ref), 1e-300) or cost == ref == 0.0
         return value
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
@@ -224,6 +230,16 @@ class TestChainSolver:
         assert self._check(points, -mass, kappa) > 0.0
         assert self._check(points, np.zeros(40), kappa) == 0.0
 
+    @pytest.mark.parametrize("kappa", [1e-17, 1e-12, 1e-6])
+    def test_kappa_far_below_the_gaps(self, kappa):
+        # no mass moves: f = kappa sign(delta), phi = 0, value kappa * TV
+        rng = np.random.default_rng(11)
+        points = random_grid(rng, 30).points
+        delta, gaps = rng.normal(size=30), np.diff(points)
+        value, f = w1_kappa_chain(delta, gaps, kappa)
+        assert value == pytest.approx(kappa * np.abs(delta).sum(), rel=1e-14)
+        assert not w1_kappa_flow(delta, gaps, kappa).any()
+
     def test_one_point_grid(self):
         for delta in (0.7, -0.7, 0.0):
             value, f = w1_kappa_chain(np.array([delta]), np.zeros(0), 0.3)
@@ -233,6 +249,18 @@ class TestChainSolver:
     def test_rejects_mismatched_gaps(self):
         with pytest.raises(ValueError, match="gaps"):
             w1_kappa_chain(np.ones(4), np.ones(4), 1.0)
+        with pytest.raises(ValueError, match="gaps"):
+            w1_kappa_flow(np.ones(4), np.ones(4), 1.0)
+
+    def test_flow_is_optimal_under_perturbation(self, rng):
+        # phi minimizes a convex cost: moving it anywhere raises the cost
+        points = random_grid(rng, 30).points
+        delta, gaps = rng.normal(size=30), np.diff(points)
+        phi = w1_kappa_flow(delta, gaps, 1.0)
+        cost = flow_cost(delta, gaps, 1.0, phi)
+        for _ in range(20):
+            moved = phi + 1e-3 * rng.normal(size=phi.size)
+            assert flow_cost(delta, gaps, 1.0, moved) > cost
 
     def test_rejects_infinite_kappa(self, rng):
         mu = random_scalar_measure(rng, random_grid(rng, 3))

@@ -145,6 +145,25 @@ class TestItakuraSaito:
         with pytest.raises(ValueError, match="first density is singular at theta=0.25"):
             itakura_saito(f, g)
 
+    def test_singular_at_a_middle_point_names_the_first_one(self):
+        # both densities fail inside the grid; the first failing point is named,
+        # and the second density before the first at the same point
+        thetas = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        f = [np.eye(2), np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.diag([0.0, 1.0])]
+        g = [np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, 0.0]), np.eye(2)]
+        with pytest.raises(ValueError, match="first density is singular at theta=0.3"):
+            itakura_saito(_measure(f, thetas=thetas), _measure(g, thetas=thetas))
+        g[2] = np.diag([0.0, 1.0])
+        with pytest.raises(ValueError, match="second density is singular at theta=0.3"):
+            itakura_saito(_measure(f, thetas=thetas), _measure(g, thetas=thetas))
+
+    def test_batched_matches_the_pointwise_divergence(self, rng):
+        f = [random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(7)]
+        g = [random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(7)]
+        lam = [np.linalg.eigvals(np.linalg.solve(gk, fk)).real for fk, gk in zip(f, g)]
+        expected = sum(float((x - np.log(x) - 1.0).sum()) for x in lam)
+        assert itakura_saito(_measure(f), _measure(g)) == pytest.approx(expected, rel=1e-12)
+
 
 class TestPlotData:
     def test_columns_present_and_sized(self):
