@@ -15,10 +15,11 @@ certificate is exactly feasible and re-checkable without rerunning the
 solver (feasibility by operator norms, value by the trace pairing).
 
 At n = 1 the program is the scalar flat metric's chain program, and
-``solve_dual`` certifies it exactly without iterating: the chain solver's
-test function gives the lower bound and the optimal edge flow of the dual
-chain (:func:`specdist.scalar_metrics.w1_kappa_flow`), used as the ball
-program's dual variable, the upper bound.  The two meet to roundoff.
+``solve_dual`` certifies it exactly without iterating: one call of
+:func:`specdist.scalar_metrics.w1_kappa_chain` returns the optimal edge flow
+of the dual chain and the test function read off it.  The test function
+gives the lower bound and the flow, used as the ball program's dual
+variable, the upper bound.  The two meet to roundoff.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .measures import MatrixMeasure, _check_compatible, _readonly
 from .measures import Grid
 from .pdhg import (BallProgram, ConvergenceError, DualCertificate, SolverOptions,
                    _residual, solve_ball_program, within_tolerance)
-from .scalar_metrics import w1_kappa_chain, w1_kappa_flow
+from .scalar_metrics import w1_kappa_chain
 
 __all__ = [
     "DualProblem",
@@ -122,8 +123,7 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
 
 def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCertificate:
     delta, gaps, kappa = problem.deltas[:, 0, 0].real, problem.gaps, problem.kappa
-    f = w1_kappa_chain(delta, gaps, kappa)[1]
-    phi = w1_kappa_flow(delta, gaps, kappa)
+    _, f, phi = w1_kappa_chain(delta, gaps, kappa)
     # delta . f <= optimum <= the ball program's upper bound at Y = phi in exact
     # arithmetic.  Both sums are correctly rounded, and the upper bound is
     # rounded up by a bound on the rounding of their terms and of f's

@@ -183,7 +183,10 @@ def _json_numbers(leaves) -> bool:
 
 def _matrix_decode(doc) -> np.ndarray:
     """Inverse of :func:`_matrix_encode` for square blocks ``(..., n, n, 2)``."""
-    arr = np.asarray(doc, dtype=float)
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except (TypeError, OverflowError) as exc:   # a dict, or an int past 1e308
+        raise ValueError(f"expected nested lists of numbers: {exc}") from exc
     if arr.ndim < 3 or arr.shape[-1] != 2 or arr.shape[-2] != arr.shape[-3]:
         raise ValueError("expected n x n matrices of [re, im] pairs")
     leaves = doc   # nested lists of depth arr.ndim, or asarray would have failed
@@ -224,10 +227,11 @@ def load_measure(path) -> MatrixMeasure:
         weights = [entry["weight"] for entry in doc["grid"]]
         if not _json_numbers(points + weights):
             raise ValueError("every theta and weight must be a JSON number")
+        grid = Grid(np.array(points), np.array(weights))
         masses = _matrix_decode(doc["masses"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
     if masses.shape != (len(points), n, n):
         raise ValueError(f"expected masses of shape ({len(points)}, {n}, {n}), "
                          f"got {masses.shape}")
-    return MatrixMeasure(Grid(np.array(points), np.array(weights)), masses)
+    return MatrixMeasure(grid, masses)

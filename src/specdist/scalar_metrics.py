@@ -5,11 +5,12 @@ The scalar total variation is ``measures.tv_matrix`` at n = 1.
 The balanced Wasserstein distance uses the closed CDF-area form.  The
 unbalanced variant (Lipschitz + box-constrained test functions) is the 1-d
 flat, or bounded-Lipschitz, metric (Piccoli & Rossi, ARMA 2014); on a grid
-it is a chain program, solved exactly in O(K log K) by ``w1_kappa_chain``,
-which also returns an optimal test function.  ``w1_kappa_flow`` solves its
-dual, a chain program over edge flows, by the same slope trick; the flow's
-cost is the matching upper bound (``matrix_dual.solve_dual`` certifies n = 1
-problems with the pair).  On a 1-d grid with ground
+it is a chain program.  ``w1_kappa_chain`` solves its LP dual, a chain
+program over edge flows, exactly in O(K log K) by a slope trick, and reads
+an optimal test function off the optimal flow by complementary slackness:
+the pairing of the test function is the lower bound and the flow's cost the
+matching upper bound (``matrix_dual.solve_dual`` certifies n = 1 problems
+with the pair).  On a 1-d grid with ground
 distance |x - y| the Lipschitz constraints between adjacent points imply all
 pairwise ones (telescoping), which is what makes it a chain; the all-pairs
 linear program on the dense simplex is kept as a test oracle for that
@@ -79,132 +80,23 @@ def _w1_kappa_lp(points: np.ndarray, delta: np.ndarray, kappa: float,
     return LpProblem(delta, np.array(rows), np.array(bounds))
 
 
-def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
-                   kappa: float) -> tuple[float, np.ndarray]:
-    """Exact value and optimal ``f`` of ``max sum_k delta_k f_k`` on a chain.
-
-    The constraints are ``|f_k| <= kappa`` and ``|f_{k+1} - f_k| <= gaps_k``.
-    ``V_k(x)``, the best partial sum over ``f_1..f_k`` with ``f_k = x``, is
-    concave and piecewise linear on ``[-kappa, kappa]``.  Stage ``k + 1``
-    takes its running maximum over windows of half-width ``g = gaps_k`` (a
-    flat piece of length ``2 g`` enters at the argmax, the pieces on either
-    side move outwards by ``g``), cuts ``g`` off both ends to stay in
-    ``[-kappa, kappa]`` and adds ``delta_{k+1} x``, which moves every slope by
-    ``delta_{k+1}``.
-
-    The pieces are kept by slope, as lengths under a lazy slope offset (the
-    prefix sums of ``delta``, so every slope is known up front and ranked
-    once).  Two heaps give the steepest pieces at either end for the cuts,
-    and a Fenwick tree over the slope ranks gives the argmax ``x*_k`` as
-    ``-kappa`` plus the length of the rising pieces.  Backtracking clamps:
-    ``f_K = x*_K`` and ``f_k = clip(x*_k, f_{k+1} - g_k, f_{k+1} + g_k)``,
-    the best value of the concave ``V_k`` inside the window.  Each stage
-    inserts one piece and removes amortized O(1) pieces, O(log K) each.  The
-    returned ``f`` is feasible by construction and the value is its pairing
-    with ``delta``, so the result can be checked without trusting the solver.
-    """
-    delta = np.asarray(delta, dtype=float)
-    K = delta.size
-    gaps = np.asarray(gaps, dtype=float).tolist()
-    if len(gaps) != K - 1:
-        raise ValueError(f"{K} points need {K - 1} gaps, got {len(gaps)}")
-    # a gap of 2 kappa or more constrains nothing inside [-kappa, kappa], and
-    # cutting a longer one off lengths of order kappa would lose them to roundoff
-    gaps = [min(g, 2.0 * kappa) for g in gaps]
-    # the piece entering flat at stage k has slope P_{k'+1} - P_k after any
-    # later stage k', with P the prefix sums of delta: rank the P_k once
-    # (1-based, for the tree); the rising pieces rank below P_{k'+1}
-    prefix = np.concatenate(([0.0], np.cumsum(delta)))
-    rank = np.empty(K + 1, dtype=np.int64)
-    rank[np.argsort(prefix, kind="stable")] = np.arange(1, K + 2)
-    rank = rank.tolist()
-    size = K + 1
-    tree = [0.0] * (size + 1)     # Fenwick tree of the lengths by rank
-    held = [0.0] * (size + 1)     # each piece's length as the tree holds it
-    length = [0.0] * (size + 1)   # its true length, shorter while a cut is pending
-
-    def add(i: int, amount: float):
-        while i <= size:
-            tree[i] += amount
-            i += i & -i
-
-    # left end: rising pieces, min-heap of ranks; right end: max-heap.  The
-    # partial cut at each end waits in `length` until another piece takes
-    # the cut there (most pieces die within two stages of reaching an end)
-    heaps = ([], [])
-    signs = (1, -1)
-    pending = [0, 0]
-    argmax = [0.0] * K
-    piece, cut = 2.0 * kappa, 0.0
-    for k in range(K):
-        r = rank[k]
-        length[r] = held[r] = piece
-        add(r, piece)
-        for end in (0, 1):
-            heap, sign = heaps[end], signs[end]
-            heapq.heappush(heap, sign * r)
-            rest = cut
-            while rest > 0.0 and heap:
-                j = sign * heap[0]
-                if length[j] > rest:
-                    length[j] -= rest
-                    p = pending[end]
-                    if p != j:
-                        if length[p] != held[p]:
-                            add(p, length[p] - held[p])
-                            held[p] = length[p]
-                        pending[end] = j
-                    break
-                heapq.heappop(heap)    # gone, or already cut from the other end
-                rest -= length[j]
-                length[j] = 0.0
-                if held[j]:
-                    add(j, -held[j])
-                    held[j] = 0.0
-        q = rank[k + 1]
-        x = -kappa
-        i = q - 1
-        while i:
-            x += tree[i]
-            i &= i - 1
-        for p in set(pending):
-            if p < q:
-                x += length[p] - held[p]
-        argmax[k] = min(kappa, max(-kappa, x))
-        if k < K - 1:
-            cut = gaps[k]
-            piece = 2.0 * cut
-    f = argmax
-    for k in range(K - 2, -1, -1):
-        lo, hi = f[k + 1] - gaps[k], f[k + 1] + gaps[k]
-        f[k] = lo if f[k] < lo else hi if f[k] > hi else f[k]
-    f = np.array(f)
-    return float(delta @ f), f
-
-
-def w1_kappa_flow(delta: np.ndarray, gaps: np.ndarray, kappa: float) -> np.ndarray:
-    """Optimal edge flow ``phi`` of the dual of :func:`w1_kappa_chain`.
+def _edge_flow(delta: list, gaps: list, kappa: float) -> list:
+    """Optimal edge flow ``phi`` of the dual chain program of :func:`w1_kappa_chain`.
 
     Minimizes ``sum_e g_e |phi_e| + kappa sum_k |delta_k - phi_k + phi_{k-1}|``
-    with ``phi_{-1} = phi_{K-1} = 0`` (``K - 1`` edge flows), whose optimum is
-    the chain value by LP duality, so the cost of the returned ``phi`` is an
-    upper bound anyone can recheck in O(K).  ``W_e(x)``, the least cost of
-    the first ``e + 1`` points with ``phi_e = x``, is convex and piecewise
-    linear: ``W_e = (W_{e-1} [] kappa|.|)(. - delta_e) + g_e|.|``.  The
-    inf-convolution clips its slopes to ``[-kappa, kappa]``, which removes
+    with ``phi_{-1} = phi_{K-1} = 0`` (``K - 1`` edge flows).  ``W_e(x)``, the
+    least cost of the first ``e + 1`` points with ``phi_e = x``, is convex and
+    piecewise linear: ``W_e = (W_{e-1} [] kappa|.|)(. - delta_e) + g_e|.|``.
+    The inf-convolution clips its slopes to ``[-kappa, kappa]``, which removes
     slope weight ``g_{e-1}`` at either end (the end slopes are always
     ``-+(kappa + g_{e-1})``), and records the clip points ``a_e, b_e``; the
-    shift is a lazy offset and ``g_e|.|`` adds a breakpoint of weight
-    ``2 g_e`` at 0.  Breakpoints sit in a min-heap and a max-heap with a
-    shared weight each.  Backtracking from ``phi_{K-1} = 0`` clamps:
+    shift is a lazy offset and ``g_e|.|`` adds a breakpoint of weight ``2 g_e``
+    at 0.  Breakpoints sit in a min-heap and a max-heap with a shared weight
+    each.  Backtracking from ``phi_{K-1} = 0`` clamps:
     ``phi_{e-1} = clip(phi_e - delta_e, a_e, b_e)``.  O(K log K).  An edge
     with ``g_e >= 2 kappa`` carries no flow and restarts the recursion.
     """
-    delta = np.asarray(delta, dtype=float).tolist()
-    gaps = np.asarray(gaps, dtype=float).tolist()
     K = len(delta)
-    if len(gaps) != K - 1:
-        raise ValueError(f"{K} points need {K - 1} gaps, got {len(gaps)}")
     weight = [2.0 * kappa]             # W_{-1} [] kappa|.| = kappa|.|
     heaps = ([(0.0, 0)], [(0.0, 0)])   # raw positions; the right heap negated
     offset = delta[0]
@@ -239,7 +131,57 @@ def w1_kappa_flow(delta: np.ndarray, gaps: np.ndarray, kappa: float) -> np.ndarr
     for e in range(K - 1, 0, -1):
         x = phi[e] - delta[e]
         phi[e - 1] = lo[e] if x < lo[e] else hi[e] if x > hi[e] else x
-    return np.array(phi[:-1])
+    return phi[:-1]
+
+
+def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
+                   kappa: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact value, optimal ``f`` and optimal edge flow ``phi`` of a chain program.
+
+    The program is ``max sum_k delta_k f_k`` over ``|f_k| <= kappa`` and
+    ``|f_k - f_{k+1}| <= gaps_k``.  Its LP dual minimizes the cost
+    ``sum_e g_e |phi_e| + kappa sum_k |r_k|`` over edge flows, with residuals
+    ``r_k = delta_k - phi_k + phi_{k-1}``; :func:`_edge_flow` solves it, and
+    the cost of ``phi`` is an upper bound anyone can recheck in O(K).
+    Complementary slackness then pins ``f_k = kappa sign(r_k)`` where
+    ``r_k != 0`` and ``f_e - f_{e+1} = g_e sign(phi_e)`` where ``phi_e != 0``;
+    the rest is free within the constraints.  A forward pass intersects these
+    intervals along the chain, and a backward pass picks a point in each and
+    clamps it into the feasible set.  So ``f`` is feasible whatever the
+    roundoff, and the value is its pairing with ``delta``: a lower bound that
+    can be checked without trusting the solver.  A residual or flow within
+    ``4 eps ||delta||_1`` of 0 counts as 0; roundoff would otherwise pin
+    ``f`` at the wrong bound.
+    """
+    delta = np.asarray(delta, dtype=float)
+    gaps = np.asarray(gaps, dtype=float)
+    K = delta.size
+    if gaps.shape != (K - 1,):
+        raise ValueError(f"{K} points need {K - 1} gaps, got {gaps.size}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    if not (np.isfinite(delta).all() and ((gaps >= 0) & (gaps < np.inf)).all()):
+        raise ValueError("delta must be finite and the gaps finite and nonnegative")
+    d, g = delta.tolist(), gaps.tolist() + [math.inf]   # a free edge past the end
+    phi = _edge_flow(d, g, kappa)
+    tol = 4.0 * np.finfo(float).eps * float(np.abs(delta).sum())
+    flow = [0.0, *phi, 0.0]
+    bounds = []
+    lo, hi = -kappa, kappa    # where f_k can be, given f_0..f_{k-1}
+    for k in range(K):
+        r, p = d[k] - flow[k + 1] + flow[k], flow[k + 1]
+        lo = max(lo, kappa if r > tol else -kappa)
+        hi = min(hi, -kappa if r < -tol else kappa)
+        bounds.append((lo, hi))
+        lo, hi = lo + g[k] if p < -tol else lo - g[k], hi - g[k] if p > tol else hi + g[k]
+    f = [0.0] * (K + 1)
+    for k in range(K - 1, -1, -1):
+        (lo, hi), p, y = bounds[k], flow[k + 1], f[k + 1]
+        lo = max(lo, y + g[k] if p > tol else y - g[k])
+        hi = min(hi, y - g[k] if p < -tol else y + g[k])
+        f[k] = max(-kappa, y - g[k], min(kappa, y + g[k], max(lo, min(hi, y))))
+    f = np.array(f[:-1])
+    return float(delta @ f), f, np.array(phi)
 
 
 def w1_kappa_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> float:
@@ -247,15 +189,11 @@ def w1_kappa_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> flo
 
     Maximizes ``sum_k f_k (m1_k - m2_k)`` over test functions with unit
     Lipschitz bound and ``|f| <= kappa``, solved exactly by
-    :func:`w1_kappa_chain` on the adjacent-difference constraints.
+    :func:`w1_kappa_chain` on the adjacent-difference constraints: the
+    pairing of the mass difference with the optimal ``f``.
     """
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     m1, m2 = _scalar_pair(mu1, mu2)
-    delta = m1 - m2
-    if not delta.any():
-        return 0.0
-    return w1_kappa_chain(delta, mu1.grid.spacings, kappa)[0]
+    return w1_kappa_chain(m1 - m2, mu1.grid.spacings, kappa)[0]
 
 
 def w1_kappa_scalar_all_pairs(mu1: MatrixMeasure, mu2: MatrixMeasure,

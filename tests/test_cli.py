@@ -6,6 +6,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdist import load_measure, save_measure
 from specdist.cli import main
@@ -295,6 +297,30 @@ class TestDist:
                      str(spectra_dir / "f0.json"), str(spectra_dir / "f1.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [{"operators": {}}, [{"a": 1}]],
+                             ids=["operators-dict", "list-of-dicts"])
+    def test_connes_dirac_file_of_dicts_exits_2(self, tmp_path, spectra_dir, capsys, doc):
+        (tmp_path / "dirac.json").write_text(json.dumps(doc))
+        code = main(["dist", "--metric", "connes", "--dirac", str(tmp_path / "dirac.json"),
+                     str(spectra_dir / "f0.json"), str(spectra_dir / "f1.json")])
+        assert code == 2
+        assert "nested lists" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # json reads 10**400 back as an int, which float() cannot convert
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+        measures = [str(tmp_path / "f0.json"), str(tmp_path / "f1.json")]
+        doc = json.loads((tmp_path / "f0.json").read_text())
+        doc["grid"][0]["theta"] = 10**400
+        (tmp_path / "theta.json").write_text(json.dumps(doc))
+        dirac = [[[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        (tmp_path / "dirac.json").write_text(json.dumps(dirac))
+        assert main(["dist", "--metric", "matrix-tv", str(tmp_path / "theta.json"),
+                     measures[1]]) == 2
+        assert main(["dist", "--metric", "connes", "--dirac", str(tmp_path / "dirac.json"),
+                     *measures]) == 2
+        assert capsys.readouterr().err.count("too large") == 2
+
     def test_connes_without_dirac_exits_2(self, tmp_path, spectra_dir, capsys):
         code = main(
             ["dist", "--metric", "connes",
@@ -302,6 +328,74 @@ class TestDist:
         )
         assert code == 2
         assert "--dirac" in capsys.readouterr().err
+
+
+DELETE = object()
+# every JSON type, and deletion; finite numbers stay below 1e6, as Dirac entries
+# of 1e10 and more leave the Connes solve unconverged at its budget (tens of seconds)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+    st.integers(-10**6, 10**6), st.floats(-1e6, 1e6),
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**400]), st.just(DELETE),
+)
+
+
+def _fields(node, path=()):
+    """Key/index paths of every field below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _leaves(node):
+    if isinstance(node, (dict, list)):
+        children = node.values() if isinstance(node, dict) else node
+        return [leaf for child in children for leaf in _leaves(child)]
+    return [node]
+
+
+class TestMutatedFiles:
+    """One field of a measure file or a Dirac file set to another JSON value, or
+    deleted: ``dist`` exits 0 or 2 with no exception, and accepts only files
+    whose leaves are all numbers."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("mutated")
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(out)]) == 0
+        dirac = [[[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]]
+        (out / "dirac.json").write_text(json.dumps({"operators": dirac}))
+        return out
+
+    @pytest.mark.parametrize("name", ["f0.json", "dirac.json"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_2_and_accepts_numbers_only(self, files, name, data):
+        doc = json.loads((files / name).read_text())
+        path = data.draw(st.sampled_from(list(_fields(doc))))
+        value = data.draw(JSON_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        mutated = files / f"mutated-{name}"
+        mutated.write_text(json.dumps(doc))
+        measures = [str(files / "f0.json"), str(files / "f1.json")]
+        if name == "dirac.json":
+            argv = ["dist", "--metric", "connes", "--dirac", str(mutated), *measures]
+        else:
+            argv = ["dist", "--metric", "matrix-tv", str(mutated), measures[1]]
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert {int, float}.issuperset(map(type, _leaves(doc)))
 
 
 class TestTable1Command:

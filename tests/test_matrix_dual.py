@@ -16,7 +16,7 @@ from specdist import (
 from specdist.matrix_dual import ball_program
 from specdist.measures import Grid
 from specdist.pdhg import solve_ball_program
-from specdist.scalar_metrics import w1_kappa_flow
+from specdist.scalar_metrics import w1_kappa_chain
 
 from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
                       random_scalar_measure)
@@ -169,7 +169,7 @@ class TestChainCertificate:
         assert mismatch <= 1e-12 * max(1.0, cert.value)
         # the upper bound is the flow's cost, recomputed here by plain numpy
         delta = problem.deltas[:, 0, 0].real
-        phi = w1_kappa_flow(delta, problem.gaps, kappa)
+        phi = w1_kappa_chain(delta, problem.gaps, kappa)[2]
         assert flow_cost(delta, problem.gaps, kappa, phi) \
             == pytest.approx(cert.upper_bound, rel=1e-12)
 

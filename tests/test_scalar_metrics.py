@@ -14,7 +14,7 @@ from specdist import (
     w1_kappa_scalar_all_pairs,
 )
 from specdist.measures import Grid, MatrixMeasure
-from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain, w1_kappa_flow
+from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain
 
 from conftest import flow_cost, random_grid, random_scalar_measure, transport_lp_value
 
@@ -194,13 +194,13 @@ class TestW1KappaScalar:
 
 
 class TestChainSolver:
-    """The exact chain solver and its dual edge flow against the dense simplex
-    on the same program."""
+    """The exact chain solver's test function and dual edge flow against the
+    dense simplex on the same program."""
 
     @staticmethod
     def _check(points, delta, kappa):
         gaps = np.diff(points)
-        value, f = w1_kappa_chain(delta, gaps, kappa)
+        value, f, phi = w1_kappa_chain(delta, gaps, kappa)
         ref, _ = lp_simplex(_w1_kappa_lp(points, delta, kappa, all_pairs=False))
         assert abs(value - ref) <= 1e-10 * max(abs(ref), 1e-300) or value == ref == 0.0
         # the returned test function is the certificate
@@ -208,7 +208,6 @@ class TestChainSolver:
         assert np.all(np.abs(np.diff(f)) <= gaps + 1e-14 * kappa)
         assert float(delta @ f) == value
         # and the flow's cost, an upper bound, meets it (LP duality)
-        phi = w1_kappa_flow(delta, gaps, kappa)
         assert phi.shape == (points.size - 1,)
         cost = flow_cost(delta, gaps, kappa, phi)
         assert abs(cost - ref) <= 1e-12 * max(abs(ref), 1e-300) or cost == ref == 0.0
@@ -220,6 +219,22 @@ class TestChainSolver:
         rng = np.random.default_rng([K, int(100 * kappa)])
         points = random_grid(rng, K).points
         self._check(points, rng.normal(size=K) * rng.uniform(0.01, 2.0, size=K), kappa)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("K", [2, 5, 13, 89, 200])
+    @pytest.mark.parametrize("shape", ["rounded", "sparse"])
+    def test_degenerate_differences(self, shape, K, kappa):
+        # ties and exact zeros: residuals and flows that vanish in exact
+        # arithmetic come out of the flow solver as roundoff, which must not
+        # pin the test function at a bound
+        rng = np.random.default_rng([K, int(100 * kappa), len(shape)])
+        points = random_grid(rng, K).points
+        delta = rng.normal(size=K)
+        if shape == "rounded":
+            delta = np.round(delta, 1)
+        else:
+            delta[rng.uniform(size=K) < 0.7] = 0.0
+        self._check(points, delta, kappa)
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
     def test_one_signed_and_equal_measures(self, kappa):
@@ -236,27 +251,42 @@ class TestChainSolver:
         rng = np.random.default_rng(11)
         points = random_grid(rng, 30).points
         delta, gaps = rng.normal(size=30), np.diff(points)
-        value, f = w1_kappa_chain(delta, gaps, kappa)
+        value, f, phi = w1_kappa_chain(delta, gaps, kappa)
         assert value == pytest.approx(kappa * np.abs(delta).sum(), rel=1e-14)
-        assert not w1_kappa_flow(delta, gaps, kappa).any()
+        assert not phi.any()
 
     def test_one_point_grid(self):
         for delta in (0.7, -0.7, 0.0):
-            value, f = w1_kappa_chain(np.array([delta]), np.zeros(0), 0.3)
+            value, f, phi = w1_kappa_chain(np.array([delta]), np.zeros(0), 0.3)
             assert value == pytest.approx(0.3 * abs(delta), abs=1e-15)
             assert f.shape == (1,)
+            assert phi.shape == (0,)
 
     def test_rejects_mismatched_gaps(self):
         with pytest.raises(ValueError, match="gaps"):
             w1_kappa_chain(np.ones(4), np.ones(4), 1.0)
-        with pytest.raises(ValueError, match="gaps"):
-            w1_kappa_flow(np.ones(4), np.ones(4), 1.0)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_invalid_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            w1_kappa_chain(np.array([1.0, 0.0, -1.0]), np.ones(2), kappa)
+
+    @pytest.mark.parametrize("delta, gaps", [
+        ([1.0, float("nan"), -1.0], [1.0, 1.0]),
+        ([1.0, float("inf"), -1.0], [1.0, 1.0]),
+        ([1.0, 0.0, -1.0], [1.0, -0.5]),
+        ([1.0, 0.0, -1.0], [1.0, float("nan")]),
+        ([1.0, 0.0, -1.0], [1.0, float("inf")]),
+    ], ids=["nan-delta", "inf-delta", "negative-gap", "nan-gap", "inf-gap"])
+    def test_rejects_nonfinite_or_negative_input(self, delta, gaps):
+        with pytest.raises(ValueError, match="finite"):
+            w1_kappa_chain(np.array(delta), np.array(gaps), 1.0)
 
     def test_flow_is_optimal_under_perturbation(self, rng):
         # phi minimizes a convex cost: moving it anywhere raises the cost
         points = random_grid(rng, 30).points
         delta, gaps = rng.normal(size=30), np.diff(points)
-        phi = w1_kappa_flow(delta, gaps, 1.0)
+        phi = w1_kappa_chain(delta, gaps, 1.0)[2]
         cost = flow_cost(delta, gaps, 1.0, phi)
         for _ in range(20):
             moved = phi + 1e-3 * rng.normal(size=phi.size)
