@@ -120,8 +120,8 @@ def _cmd_dist(args) -> int:
             rho1 = State(mu1.masses.sum(axis=0))
             rho2 = State(mu2.masses.sum(axis=0))
             kappa = math.inf if args.kappa == 0 else args.kappa
-            value = connes_distance(rho1, rho2, diracs, kappa, options)
             report["kappa"] = "inf" if not math.isfinite(kappa) else kappa
+            value = connes_distance(rho1, rho2, diracs, kappa, options)
             report["value"] = "unbounded" if math.isinf(value) else value
         else:  # unreachable behind argparse choices
             raise ValueError(f"unknown metric {args.metric}")

@@ -20,7 +20,13 @@ solved and certified like any other.
 
 The constraint images are anti-Hermitian; multiplying by -i makes them
 Hermitian with the same operator norm, which puts the problem in the shape
-of :mod:`specdist.pdhg` (eigenvalue-clipping projections throughout).
+of :mod:`specdist.pdhg` (eigenvalue-clipping projections throughout).  It
+is solved at the caller's scale: f, the value and both bounds (also those a
+``ConvergenceError`` carries) are its own.  Only the iteration sees a scale:
+the commutator rows are divided by ``s = max(1, min(kappa, kappa*))``, with
+kappa* that sufficient kappa: the largest norm beyond 1 an optimal f needs.
+Unscaled, the driver (primal weight 1 at the start) would take iterations in
+proportion to it.
 """
 
 from __future__ import annotations
@@ -99,10 +105,9 @@ class DiracSet:
         return self.operators.shape[0]
 
 
-def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> BallProgram:
-    # normalize the test function to the unit ball (f = kappa * f'); the
-    # iteration then behaves identically for every kappa, however large
-    ops = diracs.operators
+def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float,
+                        scale: float = 1.0) -> BallProgram:
+    ops = diracs.operators / scale    # the rows divided by s (module docstring)
 
     def forward(F: np.ndarray) -> np.ndarray:
         f = F[0]
@@ -117,10 +122,10 @@ def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> Ba
     map_norm = 2.0 * float(np.sqrt((norms**2).sum()))
     return BallProgram(
         objective=sigma[None],
-        ball_radii=np.ones(1),
+        ball_radii=np.full(1, kappa),
         forward=forward,
         adjoint=adjoint,
-        image_radii=np.full(diracs.count, 1.0 / kappa),
+        image_radii=np.full(diracs.count, 1.0 / scale),
         map_norm=max(map_norm, 1e-300),
     )
 
@@ -141,14 +146,19 @@ def connes_witness(
     _check_dims(rho1, rho2, diracs)
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    options = options or SolverOptions()
-    sigma = rho1.matrix - rho2.matrix
+    size = kappa if kappa <= 1.0 else min(kappa, sufficient_kappa(rho1, rho2, diracs))
+    return _witness(rho1.matrix - rho2.matrix, diracs, kappa, size, options)
+
+
+def _witness(sigma, diracs, kappa, size, options):
+    """:func:`connes_witness`, given ``size`` >= the norm of some optimal f."""
     if not sigma.any():
         return 0.0, np.zeros_like(sigma)
     # the feasible set is symmetric under f -> -f, so the supremum of
     # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
-    solution = solve_ball_program(_commutator_program(sigma, diracs, kappa), options)
-    return kappa * solution.value, kappa * solution.test_function[0]
+    program = _commutator_program(sigma, diracs, kappa, max(1.0, size))
+    solution = solve_ball_program(program, options or SolverOptions())
+    return solution.value, solution.test_function[0]
 
 
 def _check_dims(rho1: State, rho2: State, diracs: DiracSet):
@@ -203,5 +213,5 @@ def connes_distance(
     if kappa == 0.0 or math.isinf(kappa):
         # 0 only for equal states when every D_i is a multiple of the identity
         return kappa
-    value = connes_witness(rho1, rho2, diracs, kappa, options)[0]
+    value = _witness(rho1.matrix - rho2.matrix, diracs, kappa, kappa, options)[0]
     return math.inf if value > UNBOUNDED_CAP else value

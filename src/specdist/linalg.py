@@ -39,8 +39,9 @@ def as_hermitian(M) -> np.ndarray:
 
     Violations below ``HERMITICITY_TOL`` (relative to the largest absolute
     entry) are repaired by symmetrization, which keeps solver iterates exactly
-    Hermitian despite floating-point drift; anything larger, and any
-    non-finite entry, raises ``ValueError``.
+    Hermitian despite floating-point drift; anything larger, any non-finite
+    entry, and entries so large that the symmetrized blocks or their
+    eigenvalues overflow raise ``ValueError``.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -53,7 +54,14 @@ def as_hermitian(M) -> np.ndarray:
             f"matrix is not Hermitian: relative violation {viol:.3e} exceeds "
             f"{HERMITICITY_TOL:.1e}"
         )
-    return hermitian_part(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = hermitian_part(M)
+        # H[None]: _eigenvalues takes a stack, and a state is one matrix
+        finite = np.isfinite(H).all() and np.isfinite(_eigenvalues(H[None])).all()
+    if not finite:
+        raise ValueError("matrix entries too large: the Hermitian part or its "
+                         "eigenvalues overflow")
+    return H
 
 
 def _eig2(M: np.ndarray):

@@ -123,12 +123,11 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
 
 def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCertificate:
     delta, gaps, kappa = problem.deltas[:, 0, 0].real, problem.gaps, problem.kappa
-    _, f, phi = w1_kappa_chain(delta, gaps, kappa)
+    value, f, phi = w1_kappa_chain(delta, gaps, kappa)
     # delta . f <= optimum <= the ball program's upper bound at Y = phi in exact
     # arithmetic.  Both sums are correctly rounded, and the upper bound is
     # rounded up by a bound on the rounding of their terms and of f's
     # Lipschitz steps, so the computed bracket keeps that order
-    value = math.fsum(delta * f)
     cost = np.concatenate((kappa * np.abs(delta - _adjoint(phi)), gaps * np.abs(phi)))
     tv = float(np.abs(delta).sum())
     rounding = 4.0 * np.finfo(float).eps * (kappa * (tv + np.abs(phi).sum()) + gaps @ np.abs(phi))

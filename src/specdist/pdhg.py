@@ -139,8 +139,9 @@ class DualCertificate(Certified):
 
 
 def within_tolerance(lower: float, upper: float, floor: float, tolerance: float) -> bool:
-    """The stopping test: a relative gap, against at least ``floor``, within tolerance."""
-    return upper - lower <= tolerance * max(abs(upper), abs(lower), floor)
+    """The stopping test: a finite relative gap, against at least ``floor``, within tolerance."""
+    scale = max(abs(upper), abs(lower), floor)
+    return math.isfinite(scale) and upper - lower <= tolerance * scale
 
 
 def _move(new: np.ndarray, old: np.ndarray) -> float:

@@ -148,10 +148,10 @@ def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
     the rest is free within the constraints.  A forward pass intersects these
     intervals along the chain, and a backward pass picks a point in each and
     clamps it into the feasible set.  So ``f`` is feasible whatever the
-    roundoff, and the value is its pairing with ``delta``: a lower bound that
-    can be checked without trusting the solver.  A residual or flow within
-    ``4 eps ||delta||_1`` of 0 counts as 0; roundoff would otherwise pin
-    ``f`` at the wrong bound.
+    roundoff, and the value is its correctly rounded pairing with ``delta``
+    (``math.fsum``): a lower bound that can be checked without trusting the
+    solver.  A residual or flow within ``4 eps ||delta||_1`` of 0 counts as
+    0; roundoff would otherwise pin ``f`` at the wrong bound.
     """
     delta = np.asarray(delta, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
@@ -181,7 +181,7 @@ def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
         hi = min(hi, y - g[k] if p < -tol else y + g[k])
         f[k] = max(-kappa, y - g[k], min(kappa, y + g[k], max(lo, min(hi, y))))
     f = np.array(f[:-1])
-    return float(delta @ f), f, np.array(phi)
+    return math.fsum(delta * f), f, np.array(phi)
 
 
 def w1_kappa_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> float:

@@ -127,6 +127,22 @@ class TestDist:
         assert code == 2
         assert "JSON number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, metric", [
+        ([(0, 0, 1e308), (1, 1, 1e308)], "matrix-tv"),   # the Hermitian part overflows
+        ([(0, 0, 1e200)], "matrix-tv"),                   # the eigenvalues overflow
+        ([(0, 0, 1e200)], "matrix-w1k"),
+    ], ids=["1e308-matrix-tv", "1e200-matrix-tv", "1e200-matrix-w1k"])
+    def test_mass_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys, entries, metric):
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "f0.json").read_text())
+        for i, j, x in entries:
+            doc["masses"][0][i][j] = [x, 0.0]
+        (tmp_path / "f0.json").write_text(json.dumps(doc))
+        code = main(["dist", "--metric", metric, str(tmp_path / "f0.json"),
+                     str(tmp_path / "f1.json")])
+        assert code == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, capsys):
         code = main(["dist", "--metric", "tv", "missing_a.json", "missing_b.json"])
         assert code == 1
@@ -175,6 +191,15 @@ class TestDist:
         assert cert["iterations"] == 0
         assert doc["value"] <= cert["upper_bound"] <= doc["value"] * (1 + 1e-12)
         assert len(cert["test_function"]) == 12
+
+    def test_scalar_w1k_and_matrix_w1k_print_the_same_value(self, tmp_path, capsys):
+        # both report the chain's correctly rounded pairing of delta with f
+        files = self._scalar_pair(tmp_path, K=24)
+        values = []
+        for metric in ("w1k", "matrix-w1k"):
+            assert main(["dist", "--metric", metric, "--format", "structured", *files]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[0] == values[1]
 
     def test_scalar_tolerance_below_roundoff_exits_3_with_partial(self, tmp_path, capsys):
         code = main(["dist", "--metric", "matrix-w1k", "--tol", "1e-300",
@@ -280,6 +305,32 @@ class TestDist:
         assert self._connes(tmp_path, 1.0) == 0
         out = capsys.readouterr().out
         assert "0.5" in out
+
+    @staticmethod
+    def _connes_on_spectra(tmp_path, dirac, *flags):
+        """``dist --metric connes`` on 4-point gen-spectra files, structured."""
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+        (tmp_path / "dirac.json").write_text(json.dumps(dirac))
+        return main(["dist", "--metric", "connes", "--format", "structured", *flags,
+                     "--dirac", str(tmp_path / "dirac.json"),
+                     str(tmp_path / "f0.json"), str(tmp_path / "f1.json")])
+
+    def test_connes_partial_report_brackets_the_value(self, tmp_path, capsys):
+        # the exit-3 bracket is that of the kappa = 5 program, and names kappa
+        dirac = [[[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]]
+        assert self._connes_on_spectra(tmp_path, dirac, "--kappa", "5", "--tol", "1e-9") == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        code = self._connes_on_spectra(tmp_path, dirac, "--kappa", "5", "--tol", "1e-9",
+                                       "--max-iter", "1")
+        assert code == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is False and doc["kappa"] == 5.0
+        assert doc["lower_bound"] <= value <= doc["upper_bound"]
+
+    def test_connes_dirac_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
+        dirac = [[[[1e300, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]]
+        assert self._connes_on_spectra(tmp_path, dirac, "--max-iter", "200") == 2
+        assert "too large" in capsys.readouterr().err
 
     def test_connes_nonfinite_dirac_exits_2(self, tmp_path, capsys):
         # json writes the entry as Infinity, which the decoder reads back

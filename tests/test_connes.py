@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specdist import (
+    ConvergenceError,
     DiracSet,
     SolverOptions,
     State,
@@ -106,6 +107,47 @@ class TestWitness:
         pairing = abs(np.trace((rho1.matrix - rho2.matrix) @ f).real)
         assert pairing == pytest.approx(value, abs=1e-10)
 
+    def test_unconverged_witness_brackets_the_value(self):
+        # the error carries the certificate of the kappa = 5 program itself:
+        # its bounds bracket the converged value and its f is feasible there
+        rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
+        value = connes_witness(rho1, rho2, SIGMA_X, 5.0, TIGHT)[0]
+        with pytest.raises(ConvergenceError) as err:
+            connes_witness(rho1, rho2, SIGMA_X, 5.0, SolverOptions(max_iterations=1))
+        cert = err.value.solution
+        assert cert.lower_bound <= value <= cert.upper_bound
+        f = cert.test_function[0]
+        assert np.linalg.norm(f, 2) <= 5.0 + 1e-10
+        assert np.trace((rho1.matrix - rho2.matrix) @ f).real == pytest.approx(cert.value)
+
+
+class TestScale:
+    """The program is solved at the caller's kappa, with the commutator rows
+    divided by the size an optimal f can reach beyond 1."""
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
+    def test_iterations_stop_growing_above_sufficient_kappa(self, rng, monkeypatch, n, m):
+        iterations = _count_ball_solves(monkeypatch)
+        rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
+        ops = DiracSet(np.array([np.diag(rng.normal(size=n)).astype(complex)
+                                 + 0.3 * _hermitian(rng, n) for _ in range(m)]))
+        kappa = sufficient_kappa(rho1, rho2, ops)
+        options = SolverOptions(tolerance=1e-6)
+        for factor in (100, 1e4):
+            connes_witness(rho1, rho2, ops, factor * kappa, options)
+        assert iterations[1] <= iterations[0]
+
+    def test_large_kappa_with_the_ball_binding_is_cheap(self, monkeypatch):
+        # the distance grows without bound, so the ball binds at every kappa;
+        # solved unscaled, the iterations would grow in proportion to kappa
+        iterations = _count_ball_solves(monkeypatch)
+        rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
+        at_one = connes_witness(rho1, rho2, SIGMA_X, 1.0, TIGHT)[0]
+        for kappa in (1e3, 1e5):
+            value = connes_witness(rho1, rho2, SIGMA_X, kappa, TIGHT)[0]
+            assert value == pytest.approx(at_one + 0.6 * (kappa - 1.0), rel=1e-6)
+        assert max(iterations) <= 4 * iterations[0]
+
 
 class TestSolveCount:
     def test_finite_kappa_is_one_solve(self, rng, monkeypatch):
@@ -184,12 +226,14 @@ class TestScalarReduction:
 
 
 def _count_ball_solves(monkeypatch):
+    """The iterations of each ball solve, in order."""
     calls = []
     original = connes.solve_ball_program
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        solution = original(*args, **kwargs)
+        calls.append(solution.iterations)
+        return solution
 
     monkeypatch.setattr(connes, "solve_ball_program", counted)
     return calls

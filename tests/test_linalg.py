@@ -292,3 +292,13 @@ def test_as_hermitian_repairs_small_drift(rng):
 def test_as_hermitian_rejects_large_violation():
     with pytest.raises(ValueError, match="not Hermitian"):
         as_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("M", [
+    np.diag([1e308, 1e308]),                    # the Hermitian part overflows
+    np.diag([1e200, 0.0]),                      # the 2x2 closed form's square overflows
+    np.array([[1e300, 0.5], [0.5, -1.0]])[None],
+], ids=["sum-1e308", "square-1e200", "stack-1e300"])
+def test_as_hermitian_rejects_overflowing_eigenvalues(M):
+    with pytest.raises(ValueError, match="too large"):
+        as_hermitian(M)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specdist import SolverOptions
-from specdist.pdhg import BallProgram, solve_ball_program
+from specdist.pdhg import BallProgram, solve_ball_program, within_tolerance
 
 from conftest import random_hermitian
 
@@ -98,3 +98,11 @@ def test_certified_bounds_sandwich_the_value(rng):
     assert solution.value <= solution.upper_bound + 1e-12
     assert solution.gap <= 1e-7 * max(1.0, solution.upper_bound)
     assert solution.feasibility_residual <= 1e-12
+
+
+@pytest.mark.parametrize("lower, upper, floor", [
+    (0.0, math.inf, 0.0), (-math.inf, 1.0, 0.0), (0.0, 1.0, math.inf),
+])
+def test_within_tolerance_never_accepts_a_non_finite_gap(lower, upper, floor):
+    assert not within_tolerance(lower, upper, floor, 1e-6)
+    assert within_tolerance(1.0, 1.0 + 1e-7, 0.0, 1e-6)

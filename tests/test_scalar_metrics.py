@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,7 +208,7 @@ class TestChainSolver:
         # the returned test function is the certificate
         assert np.all(np.abs(f) <= kappa)
         assert np.all(np.abs(np.diff(f)) <= gaps + 1e-14 * kappa)
-        assert float(delta @ f) == value
+        assert math.fsum(delta * f) == value   # the correctly rounded pairing
         # and the flow's cost, an upper bound, meets it (LP duality)
         assert phi.shape == (points.size - 1,)
         cost = flow_cost(delta, gaps, kappa, phi)
