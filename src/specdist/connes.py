@@ -20,13 +20,18 @@ solved and certified like any other.
 
 The constraint images are anti-Hermitian; multiplying by -i makes them
 Hermitian with the same operator norm, which puts the problem in the shape
-of :mod:`specdist.pdhg` (eigenvalue-clipping projections throughout).  It
-is solved at the caller's scale: f, the value and both bounds (also those a
-``ConvergenceError`` carries) are its own.  Only the iteration sees a scale:
-the commutator rows are divided by ``s = max(1, min(kappa, kappa*))``, with
-kappa* that sufficient kappa: the largest norm beyond 1 an optimal f needs.
-Unscaled, the driver (primal weight 1 at the start) would take iterations in
-proportion to it.
+of :mod:`specdist.pdhg` (eigenvalue-clipping projections throughout).  In
+the real coordinates of :mod:`specdist.linalg` the map is one real
+``(n^2, M n^2)`` matrix, built once per solve: the forward map is a product
+with it and the adjoint a product with its transpose.  The ball radius is
+``min(kappa, kappa*)``, with kappa* that sufficient kappa: the value is the
+same and f stays feasible for kappa, while a larger radius would lift the
+floor of the relative gap (1% of the radius times ``||sigma||_*``) above the
+value.  f, the value and both bounds (also those a ``ConvergenceError``
+carries) are not rescaled.  Only the iteration sees a scale: the commutator
+rows are divided by ``s = max(1, min(kappa, kappa*))``, the largest norm
+beyond 1 an optimal f needs.  Unscaled, the iteration (primal weight 1 at
+the start) would take iterations in proportion to it.
 """
 
 from __future__ import annotations
@@ -66,11 +71,10 @@ class State:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        M = linalg.as_hermitian(self.matrix)
+        M, lam = linalg.hermitian_spectrum(self.matrix)
         if M.ndim != 2:
             raise ValueError(f"a state is a single matrix, got shape {M.shape}")
-        scale = max(1.0, float(linalg.hermitian_op_norms(M[None])[0]))
-        if float(linalg.min_eigenvalues(M[None])[0]) < -STATE_TRACE_TOL * scale:
+        if lam[0] < -STATE_TRACE_TOL * max(1.0, -lam[0], lam[-1]):
             raise ValueError("state matrix is not PSD")
         tr = float(np.trace(M).real)
         if abs(tr - 1.0) > STATE_TRACE_TOL:
@@ -105,26 +109,25 @@ class DiracSet:
         return self.operators.shape[0]
 
 
-def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float,
-                        scale: float = 1.0) -> BallProgram:
+def _commutators(ops: np.ndarray) -> np.ndarray:
+    """``f -> (-i[D_1, f], ..., -i[D_M, f])`` in coordinates: the real
+    ``(n^2, M n^2)`` matrix whose row ``b`` holds the images of basis block b."""
+    basis = linalg.from_coords(np.eye(ops.shape[-1] ** 2))
+    images = linalg.to_coords(-1j * (ops[:, None] @ basis - basis @ ops[:, None]))
+    return np.ascontiguousarray(images.transpose(1, 0, 2).reshape(basis.shape[0], -1))
+
+
+def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> BallProgram:
+    scale = max(1.0, kappa)
     ops = diracs.operators / scale    # the rows divided by s (module docstring)
-
-    def forward(F: np.ndarray) -> np.ndarray:
-        f = F[0]
-        return -1j * (ops @ f - f @ ops)
-
-    def adjoint(Y: np.ndarray) -> np.ndarray:
-        out = 1j * np.einsum("mij,mjk->ik", ops, Y)
-        out -= 1j * np.einsum("mij,mjk->ik", Y, ops)
-        return out[None]
-
+    A = _commutators(ops)
     norms = linalg.hermitian_op_norms(ops)
     map_norm = 2.0 * float(np.sqrt((norms**2).sum()))
     return BallProgram(
-        objective=sigma[None],
+        objective=linalg.to_coords(sigma)[None],
         ball_radii=np.full(1, kappa),
-        forward=forward,
-        adjoint=adjoint,
+        forward=lambda F: (F[0] @ A).reshape(diracs.count, -1),
+        adjoint=lambda Y: (A @ Y.ravel())[None],
         image_radii=np.full(diracs.count, 1.0 / scale),
         map_norm=max(map_norm, 1e-300),
     )
@@ -147,16 +150,17 @@ def connes_witness(
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
     size = kappa if kappa <= 1.0 else min(kappa, sufficient_kappa(rho1, rho2, diracs))
-    return _witness(rho1.matrix - rho2.matrix, diracs, kappa, size, options)
+    return _witness(rho1.matrix - rho2.matrix, diracs, size, options)
 
 
-def _witness(sigma, diracs, kappa, size, options):
-    """:func:`connes_witness`, given ``size`` >= the norm of some optimal f."""
+def _witness(sigma, diracs, size, options):
+    """:func:`connes_witness` at ball radius ``size``, at most kappa and at least
+    the norm of some optimal f (module docstring)."""
     if not sigma.any():
         return 0.0, np.zeros_like(sigma)
     # the feasible set is symmetric under f -> -f, so the supremum of
     # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
-    program = _commutator_program(sigma, diracs, kappa, max(1.0, size))
+    program = _commutator_program(sigma, diracs, size)
     solution = solve_ball_program(program, options or SolverOptions())
     return solution.value, solution.test_function[0]
 
@@ -173,21 +177,17 @@ def sufficient_kappa(rho1: State, rho2: State, diracs: DiracSet) -> float:
 
     ``math.inf`` when the state difference pairs nonzero with the commutant
     (the unbounded distance is infinite), otherwise ``sqrt(M n) / s_min``
-    (see the module docstring).  One SVD of the ``M n^2 x n^2`` commutator
-    superoperator, no iterative solve.
+    (see the module docstring).  One SVD of the commutator superoperator in
+    coordinates (``n^2 x M n^2``, real), no iterative solve.
     """
     _check_dims(rho1, rho2, diracs)
-    sigma = rho1.matrix - rho2.matrix
-    n = diracs.dim
-    eye = np.eye(n)
-    # row-major vec: vec(D f - f D) = (D (x) I - I (x) D^T) vec(f)
-    A = np.concatenate([np.kron(D, eye) - np.kron(eye, D.T) for D in diracs.operators])
-    _, s, vh = np.linalg.svd(A)
+    sigma = linalg.to_coords(rho1.matrix - rho2.matrix)
+    u, s, _ = np.linalg.svd(_commutators(diracs.operators))
     null = s <= COMMUTANT_RTOL * s[0]
-    if np.linalg.norm(vh[null] @ sigma.ravel()) > COMMUTANT_RTOL * np.linalg.norm(sigma):
+    if np.linalg.norm(sigma @ u[:, null]) > COMMUTANT_RTOL * np.linalg.norm(sigma):
         return math.inf
     # no nonzero singular value: f orthogonal to the commutant is 0
-    return math.sqrt(diracs.count * n) / float(s[~null].min(initial=math.inf))
+    return math.sqrt(diracs.count * diracs.dim) / float(s[~null].min(initial=math.inf))
 
 
 def connes_distance(
@@ -213,5 +213,5 @@ def connes_distance(
     if kappa == 0.0 or math.isinf(kappa):
         # 0 only for equal states when every D_i is a multiple of the identity
         return kappa
-    value = _witness(rho1.matrix - rho2.matrix, diracs, kappa, kappa, options)[0]
+    value = _witness(rho1.matrix - rho2.matrix, diracs, kappa, options)[0]
     return math.inf if value > UNBOUNDED_CAP else value

@@ -96,7 +96,7 @@ def assemble_dual(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> DualP
 def ball_program(problem: DualProblem) -> BallProgram:
     """The dual program as a ball program for :func:`solve_ball_program`."""
     return BallProgram(
-        objective=problem.deltas,
+        objective=linalg.to_coords(problem.deltas),
         ball_radii=np.full(problem.grid.size, problem.kappa),
         forward=_forward,
         adjoint=_adjoint,
@@ -132,9 +132,9 @@ def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCert
     tv = float(np.abs(delta).sum())
     rounding = 4.0 * np.finfo(float).eps * (kappa * (tv + np.abs(phi).sum()) + gaps @ np.abs(phi))
     upper = math.fsum(cost) + float(rounding)
-    F = f[:, None, None].astype(complex)
+    F = f[:, None]     # the coordinates of 1x1 blocks are their entries
     residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)
-    cert = DualCertificate(F, value, residual, 0, upper)
+    cert = DualCertificate(F[..., None].astype(complex), value, residual, 0, upper)
     # the driver's floor: 1% of the larger bound at F = 0, Y = 0
     if not within_tolerance(value, upper, 0.01 * kappa * tv, options.tolerance):
         raise ConvergenceError(

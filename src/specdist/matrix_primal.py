@@ -21,10 +21,11 @@ sign constraint); both marginals stay the same and so does the cost, since
 the gaps telescope to |theta_i - theta_j| ||m_ij||_*.  This is the flux
 (Beckmann) form of the transport program and the primal side of the
 adjacent-point constraints in :mod:`specdist.matrix_dual`.  The plan is
-stored as one (3, K, n, n) stack: ``P[0][k] = m_kk``,
-``P[1][k] = m_k,k+1`` and ``P[2][k] = m_k+1,k``; slot K-1 of ``P[1]`` and
-``P[2]`` has no edge behind it and stays zero.  The solve starts from the
-diagonal plan ``P[0] = (M1 + M2) / 2``.
+one (3, K) stack of blocks: ``P[0][k] = m_kk``, ``P[1][k] = m_k,k+1`` and
+``P[2][k] = m_k+1,k``; slot K-1 of ``P[1]`` and ``P[2]`` has no edge behind
+it and stays zero.  The solve starts from the diagonal plan
+``P[0] = (M1 + M2) / 2``.  The iteration holds the plan (3, K, n^2) and its
+duals (2, 2, K, n^2) in the real coordinates of :mod:`specdist.linalg`.
 
 The denoised marginals are PSD-cone constrained (they stand for measures);
 without the cone the minimizer can settle on indefinite marginals whose PSD
@@ -94,7 +95,7 @@ def _marginal_adjoint(Y: np.ndarray) -> np.ndarray:
 
 def _psd_repair(P: np.ndarray) -> np.ndarray:
     """Add PSD corrections on the (cost-free) diagonal so marginals are PSD."""
-    X = linalg.positive_part(-_plan_marginals(P)).sum(axis=0)
+    X = linalg.clip(-_plan_marginals(P), 0.0, np.inf).sum(axis=0)
     if not X.any():
         return P
     out = P.copy()
@@ -122,19 +123,25 @@ def solve_unbalanced_primal(
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
     options = options or SolverOptions()
-    M = np.stack([mu1.masses, mu2.masses])
+    if np.array_equal(mu1.masses, mu2.masses):
+        # the diagonal plan is optimal; a solve would face a roundoff-level
+        # upper bound that no relative gap against 0 can certify
+        plan = np.zeros((3,) + mu1.masses.shape, dtype=complex)
+        plan[0] = mu1.masses
+        return TransportSolution(plan, (mu1, mu2), 0.0, 0.0, 0.0, 0.0, 0)
+    M = linalg.to_coords(np.stack([mu1.masses, mu2.masses]))
     K = M.shape[1]
     gaps = mu1.grid.spacings
     costs = np.zeros((3, K))           # diagonal blocks travel for free
     costs[1:, :-1] = gaps
     delta = M[0] - M[1]
-    start = np.zeros((3,) + M.shape[1:], dtype=complex)
+    start = np.zeros((3,) + M.shape[1:])
     start[0] = 0.5 * (M[0] + M[1])
     hint = lower_hint if lower_hint is not None else 0.0
 
     def decompose(P) -> tuple[float, float]:
-        cost = float((costs * linalg.hermitian_nuclear_norms(P)).sum())
-        return cost, float(linalg.hermitian_nuclear_norms(M - _plan_marginals(P)).sum())
+        cost = float((costs * linalg.nuclear_norms(P)).sum())
+        return cost, float(linalg.nuclear_norms(M - _plan_marginals(P)).sum())
 
     def certify(P, Y):
         # the hint joins every point's lower bound, so with a near-optimal
@@ -144,35 +151,31 @@ def solve_unbalanced_primal(
         S = Y.sum(axis=0)
         F = 0.5 * (S[1] - S[0])
         F = F / _feasibility_scale(F, _forward(F), kappa, gaps)
-        return max(hint, linalg.trace_pairing(F, delta)), None, cost + kappa * tv_pen, repaired
+        return max(hint, float(np.vdot(F, delta))), None, cost + kappa * tv_pen, repaired
 
     def package(lower, _, upper, plan, iterations) -> TransportSolution:
         cost, tv_pen = decompose(plan)
-        hats = tuple(MatrixMeasure(mu.grid, m) for mu, m in zip((mu1, mu2), _plan_marginals(plan)))
-        return TransportSolution(plan, hats, cost, tv_pen, cost + kappa * tv_pen, lower, iterations)
-
-    # the start plan is optimal; a solve would face a roundoff-level upper
-    # bound that no relative gap against 0 can certify
-    if np.array_equal(M[0], M[1]):
-        return package(0.0, None, 0.0, start, 0)
+        hats = tuple(MatrixMeasure(mu.grid, linalg.from_coords(m))
+                     for mu, m in zip((mu1, mu2), _plan_marginals(plan)))
+        return TransportSolution(linalg.from_coords(plan), hats, cost, tv_pen,
+                                 cost + kappa * tv_pen, lower, iterations)
 
     def prox_dual(W, sigma):
         # W[0]: (rows, cols) duals of the TV penalties; W[1]: of the PSD cones,
         # whose conjugate prox subtracts the positive part
         out = np.empty_like(W)
-        out[0] = W[0] - sigma * (M - linalg.soft_threshold_eigenvalues(M - W[0] / sigma,
-                                                                       kappa / sigma))
-        out[1] = W[1] - linalg.positive_part(W[1])
+        out[0] = W[0] - sigma * (M - linalg.soft_threshold(M - W[0] / sigma, kappa / sigma))
+        out[1] = W[1] - linalg.clip(W[1], 0.0, np.inf)
         return out
 
     # each block enters one row and one column, and each marginal sums at most
     # three blocks, so ||(rows, cols)||^2 <= 6; both dual pairs see that image
     return pdhg(
         start,
-        np.zeros((2,) + M.shape, dtype=complex),
+        np.zeros((2,) + M.shape),
         _plan_marginals,
         lambda Y: _marginal_adjoint(Y.sum(axis=0)),
-        lambda G, tau: linalg.soft_threshold_eigenvalues(G, tau * costs),
+        lambda G, tau: linalg.soft_threshold(G, tau * costs),
         prox_dual,
         math.sqrt(12.0),
         certify,

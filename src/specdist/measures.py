@@ -97,9 +97,9 @@ class MatrixMeasure:
             raise ValueError(
                 f"got {masses.shape[0]} masses for a grid of {self.grid.size} points"
             )
-        masses = linalg.as_hermitian(masses)
-        floors = -PSD_TOL * np.maximum(1.0, linalg.hermitian_op_norms(masses))
-        min_eigs = linalg.min_eigenvalues(masses)
+        masses, lam = linalg.hermitian_spectrum(masses)
+        min_eigs = lam[0]
+        floors = -PSD_TOL * np.maximum(1.0, np.maximum(-min_eigs, lam[-1]))   # op norms
         bad = np.nonzero(min_eigs < floors)[0]
         if bad.size:
             k = int(bad[0])
@@ -159,9 +159,13 @@ def _check_compatible(mu1: MatrixMeasure, mu2: MatrixMeasure):
 
 def tv_matrix(mu1: MatrixMeasure, mu2: MatrixMeasure) -> float:
     """Matricial total variation: sum over points of the nuclear norm of the
-    mass difference."""
+    mass difference; ``ValueError`` if it overflows."""
     _check_compatible(mu1, mu2)
-    return float(linalg.hermitian_nuclear_norms(mu1.masses - mu2.masses).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(linalg.hermitian_nuclear_norms(mu1.masses - mu2.masses).sum())
+    if not np.isfinite(value):
+        raise ValueError("matrix entries too large: the total variation overflows")
+    return value
 
 
 # ---------------------------------------------------------------------------

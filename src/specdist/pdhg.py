@@ -10,7 +10,9 @@ over stacked Hermitian blocks ``F``, where ``L`` is a linear map into
 Hermitian blocks (adjacent differences for the Wasserstein dual, commutators
 for the spectral distance).  Both constraint families admit exact projections
 by eigenvalue clipping, so a primal-dual hybrid-gradient (PDHG) iteration
-applies directly.
+applies directly.  A :class:`BallProgram` is stated in the real coordinates
+of :mod:`specdist.linalg` (``C``, ``F`` and ``Y`` are ``(..., n^2)`` stacks);
+only the reported test function is converted back to matrices.
 
 Every solve is certified from both sides without trusting the iteration:
 
@@ -109,10 +111,10 @@ class Certified:
 class BallProgram:
     """Data of one ball-constrained linear maximization (see module docstring)."""
 
-    objective: np.ndarray          # (B, n, n) Hermitian blocks C
+    objective: np.ndarray          # (B, n^2) coordinates of the blocks C
     ball_radii: np.ndarray         # (B,) operator-norm radii for F
-    forward: Callable[[np.ndarray], np.ndarray]   # F (B,n,n) -> (E,n,n)
-    adjoint: Callable[[np.ndarray], np.ndarray]   # Y (E,n,n) -> (B,n,n)
+    forward: Callable[[np.ndarray], np.ndarray]   # F (B,n^2) -> (E,n^2)
+    adjoint: Callable[[np.ndarray], np.ndarray]   # Y (E,n^2) -> (B,n^2)
     image_radii: np.ndarray        # (E,) operator-norm radii for L F
     map_norm: float                # upper bound on ||L||
 
@@ -230,53 +232,51 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
 
 def _feasibility_scale(F, LF, ball_radii, image_radii) -> float:
     """Smallest s >= 1 such that F / s satisfies every ball constraint."""
-    s = max((linalg.hermitian_op_norms(F) / ball_radii).max(initial=0.0),
-            (linalg.hermitian_op_norms(LF) / image_radii).max(initial=0.0))
+    s = max((linalg.op_norms(F) / ball_radii).max(initial=0.0),
+            (linalg.op_norms(LF) / image_radii).max(initial=0.0))
     return max(1.0, float(s))
 
 
 def _upper_bound(program: BallProgram, Y: np.ndarray) -> float:
     slack = program.objective - program.adjoint(Y)
-    return float((program.ball_radii * linalg.hermitian_nuclear_norms(slack)).sum()
-                 + (program.image_radii * linalg.hermitian_nuclear_norms(Y)).sum())
+    return float((program.ball_radii * linalg.nuclear_norms(slack)).sum()
+                 + (program.image_radii * linalg.nuclear_norms(Y)).sum())
 
 
 def _residual(F, LF, ball_radii, image_radii) -> float:
-    res = float((linalg.hermitian_op_norms(F) - ball_radii).max(initial=0.0))
-    if LF.shape[0]:
-        res = max(res, float((linalg.hermitian_op_norms(LF) - image_radii).max()))
-    return max(0.0, res)
+    return max(0.0, float((linalg.op_norms(F) - ball_radii).max(initial=0.0)),
+               float((linalg.op_norms(LF) - image_radii).max(initial=0.0)))
 
 
 def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCertificate:
-    C = np.asarray(program.objective, dtype=complex)
+    C = np.asarray(program.objective, dtype=float)
     rho = np.asarray(program.ball_radii, dtype=float)
     r = np.asarray(program.image_radii, dtype=float)
     E = r.shape[0]
 
+    def package(lower, witness, upper, _, iterations) -> DualCertificate:
+        res = _residual(witness, program.forward(witness), rho, r)
+        return DualCertificate(linalg.from_coords(witness), float(np.vdot(witness, C)), res,
+                               iterations, upper)
+
     if E == 0:
         # no image constraints: the dual-norm pairing is attained in closed
         # form by the spectral sign of each objective block
-        F = rho[:, None, None] * linalg.spectral_sign(C)
-        value = linalg.trace_pairing(F, C)
-        res = _residual(F, program.forward(F), rho, r)
-        return DualCertificate(F, value, res, 0, value)
+        F = rho[:, None] * linalg.map_eigenvalues(C, np.sign)
+        value = float(np.vdot(F, C))
+        return package(value, F, value, None, 0)
 
     def certify(F, Y):
         scale = _feasibility_scale(F, program.forward(F), rho, r)
-        return linalg.trace_pairing(F, C) / scale, F / scale, _upper_bound(program, Y), None
-
-    def package(lower, witness, upper, _, iterations) -> DualCertificate:
-        res = _residual(witness, program.forward(witness), rho, r)
-        return DualCertificate(witness, linalg.trace_pairing(witness, C), res, iterations, upper)
+        return float(np.vdot(F, C)) / scale, F / scale, _upper_bound(program, Y), None
 
     return pdhg(
         np.zeros_like(C),
-        np.zeros((E,) + C.shape[1:], dtype=complex),
+        np.zeros((E, C.shape[1])),
         program.forward,
         program.adjoint,
-        lambda V, tau: linalg.clip_eigenvalues(V + tau * C, rho),
-        lambda W, sigma: W - sigma * linalg.clip_eigenvalues(W / sigma, r),
+        lambda V, tau: linalg.clip(V + tau * C, -rho, rho),
+        lambda W, sigma: W - sigma * linalg.clip(W / sigma, -r, r),
         program.map_norm,
         certify,
         package,

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -140,6 +141,20 @@ class TestDist:
         (tmp_path / "f0.json").write_text(json.dumps(doc))
         code = main(["dist", "--metric", metric, str(tmp_path / "f0.json"),
                      str(tmp_path / "f1.json")])
+        assert code == 2
+        assert "too large" in capsys.readouterr().err
+
+    def test_matrix_tv_whose_difference_overflows_exits_2(self, tmp_path, capsys):
+        # each mass is accepted, but the nuclear norm of their difference overflows
+        assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+        for name, diagonal in (("f0", (1e154, 0.0)), ("f1", (0.0, 1e154))):
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            doc["masses"][0] = [[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]]
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dist", "--metric", "matrix-tv", str(tmp_path / "f0.json"),
+                         str(tmp_path / "f1.json")])
         assert code == 2
         assert "too large" in capsys.readouterr().err
 

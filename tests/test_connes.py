@@ -137,6 +137,26 @@ class TestScale:
             connes_witness(rho1, rho2, ops, factor * kappa, options)
         assert iterations[1] <= iterations[0]
 
+    @pytest.mark.parametrize("factor", [100, 1e4])
+    def test_gap_meets_the_tolerance_far_above_sufficient_kappa(self, rng, monkeypatch, factor):
+        # solved at ball radius kappa, the floor of the relative gap (1% of
+        # kappa ||sigma||_*) outgrows the value, which stops growing at kappa*
+        certificates = []
+        original = connes.solve_ball_program
+
+        def kept(*args, **kwargs):
+            certificates.append(original(*args, **kwargs))
+            return certificates[-1]
+
+        monkeypatch.setattr(connes, "solve_ball_program", kept)
+        for _ in range(4):
+            rho1, rho2 = _random_state(rng, 2), _random_state(rng, 2)
+            ops = DiracSet(np.array([_hermitian(rng, 2) for _ in range(2)]))
+            kappa = factor * sufficient_kappa(rho1, rho2, ops)
+            value, f = connes_witness(rho1, rho2, ops, kappa, SolverOptions(tolerance=1e-6))
+            assert certificates[-1].gap <= 1e-6 * value
+            assert np.linalg.norm(f, 2) <= kappa
+
     def test_large_kappa_with_the_ball_binding_is_cheap(self, monkeypatch):
         # the distance grows without bound, so the ball binds at every kappa;
         # solved unscaled, the iterations would grow in proportion to kappa

@@ -30,6 +30,44 @@ def _shrink(H, tau):
     return linalg.soft_threshold_eigenvalues(H[None], tau)[0]
 
 
+class TestCoordinates:
+    """The real coordinates of Hermitian blocks in the orthonormal basis."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_basis_is_orthonormal_and_hermitian(self, n):
+        basis = linalg.from_coords(np.eye(n * n))
+        assert basis.shape == (n * n, n, n)
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        assert np.abs(gram - np.eye(n * n)).max() <= 1e-15
+        assert np.array_equal(basis, basis.conj().swapaxes(-1, -2))
+        assert np.abs(basis[0] - np.eye(n) / np.sqrt(n)).max() <= 1e-15
+
+    def test_pauli_matrices_at_n_2(self):
+        pauli = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        assert np.abs(linalg.from_coords(np.eye(4)) - pauli / np.sqrt(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_round_trip(self, rng, n):
+        H = np.array([[random_hermitian(rng, n, 2.0) for _ in range(3)] for _ in range(2)])
+        c = linalg.to_coords(H)
+        assert c.shape == (2, 3, n * n) and c.dtype == float
+        back = linalg.from_coords(c)
+        assert np.abs(back - H).max() <= 1e-14
+        # rebuilt blocks are exactly Hermitian, and converting again is stable
+        assert np.array_equal(back, back.conj().swapaxes(-1, -2))
+        assert np.abs(linalg.to_coords(back) - c).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairing_is_a_dot_product(self, rng, n):
+        F, G = (np.array([random_hermitian(rng, n) for _ in range(4)]) for _ in range(2))
+        dot = float(np.vdot(linalg.to_coords(F), linalg.to_coords(G)))
+        assert dot == pytest.approx(linalg.trace_pairing(F, G), abs=1e-12)
+        # a non-Hermitian block has the coordinates of its Hermitian part
+        A = F + 1j * G
+        assert np.abs(linalg.to_coords(A) - linalg.to_coords(linalg.hermitian_part(A))).max() \
+            <= 1e-15
+
+
 class TestEigh:
     """The eigenvalue reductions and maps against numpy's eigh, every size path."""
 
@@ -179,12 +217,13 @@ class TestEigSoftThreshold:
 
 
 class TestCommutator:
-    """The commutator images -i[D, f] of the spectral-distance program."""
+    """The commutator images -i[D, f] of the spectral-distance program, whose
+    forward and adjoint maps act on coordinates."""
 
     @staticmethod
     def _images(D, f):
         program = _commutator_program(np.zeros_like(f), DiracSet(D), 1.0)
-        return program.forward(f[None])
+        return linalg.from_coords(program.forward(linalg.to_coords(f)[None]))
 
     def test_off_diagonal_pattern(self):
         D = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -204,12 +243,15 @@ class TestCommutator:
         D = np.array([random_hermitian(rng, 3) for _ in range(2)])
         f = random_hermitian(rng, 3)
         program = _commutator_program(np.zeros_like(f), DiracSet(D), 1.0)
-        images = program.forward(f[None])
+        images = linalg.from_coords(program.forward(linalg.to_coords(f)[None]))
         assert np.abs(images + 1j * (D @ f - f @ D)).max() <= 1e-12
         assert np.abs(images - images.conj().swapaxes(-1, -2)).max() <= 1e-12
         Y = np.array([random_hermitian(rng, 3) for _ in range(2)])
+        adjoint = linalg.from_coords(program.adjoint(linalg.to_coords(Y)))
         assert linalg.trace_pairing(images, Y) == pytest.approx(
-            linalg.trace_pairing(f[None], program.adjoint(Y)), abs=1e-10)
+            linalg.trace_pairing(f[None], adjoint), abs=1e-10)
+        # the adjoint of f -> -i[D, f] is Y -> i[D, Y], summed over the operators
+        assert np.abs(adjoint[0] - 1j * (D @ Y - Y @ D).sum(axis=0)).max() <= 1e-12
 
 
 class TestBatchedTransforms:
@@ -257,6 +299,34 @@ class TestBatchedTransforms:
         assert np.abs(linalg.hermitian_op_norms(M) - np.abs(lam).max(axis=-1)).max() <= 1e-12
         assert np.abs(linalg.hermitian_nuclear_norms(M)
                       - np.abs(lam).sum(axis=-1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_coordinate_kernels_match_eigh(self, rng, n):
+        # the kernels the solvers call, on (2, 3, n^2) coordinate stacks
+        M = np.array([[random_hermitian(rng, n, 2.0) for _ in range(3)] for _ in range(2)])
+        c = linalg.to_coords(M)
+        r = rng.uniform(0.1, 1.5, size=(2, 3))
+        lam = np.linalg.eigvalsh(M)
+
+        def close(coords, oracle):
+            return np.abs(linalg.from_coords(coords) - oracle).max() <= 1e-12
+
+        assert close(linalg.clip(c, -r, r), clip_oracle(M, r))
+        assert close(linalg.soft_threshold(c, r), soft_threshold_oracle(M, r))
+        assert close(linalg.clip(c, 0.0, np.inf), eig_map(M, lambda x: np.maximum(x, 0.0)))
+        assert close(linalg.map_eigenvalues(c, np.sign), eig_map(M, np.sign))
+        assert np.abs(np.moveaxis(linalg.eigenvalues(c), 0, -1) - lam).max() <= 1e-12
+        assert np.abs(linalg.op_norms(c) - np.abs(lam).max(axis=-1)).max() <= 1e-12
+        assert np.abs(linalg.nuclear_norms(c) - np.abs(lam).sum(axis=-1)).max() <= 1e-12
+
+    def test_coordinate_maps_of_multiples_of_identity(self):
+        # s = 0 at n = 2: the map keeps no direction and needs no division
+        c = np.array([[1.5, 0, 0, 0], [-2.0, 0, 0, 0], [0.0, 0, 0, 0]]) * np.sqrt(2)
+        with np.errstate(all="raise"):
+            clipped = linalg.from_coords(linalg.clip(c, -1.0, 1.0))
+            signs = linalg.from_coords(linalg.map_eigenvalues(c, np.sign))
+        assert np.abs(clipped - np.multiply.outer([1.0, -1.0, 0.0], np.eye(2))).max() <= 1e-15
+        assert np.abs(signs - np.multiply.outer([1.0, -1.0, 0.0], np.eye(2))).max() <= 1e-15
 
     def test_degenerate_identity_blocks(self):
         M = np.einsum("k,ij->kij", np.array([1.5, -2.0, 0.0]), np.eye(2)).astype(complex)

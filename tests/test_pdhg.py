@@ -4,18 +4,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from specdist import SolverOptions
+from specdist import SolverOptions, linalg
 from specdist.pdhg import BallProgram, solve_ball_program, within_tolerance
 
 from conftest import random_hermitian
 
 
 def _no_constraints_program(C, radii):
+    # ball programs are stated in the coordinates of linalg
     return BallProgram(
-        objective=C,
+        objective=linalg.to_coords(C),
         ball_radii=radii,
         forward=lambda F: np.zeros((0,) + F.shape[1:], dtype=F.dtype),
-        adjoint=lambda Y: np.zeros_like(C),
+        adjoint=lambda Y: np.zeros((C.shape[0], C.shape[-1] ** 2)),
         image_radii=np.zeros(0),
         map_norm=0.0,
     )
@@ -73,15 +74,15 @@ class TestUnconstrainedImage:
 
 
 def test_certified_bounds_sandwich_the_value(rng):
-    # adjacent-difference constraints on a 3-block chain
-    C = np.array([random_hermitian(rng, 2) for _ in range(3)])
+    # adjacent-difference constraints on a 3-block chain, in coordinates
+    C = linalg.to_coords([random_hermitian(rng, 2) for _ in range(3)])
     gaps = np.array([0.5, 0.8])
 
     def forward(F):
         return F[:-1] - F[1:]
 
     def adjoint(Y):
-        out = np.zeros((3, 2, 2), dtype=complex)
+        out = np.zeros((3, 4))
         out[:-1] += Y
         out[1:] -= Y
         return out
