@@ -46,6 +46,8 @@ def to_coords(M) -> np.ndarray:
     """Coordinates ``(..., n^2)`` of stacked blocks (those of their Hermitian part)."""
     M = np.ascontiguousarray(M, dtype=complex)
     n = M.shape[-1]
+    if n == 1:   # the entry; numpy's matmul is slow for an inner dimension of 1
+        return M.real.reshape(M.shape[:-1]).copy()
     return M.reshape(M.shape[:-2] + (n * n,)).view(float) @ _tables(n)[0]
 
 
@@ -53,6 +55,8 @@ def from_coords(c) -> np.ndarray:
     """Exactly Hermitian blocks ``(..., n, n)`` from their coordinates."""
     c = np.asarray(c, dtype=float)
     n = math.isqrt(c.shape[-1])
+    if n == 1:
+        return c.astype(complex).reshape(c.shape + (1,))
     return (c @ _tables(n)[1]).view(complex).reshape(c.shape[:-1] + (n, n))
 
 

@@ -19,7 +19,8 @@ At n = 1 the program is the scalar flat metric's chain program, and
 :func:`specdist.scalar_metrics.w1_kappa_chain` returns the optimal edge flow
 of the dual chain and the test function read off it.  The test function
 gives the lower bound and the flow, used as the ball program's dual
-variable, the upper bound.  The two meet to roundoff.
+variable, the upper bound.  The two meet to roundoff, and the certificate
+carries both.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCert
     upper = math.fsum(cost) + float(rounding)
     F = f[:, None]     # the coordinates of 1x1 blocks are their entries
     residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)
-    cert = DualCertificate(F[..., None].astype(complex), value, residual, 0, upper)
+    cert = DualCertificate(F[..., None].astype(complex), value, residual, 0, upper,
+                           phi[:, None, None].astype(complex))
     # the driver's floor: 1% of the larger bound at F = 0, Y = 0
     if not within_tolerance(value, upper, 0.01 * kappa * tv, options.tolerance):
         raise ConvergenceError(

@@ -24,8 +24,14 @@ adjacent-point constraints in :mod:`specdist.matrix_dual`.  The plan is
 one (3, K) stack of blocks: ``P[0][k] = m_kk``, ``P[1][k] = m_k,k+1`` and
 ``P[2][k] = m_k+1,k``; slot K-1 of ``P[1]`` and ``P[2]`` has no edge behind
 it and stays zero.  The solve starts from the diagonal plan
-``P[0] = (M1 + M2) / 2``.  The iteration holds the plan (3, K, n^2) and its
-duals (2, 2, K, n^2) in the real coordinates of :mod:`specdist.linalg`.
+``P[0] = (M1 + M2) / 2``, or from a dual certificate that carries its flow Y:
+the plan moves Y over the edges (``P[1] = Y``) and leaves the residuals
+``Z = Delta - L* Y`` to the TV terms (rows ``M1 - Z+``, columns ``M2 - Z-``),
+so before the PSD repair below its objective is the certificate's upper
+bound, and the TV duals start at the test function F.  At n = 1 that start
+is optimal and the solve certifies without iterating.  The iteration holds
+the plan (3, K, n^2) and its duals (2, 2, K, n^2) in the real coordinates of
+:mod:`specdist.linalg`.
 
 The denoised marginals are PSD-cone constrained (they stand for measures);
 without the cone the minimizer can settle on indefinite marginals whose PSD
@@ -46,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible
-from .matrix_dual import DualCertificate, _forward, assemble_dual, solve_dual
+from .matrix_dual import DualCertificate, _adjoint, _forward, assemble_dual, solve_dual
 from .pdhg import Certified, ConvergenceError, SolverOptions, _feasibility_scale, pdhg
 
 __all__ = [
@@ -108,14 +114,15 @@ def solve_unbalanced_primal(
     mu2: MatrixMeasure,
     kappa: float,
     options: SolverOptions | None = None,
-    lower_hint: float | None = None,
+    certificate: DualCertificate | None = None,
 ) -> TransportSolution:
     """Minimize transport cost plus ``kappa`` times the TV denoising penalty.
 
     Returns a feasible plan whose objective is certified to be within the
-    options' tolerance of the optimum.  ``lower_hint`` may carry an already
-    certified lower bound (e.g. from a prior dual solve); it tightens the
-    stopping test but is never reported beyond ``lower_bound``.  Raises
+    options' tolerance of the optimum.  ``certificate`` may carry a certified
+    solve of the same instance's dual (:func:`solve_dual`); its value tightens
+    the stopping test but is never reported beyond ``lower_bound``, and its
+    flow, when it has one, is the start (see the module docstring).  Raises
     :class:`ConvergenceError` carrying the best solution if the iteration
     budget runs out first.
     """
@@ -135,9 +142,17 @@ def solve_unbalanced_primal(
     costs = np.zeros((3, K))           # diagonal blocks travel for free
     costs[1:, :-1] = gaps
     delta = M[0] - M[1]
-    start = np.zeros((3,) + M.shape[1:])
-    start[0] = 0.5 * (M[0] + M[1])
-    hint = lower_hint if lower_hint is not None else 0.0
+    start, duals = np.zeros((3,) + M.shape[1:]), np.zeros((2,) + M.shape)
+    if certificate is not None and certificate.flow is not None:
+        start[1, :-1] = linalg.to_coords(certificate.flow)
+        Z = delta - _adjoint(start[1, :-1])
+        start[0] = M[0] - linalg.clip(Z, 0.0, np.inf) - start[1]
+        start = _psd_repair(start)
+        F = linalg.to_coords(certificate.test_function)
+        duals[0] = -F, F
+    else:
+        start[0] = 0.5 * (M[0] + M[1])
+    hint = certificate.value if certificate is not None else 0.0
 
     def decompose(P) -> tuple[float, float]:
         cost = float((costs * linalg.nuclear_norms(P)).sum())
@@ -172,7 +187,7 @@ def solve_unbalanced_primal(
     # three blocks, so ||(rows, cols)||^2 <= 6; both dual pairs see that image
     return pdhg(
         start,
-        np.zeros((2,) + M.shape),
+        duals,
         _plan_marginals,
         lambda Y: _marginal_adjoint(Y.sum(axis=0)),
         lambda G, tau: linalg.soft_threshold(G, tau * costs),
@@ -205,20 +220,19 @@ def duality_gap(
     """Cross-certify the transport and test-function solvers on one instance.
 
     Each side solves to half the requested tolerance so their combined
-    (cross) gap meets it; the dual certificate value also feeds the primal
-    stopping test as a known lower bound.  ``gap = primal - dual`` is
-    nonnegative up to roundoff on every instance (weak duality) and within
-    the tolerance at convergence (strong duality).  When the primal runs
-    out of iterations the :class:`ConvergenceError` carries the dual
-    certificate, whose bracket is already within half the tolerance.
+    (cross) gap meets it; the dual certificate feeds the primal stopping
+    test as a known lower bound and, with its flow, the primal's start.
+    ``gap = primal - dual`` is nonnegative up to roundoff on every instance
+    (weak duality) and within the tolerance at convergence (strong
+    duality).  When the primal runs out of iterations the
+    :class:`ConvergenceError` carries the dual certificate, whose bracket is
+    already within half the tolerance.
     """
     options = options or SolverOptions()
     halved = replace(options, tolerance=0.5 * options.tolerance)
     certificate = solve_dual(assemble_dual(mu1, mu2, kappa), halved)
     try:
-        primal = solve_unbalanced_primal(
-            mu1, mu2, kappa, halved, lower_hint=certificate.value
-        )
+        primal = solve_unbalanced_primal(mu1, mu2, kappa, halved, certificate)
     except ConvergenceError as exc:
         raise ConvergenceError(f"gap audit: {exc}", certificate) from exc
     gap = primal.objective - certificate.value

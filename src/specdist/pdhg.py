@@ -126,7 +126,8 @@ class DualCertificate(Certified):
     The result of every ball program: ``test_function`` (stacked Hermitian
     blocks) satisfies the constraints up to ``feasibility_residual``,
     ``value`` is its pairing with the objective and ``upper_bound`` a
-    certified bound on the supremum.
+    certified bound on the supremum.  ``flow``, when known, is the dual
+    variable Y whose cost (see the module docstring) is ``upper_bound``.
     """
 
     test_function: np.ndarray = field(repr=False)   # (B, n, n) Hermitian
@@ -134,6 +135,7 @@ class DualCertificate(Certified):
     feasibility_residual: float
     iterations: int
     upper_bound: float
+    flow: np.ndarray | None = field(default=None, repr=False)   # (E, n, n) Hermitian
 
     @property
     def lower_bound(self) -> float:

@@ -3,6 +3,7 @@ import pytest
 
 from specdist import (
     ConvergenceError,
+    DualCertificate,
     MatrixMeasure,
     SolverOptions,
     assemble_dual,
@@ -124,6 +125,20 @@ class TestSolveDual:
         assert check_certificate(problem, replace(cert, value=cert.value + 0.5))[1] \
             == pytest.approx(0.5, abs=1e-9)
 
+    def test_positional_certificate_without_flow(self, rng):
+        # the five positional fields and the (violation, mismatch) pair are
+        # how the benchmark's checks rebuild and recheck a reported certificate
+        grid = random_grid(rng, 4)
+        problem = assemble_dual(random_matrix_measure(rng, grid, 2),
+                                random_matrix_measure(rng, grid, 2), 1.0)
+        solved = solve_dual(problem, DEFAULT)
+        cert = DualCertificate(solved.test_function, solved.value, 0.0, solved.iterations,
+                               solved.upper_bound)
+        assert cert.flow is None and solved.flow is None
+        result = check_certificate(problem, cert)
+        assert isinstance(result, tuple) and len(result) == 2
+        assert result == check_certificate(problem, solved)
+
     def test_exhausted_budget_raises_with_best_iterate(self, rng):
         grid = random_grid(rng, 8)
         mu1 = random_matrix_measure(rng, grid, 2)
@@ -172,6 +187,21 @@ class TestChainCertificate:
         phi = w1_kappa_chain(delta, problem.gaps, kappa)[2]
         assert flow_cost(delta, problem.gaps, kappa, phi) \
             == pytest.approx(cert.upper_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("K", [2, 9, 100])
+    def test_flow_reprices_the_upper_bound(self, K, kappa):
+        problem = self._problem([K, int(10 * kappa)], K, kappa)
+        cert = solve_dual(problem, DEFAULT)
+        delta = problem.deltas[:, 0, 0].real
+        assert cert.flow.shape == (K - 1, 1, 1)
+        assert not cert.flow.imag.any()
+        phi = cert.flow[:, 0, 0].real
+        assert flow_cost(delta, problem.gaps, kappa, phi) \
+            == pytest.approx(cert.upper_bound, rel=1e-12)
+        # the optimal flow's cost is the least; a generic move raises it
+        moved = phi + 1e-6 * np.abs(delta).sum() * np.random.default_rng(K).normal(size=K - 1)
+        assert flow_cost(delta, problem.gaps, kappa, moved) > cert.upper_bound * (1 + 1e-9)
 
     def test_zero_difference(self, rng):
         mu = random_scalar_measure(rng, random_grid(rng, 9))

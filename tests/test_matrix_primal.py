@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specdist import (
+    DualCertificate,
     MatrixMeasure,
     SolverOptions,
     assemble_dual,
@@ -16,7 +17,8 @@ from specdist import (
 from specdist import linalg
 from specdist.measures import Grid
 
-from conftest import random_grid, random_matrix_measure, random_psd, random_scalar_measure
+from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
+                      random_scalar_measure)
 
 GAP_OPTS = SolverOptions(tolerance=1e-3)
 
@@ -247,6 +249,74 @@ class TestDualityGap:
         report = duality_gap(mu1, mu2, 0.6, SolverOptions(tolerance=1e-5))
         assert report.primal == pytest.approx(expected, rel=1e-4)
         assert report.dual == pytest.approx(expected, rel=1e-4)
+
+
+class TestStartFromTheDualCertificate:
+    """The audit's transport primal starts from the dual certificate's flow and
+    test function.  At n = 1 the chain certificate carries both and the start
+    is optimal; ball-program certificates carry no flow and keep the diagonal
+    start."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_scalar_audit(self, seed):
+        rng = np.random.default_rng([2016, seed])
+        K = int(rng.integers(5, 101))
+        kappa = (0.1, 0.5, 1.0, 3.0)[seed % 4]
+        grid = random_grid(rng, K)
+        masses = rng.uniform(0.0, 1.0, size=(2, K))
+        masses[rng.random(size=(2, K)) < 0.5] = 0.0     # half the points massless
+        mu1, mu2 = (scalar_measure(grid, m) for m in masses)
+        report = duality_gap(mu1, mu2, kappa, SolverOptions(tolerance=1e-6))
+        assert report.primal_solution.iterations == 0
+        assert abs(report.relative_gap) <= 1e-12
+        assert report.primal >= report.dual - 1e-14 * abs(report.dual)
+        exact = w1_kappa_chain(masses[0] - masses[1], grid.spacings, kappa)[0]
+        assert report.primal == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_start_from_an_exact_certificate(self, n):
+        # commuting masses U diag(a_k) U* split into n scalar chains (see
+        # TestScalarOracle); their lifted test functions and flows are an
+        # exact certificate at any n.  Its value is withheld, so only the
+        # start duals carry the lower bound
+        rng = np.random.default_rng([2016, 7, n])
+        K, kappa = 12, 0.5
+        U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        grid = random_grid(rng, K)
+        a, b = rng.uniform(0.0, 1.0, size=(2, K, n)) * (rng.random(size=(2, K, n)) < 0.5)
+
+        def lift(x):
+            return np.einsum("ij,kj,lj->kil", U, x, U.conj())
+
+        chains = [w1_kappa_chain(a[:, i] - b[:, i], grid.spacings, kappa) for i in range(n)]
+        value = sum(chain[0] for chain in chains)
+        upper = sum(flow_cost(a[:, i] - b[:, i], grid.spacings, kappa, chain[2])
+                    for i, chain in enumerate(chains))
+        f, phi = (np.stack([chain[j] for chain in chains], axis=1) for j in (1, 2))
+        cert = DualCertificate(lift(f), 0.0, 0.0, 0, upper, lift(phi))
+        sol = solve_unbalanced_primal(MatrixMeasure(grid, lift(a)), MatrixMeasure(grid, lift(b)),
+                                      kappa, SolverOptions(tolerance=1e-6), cert)
+        assert sol.iterations == 0
+        assert sol.lower_bound == pytest.approx(value, rel=1e-12)
+        assert sol.objective == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("n, K, kappa, dual_iterations, primal_iterations",
+                             [(2, 8, 1.0, 350, 350), (3, 6, 0.5, 650, 150),
+                              (2, 12, 0.3, 300, 300)])
+    def test_ball_program_certificate_keeps_the_diagonal_start(
+            self, n, K, kappa, dual_iterations, primal_iterations):
+        # the pinned iteration counts are those of the diagonal start
+        rng = np.random.default_rng([2016, n, K])
+        grid = random_grid(rng, K)
+        mu1, mu2 = random_matrix_measure(rng, grid, n), random_matrix_measure(rng, grid, n)
+        report = duality_gap(mu1, mu2, kappa, SolverOptions(tolerance=1e-4))
+        assert report.dual_certificate.flow is None
+        assert report.dual_certificate.iterations == dual_iterations
+        assert report.primal_solution.iterations == primal_iterations
+        again = solve_unbalanced_primal(mu1, mu2, kappa, SolverOptions(tolerance=5e-5),
+                                        certificate=report.dual_certificate)
+        assert again.iterations == primal_iterations
+        assert again.objective == report.primal
 
 
 def _balanced(mu1, mu2, options=None):
