@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -223,6 +224,7 @@ def _cmd_gen_spectra(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specdist",

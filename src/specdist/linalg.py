@@ -90,7 +90,8 @@ def map_eigenvalues(c: np.ndarray, f) -> np.ndarray:
         out[..., 0] = _R2 * (f_hi + f_lo)
         return out
     lam, V = np.linalg.eigh(from_coords(c))
-    mapped = np.moveaxis(f(np.moveaxis(lam, -1, 0)), 0, -1)
+    d = lam.ndim - 1   # the eigenvalue axis goes to the front for f and back after
+    mapped = f(lam.transpose((d,) + tuple(range(d)))).transpose(tuple(range(1, d + 1)) + (0,))
     return to_coords((V * mapped[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2)))
 
 

@@ -31,7 +31,10 @@ so before the PSD repair below its objective is the certificate's upper
 bound, and the TV duals start at the test function F.  At n = 1 that start
 is optimal and the solve certifies without iterating.  The iteration holds
 the plan (3, K, n^2) and its duals (2, 2, K, n^2) in the real coordinates of
-:mod:`specdist.linalg`.
+:mod:`specdist.linalg`.  The TV and PSD duals share one spectral pass: the
+dual prox maps the stacked (2, 2, K, n^2) pairs through one
+:func:`specdist.linalg.map_eigenvalues` call, soft-thresholding the
+eigenvalues of the TV pair and clipping those of the PSD pair.
 
 The denoised marginals are PSD-cone constrained (they stand for measures);
 without the cone the minimizer can settle on indefinite marginals whose PSD
@@ -86,7 +89,8 @@ class TransportSolution(Certified):
 
 def _plan_marginals(P: np.ndarray) -> np.ndarray:
     """(rows, cols) of a banded plan: point k sums m_k,k-1, m_kk and m_k,k+1."""
-    out = np.stack([P[0], P[0]])
+    out = np.empty((2,) + P.shape[1:], dtype=P.dtype)
+    out[:] = P[0]
     out[:, :-1] += P[1:, :-1]      # rows gain m_k,k+1, cols gain m_k+1,k
     out[:, 1:] += P[:0:-1, :-1]    # rows gain m_k,k-1, cols gain m_k-1,k
     return out
@@ -175,13 +179,26 @@ def solve_unbalanced_primal(
         return TransportSolution(linalg.from_coords(plan), hats, cost, tv_pen,
                                  cost + kappa * tv_pen, lower, iterations)
 
-    def prox_dual(W, sigma):
-        # W[0]: (rows, cols) duals of the TV penalties; W[1]: of the PSD cones,
-        # whose conjugate prox subtracts the positive part
-        out = np.empty_like(W)
-        out[0] = W[0] - sigma * (M - linalg.soft_threshold(M - W[0] / sigma, kappa / sigma))
-        out[1] = W[1] - linalg.clip(W[1], 0.0, np.inf)
-        return out
+    def prox_maps(tau, sigma):
+        tau_costs, threshold = tau * costs, kappa / sigma
+
+        def spectral(lam):
+            out = np.empty_like(lam)
+            out[:, 0] = np.sign(lam[:, 0]) * np.maximum(np.abs(lam[:, 0]) - threshold, 0.0)
+            out[:, 1] = np.maximum(lam[:, 1], 0.0)
+            return out
+
+        def prox_dual(W):
+            # W[0]: (rows, cols) duals of the TV penalties, soft-thresholded,
+            # W[1]: of the PSD cones, whose conjugate prox subtracts the
+            # positive part; one spectral pass maps both pairs
+            V = W.copy()
+            V[0] = M - W[0] / sigma
+            V = linalg.map_eigenvalues(V, spectral)
+            V[0] = sigma * (M - V[0])
+            return W - V
+
+        return lambda G: linalg.soft_threshold(G, tau_costs), prox_dual
 
     # each block enters one row and one column, and each marginal sums at most
     # three blocks, so ||(rows, cols)||^2 <= 6; both dual pairs see that image
@@ -189,9 +206,8 @@ def solve_unbalanced_primal(
         start,
         duals,
         _plan_marginals,
-        lambda Y: _marginal_adjoint(Y.sum(axis=0)),
-        lambda G, tau: linalg.soft_threshold(G, tau * costs),
-        prox_dual,
+        lambda Y: _marginal_adjoint(Y[0] + Y[1]),
+        prox_maps,
         math.sqrt(12.0),
         certify,
         package,

@@ -30,8 +30,11 @@ its value and the best upper bound.
 
 :func:`pdhg` is the one PDHG driver of the package; the ball programs here
 and the transport program of :mod:`specdist.matrix_primal` supply their
-proximal maps, their linear map and a ``certify`` hook that turns any
-primal-dual pair into certified bounds.  The driver follows PDLP (Applegate
+linear map, a ``certify`` hook that turns any primal-dual pair into certified
+bounds and a builder of their proximal maps at given steps.  The driver
+builds the prox maps once per step size, at the start and at each restart
+that moves ``omega``, so step constants such as ``tau C`` are formed there
+and not in every iteration.  The driver follows PDLP (Applegate
 et al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):
 
 * steps ``tau = 0.999 omega / ||L||`` and ``sigma = 0.999 / (omega ||L||)``,
@@ -154,12 +157,15 @@ def _move(new: np.ndarray, old: np.ndarray) -> float:
     return moved if moved > 1e-10 * max(np.linalg.norm(new), np.linalg.norm(old)) else 0.0
 
 
-def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, package,
+def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
          options: SolverOptions):
     """Run PDHG from ``(x, y)`` until the best certified bounds meet the tolerance.
 
-    One iteration is ``y <- prox_dual(y + sigma L xbar, sigma)``,
-    ``x <- prox_primal(x - tau L* y, tau)``, ``xbar <- 2 x_new - x_old``.
+    ``prox_maps(tau, sigma)`` returns the proximal maps ``(prox_primal,
+    prox_dual)`` at those steps; the driver calls it at the start and again
+    whenever a restart moves the steps.  One iteration is
+    ``y <- prox_dual(y + sigma L xbar)``, ``x <- prox_primal(x - tau L* y)``,
+    ``xbar <- 2 x_new - x_old``.
     ``certify(x, y)`` returns ``(lower, lower_witness, upper, upper_witness)``,
     certified bounds on the optimum with whatever the caller needs to report
     them; the driver keeps the best of each.  ``package(lower, lower_witness,
@@ -190,15 +196,16 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
     restart_gap = relative(best[0], best[2])
 
     def steps(omega):
-        return 0.999 * omega / map_norm, 0.999 / (omega * map_norm)
+        tau, sigma = 0.999 * omega / map_norm, 0.999 / (omega * map_norm)
+        return (tau, sigma, *prox_maps(tau, sigma))
 
     omega = 1.0
-    tau, sigma = steps(omega)
+    tau, sigma, prox_primal, prox_dual = steps(omega)
     x_sum, y_sum = np.zeros_like(x), np.zeros_like(y)
     x_start, y_start, xbar, run = x, y, x, 0
     for it in range(1, options.max_iterations + 1):
-        y = prox_dual(y + sigma * forward(xbar), sigma)
-        x_new = prox_primal(x - tau * adjoint(y), tau)
+        y = prox_dual(y + sigma * forward(xbar))
+        x_new = prox_primal(x - tau * adjoint(y))
         xbar = 2.0 * x_new - x
         x = x_new
         x_sum += x
@@ -219,7 +226,7 @@ def pdhg(x, y, forward, adjoint, prox_primal, prox_dual, map_norm, certify, pack
         if moved_x > 0 and moved_y > 0 and math.isfinite(moved_x / moved_y):
             omega = math.exp(WEIGHT_SMOOTHING * math.log(moved_x / moved_y)
                              + (1 - WEIGHT_SMOOTHING) * math.log(omega))
-            tau, sigma = steps(omega)
+            tau, sigma, prox_primal, prox_dual = steps(omega)
         x_start, y_start, xbar, run, restart_gap = x, y, x, 0, gap
         x_sum[...] = 0.0
         y_sum[...] = 0.0
@@ -272,13 +279,19 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         scale = _feasibility_scale(F, program.forward(F), rho, r)
         return float(np.vdot(F, C)) / scale, F / scale, _upper_bound(program, Y), None
 
+    neg_rho, neg_r = -rho, -r
+
+    def prox_maps(tau, sigma):
+        tau_C = tau * C
+        return (lambda V: linalg.clip(V + tau_C, neg_rho, rho),
+                lambda W: W - sigma * linalg.clip(W / sigma, neg_r, r))
+
     return pdhg(
         np.zeros_like(C),
         np.zeros((E, C.shape[1])),
         program.forward,
         program.adjoint,
-        lambda V, tau: linalg.clip(V + tau * C, -rho, rho),
-        lambda W, sigma: W - sigma * linalg.clip(W / sigma, -r, r),
+        prox_maps,
         program.map_norm,
         certify,
         package,

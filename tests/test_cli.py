@@ -539,6 +539,43 @@ def test_dist_imports_numpy_only(spectra_dir, tmp_path):
     assert result.stdout.strip() == "[0, 0, 0] False", result.stderr
 
 
+def test_calls_in_one_process_print_what_they_print_alone(tmp_path, capsys):
+    # the parser is built once per process; no call may leave state for the next
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from specdist.cli import build_parser
+
+    assert main(["gen-spectra", "--grid-points", "6", "--out", str(tmp_path / "in")]) == 0
+    pair = [str(tmp_path / "in" / "f0.json"), str(tmp_path / "in" / "f2.json")]
+
+    def calls(out):
+        return [["dist", *pair, "--gap-audit", "--tol", "1e-3", "--format", "structured"],
+                ["dist", *pair, "--tol", "1e-3", "--format", "structured"],
+                ["gen-spectra", "--grid-points", "6", "--out", str(out)]]
+
+    capsys.readouterr()
+    together = []
+    for argv in calls(tmp_path / "together"):
+        code = main(argv)
+        together.append((code, capsys.readouterr().out))
+    assert build_parser() is build_parser()
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    alone = []
+    for argv in calls(tmp_path / "alone"):
+        result = subprocess.run([sys.executable, "-m", "specdist.cli", *argv], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        alone.append((result.returncode, result.stdout))
+    assert together == alone
+    assert json.loads(together[0][1])["gap_audit"]["relative_gap"] <= 1e-3
+    assert "gap_audit" not in json.loads(together[1][1])
+    for i in range(3):
+        name = f"f{i}.json"
+        assert (tmp_path / "together" / name).read_text() == (tmp_path / "alone" / name).read_text()
+
+
 def test_round_trip_of_cli_generated_file(spectra_dir, tmp_path):
     mu = load_measure(spectra_dir / "f2.json")
     save_measure(mu, tmp_path / "copy.json")

@@ -328,6 +328,39 @@ class TestBatchedTransforms:
         assert np.abs(clipped - np.multiply.outer([1.0, -1.0, 0.0], np.eye(2))).max() <= 1e-15
         assert np.abs(signs - np.multiply.outer([1.0, -1.0, 0.0], np.eye(2))).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_pairs_map_exactly_as_their_slices(self, rng, n):
+        # the transport primal maps its (2, 2, K, n^2) dual pairs in one pass,
+        # soft-thresholding one pair and clipping the other; that is only the
+        # same solve if a stacked call equals the per-slice calls bit for bit
+        M = np.array([[[random_hermitian(rng, n, 2.0) for _ in range(5)] for _ in range(2)]
+                      for _ in range(2)])
+        M[:, :, 0] = 0.0
+        M[:, :, 1] = np.eye(n)            # eigenvalues meet: the n = 2 gap is 0
+        c = linalg.to_coords(M)
+        tau = rng.uniform(0.1, 1.5, size=5)
+        maps = [lambda x: linalg.clip(x, 0.0, np.inf),
+                lambda x: linalg.clip(x, -tau, tau),
+                lambda x: linalg.soft_threshold(x, 0.7),
+                lambda x: linalg.soft_threshold(x, tau),
+                lambda x: linalg.map_eigenvalues(x, np.sign)]
+        for f in maps:
+            whole = f(c)
+            for i in range(2):
+                assert np.array_equal(whole[i], f(c[i]))
+                for j in range(2):
+                    assert np.array_equal(whole[i, j], f(c[i, j]))
+
+        def halves(lam):
+            out = np.empty_like(lam)
+            out[:, 0] = np.sign(lam[:, 0]) * np.maximum(np.abs(lam[:, 0]) - 0.7, 0.0)
+            out[:, 1] = np.maximum(lam[:, 1], 0.0)
+            return out
+
+        merged = linalg.map_eigenvalues(c, halves)
+        assert np.array_equal(merged[0], linalg.soft_threshold(c[0], 0.7))
+        assert np.array_equal(merged[1], linalg.clip(c[1], 0.0, np.inf))
+
     def test_degenerate_identity_blocks(self):
         M = np.einsum("k,ij->kij", np.array([1.5, -2.0, 0.0]), np.eye(2)).astype(complex)
         clipped = linalg.clip_eigenvalues(M, 1.0)

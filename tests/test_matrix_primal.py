@@ -15,6 +15,7 @@ from specdist import (
     w1_kappa_scalar,
 )
 from specdist import linalg
+from specdist.matrix_primal import _plan_marginals
 from specdist.measures import Grid
 
 from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
@@ -159,6 +160,17 @@ class TestIterationCounts:
         report = duality_gap(benchmark_measure(i), benchmark_measure(j), 1.0, GAP_OPTS)
         assert report.primal_solution.iterations <= 3_000
         assert report.relative_gap <= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plan_marginals_are_those_of_the_stacked_diagonal(rng, n):
+    # the marginals start from an uninitialized buffer; they must equal the
+    # np.stack form bit for bit, so the iterates are those it gave
+    P = rng.normal(size=(3, 7, n * n))
+    old = np.stack([P[0], P[0]])
+    old[:, :-1] += P[1:, :-1]
+    old[:, 1:] += P[:0:-1, :-1]
+    assert np.array_equal(_plan_marginals(P), old)
 
 
 class TestHermitianRestriction:
