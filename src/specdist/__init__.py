@@ -48,9 +48,7 @@ from .scalar_metrics import (
     w1_balanced,
     w1_kappa_chain,
     w1_kappa_scalar,
-    w1_kappa_scalar_all_pairs,
 )
-from .simplex import LpInfeasibleError, LpProblem, LpUnboundedError, lp_simplex
 from .spectra import (
     AR_FACTORS,
     Table1Report,

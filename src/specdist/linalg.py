@@ -10,8 +10,8 @@ Frobenius norm the Euclidean one.  Files and public results keep complex
 the solvers' boundary.  Every spectral operation is an eigenvalue map
 ``V diag(f(lam)) V*`` or a reduction of the eigenvalues, on one dispatch: at
 n = 1 the coordinate is the eigenvalue, n = 2 is closed form and n >= 3 calls
-``eigh``.  The kernels on matrix stacks (``clip_eigenvalues``, ...) convert
-around it.
+``eigh``.  The five kernels on matrix stacks (``clip_eigenvalues``, ...)
+convert around it; the benchmark harness in ``perfbench`` times or wraps them.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def hermitian_spectrum(M) -> tuple[np.ndarray, np.ndarray]:
     """:func:`as_hermitian` and the eigenvalues ``(n, ...)``, ascending, of its
     overflow check (one eigenvalue pass for validation and PSD tests)."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected square matrix blocks, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise ValueError(f"expected nonempty square matrix blocks, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     viol = hermiticity_violation(M)
@@ -169,6 +169,7 @@ def as_hermitian(M) -> np.ndarray:
     return hermitian_spectrum(M)[0]
 
 
+# Kept for perfbench: kernels.py times the next three, tracing.py wraps all five.
 def clip_eigenvalues(M: np.ndarray, radius) -> np.ndarray:
     """Project stacked Hermitian blocks onto operator-norm balls
     (``radius`` broadcasts against the batch shape ``M.shape[:-2]``)."""
@@ -180,11 +181,6 @@ def soft_threshold_eigenvalues(M: np.ndarray, tau) -> np.ndarray:
     """Eigenvalue soft-threshold of stacked Hermitian blocks (batched prox;
     ``tau`` broadcasts against the batch shape ``M.shape[:-2]``)."""
     return from_coords(soft_threshold(to_coords(M), np.broadcast_to(tau, np.shape(M)[:-2])))
-
-
-def spectral_sign(M: np.ndarray) -> np.ndarray:
-    """Blockwise spectral sign: eigenvalues mapped to {-1, 0, +1}."""
-    return from_coords(map_eigenvalues(to_coords(M), np.sign))
 
 
 def positive_part(M: np.ndarray) -> np.ndarray:
@@ -200,13 +196,3 @@ def hermitian_op_norms(M: np.ndarray) -> np.ndarray:
 def hermitian_nuclear_norms(M: np.ndarray) -> np.ndarray:
     """Batched nuclear norms (sum of |eigenvalue|) of Hermitian blocks."""
     return nuclear_norms(to_coords(M))
-
-
-def min_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Batched smallest eigenvalues of Hermitian blocks."""
-    return eigenvalues(to_coords(M))[0].copy()
-
-
-def trace_pairing(F: np.ndarray, G: np.ndarray) -> float:
-    """Sum over blocks of tr(F_k G_k); real for Hermitian stacks."""
-    return float(np.einsum("...ij,...ji->...", F, G).sum().real)

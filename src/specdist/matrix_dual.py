@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .measures import MatrixMeasure, _check_compatible, _readonly
-from .measures import Grid
+from .measures import Grid, MatrixMeasure, _check_compatible, _readonly
 from .pdhg import (BallProgram, ConvergenceError, DualCertificate, SolverOptions,
                    _residual, solve_ball_program, within_tolerance)
 from .scalar_metrics import w1_kappa_chain
@@ -126,12 +125,12 @@ def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCert
     delta, gaps, kappa = problem.deltas[:, 0, 0].real, problem.gaps, problem.kappa
     value, f, phi = w1_kappa_chain(delta, gaps, kappa)
     # delta . f <= optimum <= the ball program's upper bound at Y = phi in exact
-    # arithmetic.  Both sums are correctly rounded, and the upper bound is
-    # rounded up by a bound on the rounding of their terms and of f's
-    # Lipschitz steps, so the computed bracket keeps that order
+    # arithmetic.  Both sums are correctly rounded, and the upper bound is rounded
+    # up by a bound on the rounding of their terms and of f's Lipschitz steps, so
+    # the bracket keeps that order; 4 eps = 2^-50 scales first: exact, no overflow
     cost = np.concatenate((kappa * np.abs(delta - _adjoint(phi)), gaps * np.abs(phi)))
-    tv = float(np.abs(delta).sum())
-    rounding = 4.0 * np.finfo(float).eps * (kappa * (tv + np.abs(phi).sum()) + gaps @ np.abs(phi))
+    tv, eps4 = float(np.abs(delta).sum()), 4.0 * np.finfo(float).eps
+    rounding = eps4 * kappa * (tv + np.abs(phi).sum()) + eps4 * (gaps @ np.abs(phi))
     upper = math.fsum(cost) + float(rounding)
     F = f[:, None]     # the coordinates of 1x1 blocks are their entries
     residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)

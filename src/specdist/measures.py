@@ -49,8 +49,10 @@ class Grid:
             raise ValueError("grid needs at least one point")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
             raise ValueError("grid points and weights must be finite")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
-            raise ValueError("grid points must be strictly increasing")
+        with np.errstate(over="ignore"):   # a spacing beyond 1.8e308 is inf
+            gaps = np.diff(pts)
+        if not np.all((gaps > 0) & (gaps < np.inf)):
+            raise ValueError("grid points must be strictly increasing with finite spacings")
         if not np.all(wts > 0):
             raise ValueError("grid weights must be positive")
         object.__setattr__(self, "points", _readonly(pts))

@@ -12,9 +12,9 @@ the pairing of the test function is the lower bound and the flow's cost the
 matching upper bound (``matrix_dual.solve_dual`` certifies n = 1 problems
 with the pair).  On a 1-d grid with ground
 distance |x - y| the Lipschitz constraints between adjacent points imply all
-pairwise ones (telescoping), which is what makes it a chain; the all-pairs
-linear program on the dense simplex is kept as a test oracle for that
-reduction and for the chain solver.
+pairwise ones (telescoping), which is what makes it a chain; the tests check
+that reduction and the chain solver against linear programs on the dense
+simplex of :mod:`specdist.simplex`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .measures import MatrixMeasure, _check_compatible
-from .simplex import LpProblem, lp_simplex
+from .simplex import lp_simplex   # unused; perfbench/tracing.py wraps this name
 
 
 def _scalar_pair(mu1: MatrixMeasure, mu2: MatrixMeasure):
@@ -56,28 +56,6 @@ def w1_balanced(mu1: MatrixMeasure, mu2: MatrixMeasure) -> float:
     F2 = np.cumsum(m2)
     gaps = mu1.grid.spacings
     return float(np.abs(F1[:-1] - F2[:-1]) @ gaps)
-
-
-def _w1_kappa_lp(points: np.ndarray, delta: np.ndarray, kappa: float,
-                 all_pairs: bool) -> LpProblem:
-    K = points.size
-    rows = []
-    bounds = []
-    if all_pairs:
-        index_pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
-    else:
-        index_pairs = [(k, k + 1) for k in range(K - 1)]
-    for i, j in index_pairs:
-        row = np.zeros(K)
-        row[i], row[j] = 1.0, -1.0
-        gap = abs(points[j] - points[i])
-        rows.extend([row, -row])
-        bounds.extend([gap, gap])
-    eye = np.eye(K)
-    for k in range(K):
-        rows.extend([eye[k], -eye[k]])
-        bounds.extend([kappa, kappa])
-    return LpProblem(delta, np.array(rows), np.array(bounds))
 
 
 def _edge_flow(delta: list, gaps: list, kappa: float) -> list:
@@ -158,13 +136,15 @@ def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
     K = delta.size
     if gaps.shape != (K - 1,):
         raise ValueError(f"{K} points need {K - 1} gaps, got {gaps.size}")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    if not (np.isfinite(delta).all() and ((gaps >= 0) & (gaps < np.inf)).all()):
-        raise ValueError("delta must be finite and the gaps finite and nonnegative")
+    if not (kappa > 0 and math.isfinite(2.0 * kappa)):   # 2 kappa weighs the flow
+        raise ValueError(f"kappa must be positive and 2 kappa finite, got {kappa}")
+    with np.errstate(over="ignore"):
+        tv = float(np.abs(delta).sum())
+    if not (math.isfinite(tv) and ((gaps >= 0) & (gaps < np.inf)).all()):
+        raise ValueError("delta and its 1-norm must be finite, the gaps finite and nonnegative")
     d, g = delta.tolist(), gaps.tolist() + [math.inf]   # a free edge past the end
     phi = _edge_flow(d, g, kappa)
-    tol = 4.0 * np.finfo(float).eps * float(np.abs(delta).sum())
+    tol = 4.0 * np.finfo(float).eps * tv
     flow = [0.0, *phi, 0.0]
     bounds = []
     lo, hi = -kappa, kappa    # where f_k can be, given f_0..f_{k-1}
@@ -181,7 +161,13 @@ def w1_kappa_chain(delta: np.ndarray, gaps: np.ndarray,
         hi = min(hi, y - g[k] if p < -tol else y + g[k])
         f[k] = max(-kappa, y - g[k], min(kappa, y + g[k], max(lo, min(hi, y))))
     f = np.array(f[:-1])
-    return math.fsum(delta * f), f, np.array(phi)
+    try:   # the value and phi's cost must be finite: numpy and fsum raise on overflow
+        with np.errstate(over="raise"):
+            value = math.fsum(delta * f)
+            kappa * np.abs(delta - np.diff(flow)).sum() + (gaps * np.abs(phi)).sum()
+    except ArithmeticError as exc:
+        raise ValueError("kappa or masses too large: the value or its flow's cost overflows") from exc
+    return value, f, np.array(phi)
 
 
 def w1_kappa_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> float:
@@ -195,12 +181,3 @@ def w1_kappa_scalar(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> flo
     m1, m2 = _scalar_pair(mu1, mu2)
     return w1_kappa_chain(m1 - m2, mu1.grid.spacings, kappa)[0]
 
-
-def w1_kappa_scalar_all_pairs(mu1: MatrixMeasure, mu2: MatrixMeasure,
-                              kappa: float) -> float:
-    """All-pairs-constraint variant of ``w1_kappa_scalar`` (test oracle)."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    m1, m2 = _scalar_pair(mu1, mu2)
-    value, _ = lp_simplex(_w1_kappa_lp(mu1.grid.points, m1 - m2, kappa, all_pairs=True))
-    return value

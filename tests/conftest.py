@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from specdist import Grid, LpProblem, lp_simplex, scalar_measure
+from specdist import Grid, scalar_measure
 from specdist.measures import MatrixMeasure
+from specdist.simplex import LpProblem, lp_simplex
 
 
 @pytest.fixture
@@ -31,6 +32,11 @@ def clip_oracle(M, radius):
 def soft_threshold_oracle(M, tau):
     t = np.asarray(tau, dtype=float)[..., None]
     return eig_map(M, lambda lam: np.sign(lam) * np.maximum(np.abs(lam) - t, 0.0))
+
+
+def trace_pairing(F, G):
+    """Sum over blocks of tr(F_k G_k); real for Hermitian stacks."""
+    return float(np.einsum("...ij,...ji->...", F, G).sum().real)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -89,3 +95,34 @@ def transport_lp_value(mu1, mu2):
     b = np.concatenate([np.atleast_1d(v) for v in bounds])
     value, _ = lp_simplex(LpProblem(-d, A, b))
     return -value
+
+
+def w1_kappa_lp(points, delta, kappa, all_pairs):
+    """The scalar flat-metric program ``max delta . f`` over ``|f_k| <= kappa``
+    and ``|f_i - f_j| <= |theta_i - theta_j|``, for every pair of points or only
+    adjacent ones, as a dense LP (oracle for the chain reduction and solver)."""
+    K = points.size
+    rows = []
+    bounds = []
+    if all_pairs:
+        index_pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    else:
+        index_pairs = [(k, k + 1) for k in range(K - 1)]
+    for i, j in index_pairs:
+        row = np.zeros(K)
+        row[i], row[j] = 1.0, -1.0
+        gap = abs(points[j] - points[i])
+        rows.extend([row, -row])
+        bounds.extend([gap, gap])
+    eye = np.eye(K)
+    for k in range(K):
+        rows.extend([eye[k], -eye[k]])
+        bounds.extend([kappa, kappa])
+    return LpProblem(delta, np.array(rows), np.array(bounds))
+
+
+def w1_kappa_scalar_all_pairs(mu1, mu2, kappa):
+    """``w1_kappa_scalar`` with every pairwise Lipschitz constraint, by the simplex."""
+    delta = mu1.scalar_values() - mu2.scalar_values()
+    value, _ = lp_simplex(w1_kappa_lp(mu1.grid.points, delta, kappa, all_pairs=True))
+    return value

@@ -22,7 +22,6 @@ from specdist import (
     tv_matrix,
     w1_balanced,
     w1_kappa_scalar,
-    w1_kappa_scalar_all_pairs,
 )
 from specdist.measures import Grid, MatrixMeasure
 
@@ -32,6 +31,7 @@ from conftest import (
     random_psd,
     random_scalar_measure,
     transport_lp_value,
+    w1_kappa_scalar_all_pairs,
 )
 
 

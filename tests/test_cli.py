@@ -197,6 +197,50 @@ class TestDist:
             save_measure(scalar_measure(grid, rng.uniform(0.0, 1.0, size=K)), path)
         return [str(p) for p in paths]
 
+    @staticmethod
+    def _audit_pair(tmp_path):
+        # 1x1 masses on four points, half of them massless (the CI's exact-audit pair)
+        from specdist import Grid, scalar_measure
+
+        grid = Grid(np.array([0.0, 0.5, 1.5, 2.0]), np.ones(4))
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, values in zip(paths, ([1.0, 0.0, 0.5, 0.0], [0.0, 2.0, 0.0, 0.25])):
+            save_measure(scalar_measure(grid, np.array(values)), path)
+        return [str(p) for p in paths]
+
+    @pytest.mark.parametrize("metric", ["w1k", "matrix-w1k"])
+    def test_kappa_whose_double_overflows_exits_2(self, tmp_path, capsys, metric):
+        # the chain weighs its edge flows by 2 kappa, which is inf here
+        code = main(["dist", "--metric", metric, "--kappa", "9e307", *self._audit_pair(tmp_path)])
+        assert code == 2
+        assert "2 kappa finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["w1k", "matrix-w1k"])
+    def test_kappa_near_overflow_keeps_its_value(self, tmp_path, capsys, metric):
+        code = main(["dist", "--metric", metric, "--kappa", "4e307", "--format", "structured",
+                     *self._audit_pair(tmp_path)])
+        assert code == 0
+
+        def no_constants(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert doc["converged"] is True
+        assert doc["value"] == 3e307
+        if metric == "matrix-w1k":
+            assert doc["value"] <= doc["certificate"]["upper_bound"] <= 3e307 * (1 + 1e-12)
+
+    def test_grid_whose_spacing_overflows_exits_2(self, tmp_path, capsys):
+        # finite points 2e308 apart: the file is refused before any solve
+        paths = [tmp_path / "g0.json", tmp_path / "g1.json"]
+        grid = [{"theta": -1e308, "weight": 1.0}, {"theta": 1e308, "weight": 1.0}]
+        one, zero = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+        for path, masses in zip(paths, ([[one, zero], [zero, zero]], [[zero, zero], [zero, one]])):
+            path.write_text(json.dumps({"dim": 2, "grid": grid, "masses": masses}))
+        code = main(["dist", "--metric", "matrix-w1k", "--max-iter", "1000", *map(str, paths)])
+        assert code == 2
+        assert "finite spacings" in capsys.readouterr().err
+
     def test_scalar_matrix_w1k_is_exact(self, tmp_path, capsys):
         code = main(["dist", "--metric", "matrix-w1k", "--format", "structured",
                      *self._scalar_pair(tmp_path)])

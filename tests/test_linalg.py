@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist import DiracSet, as_hermitian
+from specdist import DiracSet, DualProblem, Grid, MatrixMeasure, State, as_hermitian
 from specdist import linalg
 from specdist.connes import _commutator_program
 
-from conftest import clip_oracle, eig_map, random_hermitian, soft_threshold_oracle
+from conftest import clip_oracle, eig_map, random_hermitian, soft_threshold_oracle, trace_pairing
 
 
 def _rng(seed):
@@ -28,6 +28,16 @@ def _clip(H, r):
 
 def _shrink(H, tau):
     return linalg.soft_threshold_eigenvalues(H[None], tau)[0]
+
+
+def _min_eigenvalues(M):
+    """The PSD check's smallest eigenvalues (``MatrixMeasure``, ``State``)."""
+    return linalg.eigenvalues(linalg.to_coords(M))[0]
+
+
+def _spectral_sign(M):
+    """The ball program's K = 1 closed form: eigenvalues mapped to {-1, 0, +1}."""
+    return linalg.from_coords(linalg.map_eigenvalues(linalg.to_coords(M), np.sign))
 
 
 class TestCoordinates:
@@ -61,7 +71,7 @@ class TestCoordinates:
     def test_pairing_is_a_dot_product(self, rng, n):
         F, G = (np.array([random_hermitian(rng, n) for _ in range(4)]) for _ in range(2))
         dot = float(np.vdot(linalg.to_coords(F), linalg.to_coords(G)))
-        assert dot == pytest.approx(linalg.trace_pairing(F, G), abs=1e-12)
+        assert dot == pytest.approx(trace_pairing(F, G), abs=1e-12)
         # a non-Hermitian block has the coordinates of its Hermitian part
         A = F + 1j * G
         assert np.abs(linalg.to_coords(A) - linalg.to_coords(linalg.hermitian_part(A))).max() \
@@ -73,14 +83,14 @@ class TestEigh:
 
     def test_identity(self):
         eye = np.eye(2, dtype=complex)[None]
-        assert linalg.min_eigenvalues(eye) == pytest.approx([1.0])
+        assert _min_eigenvalues(eye) == pytest.approx([1.0])
         assert linalg.hermitian_op_norms(eye) == pytest.approx([1.0])
         assert linalg.hermitian_nuclear_norms(eye) == pytest.approx([2.0])
-        assert np.allclose(linalg.spectral_sign(eye), eye)
+        assert np.allclose(_spectral_sign(eye), eye)
 
     def test_flip(self):
         flip = np.array([[[0, 1], [1, 0]]], dtype=complex)
-        assert linalg.min_eigenvalues(flip) == pytest.approx([-1.0])
+        assert _min_eigenvalues(flip) == pytest.approx([-1.0])
         assert linalg.hermitian_op_norms(flip) == pytest.approx([1.0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -88,7 +98,7 @@ class TestEigh:
         H = np.array([random_hermitian(rng, n, scale=3.0) for _ in range(5)])
         lam = np.linalg.eigh(H)[0]
         scale = max(1.0, float(np.abs(lam).max()))
-        assert np.abs(linalg.min_eigenvalues(H) - lam[:, 0]).max() <= 1e-10 * scale
+        assert np.abs(_min_eigenvalues(H) - lam[:, 0]).max() <= 1e-10 * scale
         assert np.abs(linalg.hermitian_op_norms(H) - np.abs(lam).max(axis=-1)).max() \
             <= 1e-10 * scale
         assert np.abs(linalg.hermitian_nuclear_norms(H) - np.abs(lam).sum(axis=-1)).max() \
@@ -248,8 +258,8 @@ class TestCommutator:
         assert np.abs(images - images.conj().swapaxes(-1, -2)).max() <= 1e-12
         Y = np.array([random_hermitian(rng, 3) for _ in range(2)])
         adjoint = linalg.from_coords(program.adjoint(linalg.to_coords(Y)))
-        assert linalg.trace_pairing(images, Y) == pytest.approx(
-            linalg.trace_pairing(f[None], adjoint), abs=1e-10)
+        assert trace_pairing(images, Y) == pytest.approx(
+            trace_pairing(f[None], adjoint), abs=1e-10)
         # the adjoint of f -> -i[D, f] is Y -> i[D, Y], summed over the operators
         assert np.abs(adjoint[0] - 1j * (D @ Y - Y @ D).sum(axis=0)).max() <= 1e-12
 
@@ -293,9 +303,9 @@ class TestBatchedTransforms:
                       - soft_threshold_oracle(M, r)).max() <= 1e-12
         assert np.abs(linalg.positive_part(M)
                       - eig_map(M, lambda x: np.maximum(x, 0.0))).max() <= 1e-12
-        assert np.abs(linalg.spectral_sign(M) - eig_map(M, np.sign)).max() <= 1e-12
-        assert linalg.min_eigenvalues(M).shape == (2, 3)
-        assert np.abs(linalg.min_eigenvalues(M) - lam[..., 0]).max() <= 1e-12
+        assert np.abs(_spectral_sign(M) - eig_map(M, np.sign)).max() <= 1e-12
+        assert _min_eigenvalues(M).shape == (2, 3)
+        assert np.abs(_min_eigenvalues(M) - lam[..., 0]).max() <= 1e-12
         assert np.abs(linalg.hermitian_op_norms(M) - np.abs(lam).max(axis=-1)).max() <= 1e-12
         assert np.abs(linalg.hermitian_nuclear_norms(M)
                       - np.abs(lam).sum(axis=-1)).max() <= 1e-12
@@ -379,7 +389,7 @@ class TestBatchedTransforms:
 
     def test_spectral_sign(self, rng):
         H = random_hermitian(rng, 2, 2.0)
-        S = linalg.spectral_sign(H[None])[0]
+        S = _spectral_sign(H[None])[0]
         lam = np.linalg.eigvalsh(S)
         assert np.all(np.abs(np.abs(lam) - 1.0) <= 1e-12)
         assert np.trace(S @ H).real == pytest.approx(np.linalg.norm(H, "nuc"), abs=1e-10)
@@ -405,3 +415,15 @@ def test_as_hermitian_rejects_large_violation():
 def test_as_hermitian_rejects_overflowing_eigenvalues(M):
     with pytest.raises(ValueError, match="too large"):
         as_hermitian(M)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_hermitian(np.zeros((3, 0, 0))),
+    lambda: MatrixMeasure(Grid([0.0, 1.0], [1.0, 1.0]), np.zeros((2, 0, 0))),
+    lambda: State(np.zeros((0, 0))),
+    lambda: DiracSet(np.zeros((1, 0, 0))),
+    lambda: DualProblem(Grid([0.0, 1.0], [1.0, 1.0]), np.zeros((2, 0, 0)), 1.0),
+], ids=["as_hermitian", "MatrixMeasure", "State", "DiracSet", "DualProblem"])
+def test_empty_blocks_are_rejected(build):
+    with pytest.raises(ValueError, match="nonempty square"):
+        build()

@@ -58,6 +58,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             Grid(np.array(points), np.array(weights))
 
+    def test_rejects_overflowing_spacing(self):
+        # finite points whose difference exceeds the largest float
+        with pytest.raises(ValueError, match="finite spacings"):
+            Grid(np.array([-1e308, 1e308]), np.ones(2))
+        assert Grid(np.array([-8e307, 8e307]), np.ones(2)).spacings[0] == 1.6e308
+
     def test_immutability(self):
         g = make_uniform_grid(3, 0.0, 1.0)
         with pytest.raises(ValueError):

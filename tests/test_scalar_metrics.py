@@ -6,19 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist import (
-    lp_simplex,
     kolmogorov,
     make_uniform_grid,
     scalar_measure,
     tv_matrix,
     w1_balanced,
     w1_kappa_scalar,
-    w1_kappa_scalar_all_pairs,
 )
 from specdist.measures import Grid, MatrixMeasure
-from specdist.scalar_metrics import _w1_kappa_lp, w1_kappa_chain
+from specdist.scalar_metrics import w1_kappa_chain
+from specdist.simplex import lp_simplex
 
-from conftest import flow_cost, random_grid, random_scalar_measure, transport_lp_value
+from conftest import (
+    flow_cost,
+    random_grid,
+    random_scalar_measure,
+    transport_lp_value,
+    w1_kappa_lp,
+    w1_kappa_scalar_all_pairs,
+)
 
 
 def _point_mass(grid, index, weight=1.0):
@@ -203,7 +209,7 @@ class TestChainSolver:
     def _check(points, delta, kappa):
         gaps = np.diff(points)
         value, f, phi = w1_kappa_chain(delta, gaps, kappa)
-        ref, _ = lp_simplex(_w1_kappa_lp(points, delta, kappa, all_pairs=False))
+        ref, _ = lp_simplex(w1_kappa_lp(points, delta, kappa, all_pairs=False))
         assert abs(value - ref) <= 1e-10 * max(abs(ref), 1e-300) or value == ref == 0.0
         # the returned test function is the certificate
         assert np.all(np.abs(f) <= kappa)
@@ -268,7 +274,7 @@ class TestChainSolver:
         with pytest.raises(ValueError, match="gaps"):
             w1_kappa_chain(np.ones(4), np.ones(4), 1.0)
 
-    @pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan"), float("inf"), 9e307])
     def test_rejects_invalid_kappa(self, kappa):
         with pytest.raises(ValueError, match="kappa"):
             w1_kappa_chain(np.array([1.0, 0.0, -1.0]), np.ones(2), kappa)
@@ -279,10 +285,16 @@ class TestChainSolver:
         ([1.0, 0.0, -1.0], [1.0, -0.5]),
         ([1.0, 0.0, -1.0], [1.0, float("nan")]),
         ([1.0, 0.0, -1.0], [1.0, float("inf")]),
-    ], ids=["nan-delta", "inf-delta", "negative-gap", "nan-gap", "inf-gap"])
+        ([1e308, -1e308], [1.0]),   # the 1-norm overflows: it sets the roundoff floor
+    ], ids=["nan-delta", "inf-delta", "negative-gap", "nan-gap", "inf-gap", "delta-1-norm"])
     def test_rejects_nonfinite_or_negative_input(self, delta, gaps):
         with pytest.raises(ValueError, match="finite"):
             w1_kappa_chain(np.array(delta), np.array(gaps), 1.0)
+
+    def test_rejects_overflowing_value(self):
+        # 2 kappa and ||delta||_1 are finite, the value kappa ||delta||_1 is not
+        with pytest.raises(ValueError, match="too large"):
+            w1_kappa_chain(np.array([1e308]), np.zeros(0), 2.0)
 
     def test_flow_is_optimal_under_perturbation(self, rng):
         # phi minimizes a convex cost: moving it anywhere raises the cost

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist import LpInfeasibleError, LpProblem, LpUnboundedError, lp_simplex
+from specdist.simplex import LpInfeasibleError, LpProblem, LpUnboundedError, lp_simplex
 
 
 def test_single_variable_box():
