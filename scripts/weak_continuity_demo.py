@@ -51,13 +51,13 @@ def unboundedness_experiment():
     rho1 = State(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     rho2 = State(np.array([[0.6, -0.1], [-0.1, 0.4]], dtype=complex))
     kappas = [1, 2, 4, 8, 16]
-    values = [connes_distance(rho1, rho2, dirac, k) for k in kappas]
+    values = [connes_distance(rho1, rho2, dirac, k).value for k in kappas]
     print(f"{'kappa':>8} {'distance':>10}")
     for k, v in zip(kappas, values):
         print(f"{k:8.1f} {v:10.4f}")
     slope = (values[-1] - values[-2]) / (kappas[-1] - kappas[-2])
     print(f"terminal slope {slope:.4f} (2 |q1 - q2| = {2 * 0.3:.4f})")
-    flag = connes_distance(rho1, rho2, dirac, math.inf)
+    flag = connes_distance(rho1, rho2, dirac, math.inf).value
     print(f"kappa=inf (commutant test) reports: {flag}")
 
 

@@ -29,7 +29,7 @@ from .matrix_dual import assemble_dual, solve_dual
 from .matrix_primal import duality_gap
 from .measures import (MatrixMeasure, _matrix_decode, _matrix_encode, load_measure,
                        make_uniform_grid, save_measure, tv_matrix)
-from .pdhg import ConvergenceError, SolverOptions
+from .pdhg import ConvergenceError, DualCertificate, SolverOptions
 from .scalar_metrics import kolmogorov, w1_balanced, w1_kappa_scalar
 from .spectra import benchmark_measure, density_plot_data, paper_grid, itakura_saito, table1_report
 
@@ -94,19 +94,9 @@ def _cmd_dist(args) -> int:
             report["kappa"] = args.kappa
             # the audit certifies its dual to half the gap: report that solve
             audit = duality_gap(mu1, mu2, args.kappa, options) if args.gap_audit else None
-            if audit is not None:
-                cert = audit.dual_certificate
-            else:
-                cert = solve_dual(assemble_dual(mu1, mu2, args.kappa), options)
-            report["value"] = cert.value
-            report["certificate"] = {
-                "iterations": cert.iterations,
-                "feasibility_residual": cert.feasibility_residual,
-                "upper_bound": cert.upper_bound,
-                "gap": cert.gap,
-            }
-            if args.format == "structured":
-                report["certificate"]["test_function"] = _matrix_encode(cert.test_function)
+            cert = audit.dual_certificate if audit is not None else solve_dual(
+                assemble_dual(mu1, mu2, args.kappa), options)
+            _report_certificate(report, cert, args.format)
             if audit is not None:
                 report["gap_audit"] = {
                     "primal": audit.primal,
@@ -122,8 +112,11 @@ def _cmd_dist(args) -> int:
             rho2 = State(mu2.masses.sum(axis=0))
             kappa = math.inf if args.kappa == 0 else args.kappa
             report["kappa"] = "inf" if not math.isfinite(kappa) else kappa
-            value = connes_distance(rho1, rho2, diracs, kappa, options)
-            report["value"] = "unbounded" if math.isinf(value) else value
+            cert = connes_distance(rho1, rho2, diracs, kappa, options)
+            if math.isinf(cert.value):
+                report["value"] = "unbounded"
+            else:
+                _report_certificate(report, cert, args.format)
         else:  # unreachable behind argparse choices
             raise ValueError(f"unknown metric {args.metric}")
     except ConvergenceError as exc:
@@ -137,6 +130,15 @@ def _cmd_dist(args) -> int:
 
     _emit_report(report, args)
     return partial_exit
+
+
+def _report_certificate(report: dict, cert: DualCertificate, fmt: str):
+    """The certified value and its ``certificate`` section (the witness when structured)."""
+    report["value"] = cert.value
+    report["certificate"] = {key: getattr(cert, key) for key in
+                             ("iterations", "feasibility_residual", "upper_bound", "gap")}
+    if fmt == "structured":
+        report["certificate"]["test_function"] = _matrix_encode(cert.test_function)
 
 
 def _emit_report(report: dict, args):

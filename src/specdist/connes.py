@@ -27,11 +27,13 @@ with it and the adjoint a product with its transpose.  The ball radius is
 ``min(kappa, kappa*)``, with kappa* that sufficient kappa: the value is the
 same and f stays feasible for kappa, while a larger radius would lift the
 floor of the relative gap (1% of the radius times ``||sigma||_*``) above the
-value.  f, the value and both bounds (also those a ``ConvergenceError``
-carries) are not rescaled.  Only the iteration sees a scale: the commutator
-rows are divided by ``s = max(1, min(kappa, kappa*))``, the largest norm
-beyond 1 an optimal f needs.  Unscaled, the iteration (primal weight 1 at
-the start) would take iterations in proportion to it.
+value.  :func:`connes_distance` returns that solve's
+:class:`~specdist.pdhg.DualCertificate`: f, the value and both bounds
+(also those a ``ConvergenceError`` carries) are not rescaled.  Only the
+iteration sees a scale: the commutator rows are divided by
+``s = max(1, min(kappa, kappa*))``, the largest norm beyond 1 an optimal f
+needs.  Unscaled, the iteration (primal weight 1 at the start) would take
+iterations in proportion to it.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ import numpy as np
 
 from . import linalg
 from .measures import _readonly
-from .pdhg import BallProgram, SolverOptions, solve_ball_program
+from .pdhg import BallProgram, DualCertificate, SolverOptions, solve_ball_program
 
 __all__ = [
     "State",
     "DiracSet",
     "connes_distance",
-    "connes_witness",
     "sufficient_kappa",
 ]
 
@@ -133,38 +134,6 @@ def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> Ba
     )
 
 
-def connes_witness(
-    rho1: State,
-    rho2: State,
-    diracs: DiracSet,
-    kappa: float,
-    options: SolverOptions | None = None,
-) -> tuple[float, np.ndarray]:
-    """Distance value together with the feasible test function attaining it.
-
-    The witness is independently checkable: its operator norm is at most
-    ``kappa``, every commutator norm at most 1, and the trace pairing with
-    the state difference reproduces the value.
-    """
-    _check_dims(rho1, rho2, diracs)
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    size = kappa if kappa <= 1.0 else min(kappa, sufficient_kappa(rho1, rho2, diracs))
-    return _witness(rho1.matrix - rho2.matrix, diracs, size, options)
-
-
-def _witness(sigma, diracs, size, options):
-    """:func:`connes_witness` at ball radius ``size``, at most kappa and at least
-    the norm of some optimal f (module docstring)."""
-    if not sigma.any():
-        return 0.0, np.zeros_like(sigma)
-    # the feasible set is symmetric under f -> -f, so the supremum of
-    # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
-    program = _commutator_program(sigma, diracs, size)
-    solution = solve_ball_program(program, options or SolverOptions())
-    return solution.value, solution.test_function[0]
-
-
 def _check_dims(rho1: State, rho2: State, diracs: DiracSet):
     if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
         raise ValueError(
@@ -196,22 +165,33 @@ def connes_distance(
     diracs: DiracSet,
     kappa: float = math.inf,
     options: SolverOptions | None = None,
-) -> float:
-    """Spectral distance between two states; ``math.inf`` flags divergence.
+) -> DualCertificate:
+    """Spectral distance between two states: its ball solve's certificate.
 
-    With finite ``kappa`` the bounded variant is solved directly, as in
-    :func:`connes_witness`; any other non-finite ``kappa`` raises
-    ``ValueError``.  With ``kappa = math.inf`` the commutant decides
-    divergence without a solve; a finite distance is :func:`connes_witness`
-    at :func:`sufficient_kappa`, certified to the options' tolerance like
-    every finite-kappa value (equal states give 0.0 without a solve), and a
-    value above ``UNBOUNDED_CAP`` is reported as ``math.inf``.
+    ``kappa`` is positive, ``math.inf`` for the unbounded distance.  The test
+    function ``test_function[0]`` is checkable on its own: operator norm at
+    most ``kappa``, every commutator norm at most 1, and trace pairing with
+    ``rho1 - rho2`` equal to ``value``.  Equal states give a 0 certificate
+    without a solve.  At ``kappa = math.inf`` the commutant decides
+    divergence without a solve, and a finite distance is solved at
+    :func:`sufficient_kappa`.  A divergent distance, or one above
+    ``UNBOUNDED_CAP``, is ``value = upper_bound = math.inf``.
     """
-    if kappa != math.inf:
-        return connes_witness(rho1, rho2, diracs, kappa, options)[0]
-    kappa = sufficient_kappa(rho1, rho2, diracs)
-    if kappa == 0.0 or math.isinf(kappa):
-        # 0 only for equal states when every D_i is a multiple of the identity
-        return kappa
-    value = _witness(rho1.matrix - rho2.matrix, diracs, kappa, options)[0]
-    return math.inf if value > UNBOUNDED_CAP else value
+    _check_dims(rho1, rho2, diracs)
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive (math.inf for no bound), got {kappa}")
+    sigma = rho1.matrix - rho2.matrix
+    if not sigma.any():
+        return DualCertificate(np.zeros((1,) + sigma.shape, dtype=complex), 0.0, 0.0, 0, 0.0)
+    # the ball radius (module docstring); kappa* needs an SVD, spared at kappa <= 1
+    radius = kappa if kappa <= 1.0 else min(kappa, sufficient_kappa(rho1, rho2, diracs))
+    iterations = 0
+    if radius < math.inf:
+        # the feasible set is symmetric under f -> -f, so the supremum of
+        # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
+        cert = solve_ball_program(_commutator_program(sigma, diracs, radius),
+                                  options or SolverOptions())
+        if kappa < math.inf or cert.value <= UNBOUNDED_CAP:
+            return cert
+        iterations = cert.iterations
+    return DualCertificate(None, math.inf, 0.0, iterations, math.inf)

@@ -121,23 +121,34 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
     return solve_ball_program(ball_program(problem), options)
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    return s, (a - (s - (s - a))) + (b - (s - a))
+
+
 def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCertificate:
     delta, gaps, kappa = problem.deltas[:, 0, 0].real, problem.gaps, problem.kappa
     value, f, phi = w1_kappa_chain(delta, gaps, kappa)
-    # delta . f <= optimum <= the ball program's upper bound at Y = phi in exact
-    # arithmetic.  Both sums are correctly rounded, and the upper bound is rounded
-    # up by a bound on the rounding of their terms and of f's Lipschitz steps, so
-    # the bracket keeps that order; 4 eps = 2^-50 scales first: exact, no overflow
-    cost = np.concatenate((kappa * np.abs(delta - _adjoint(phi)), gaps * np.abs(phi)))
-    tv, eps4 = float(np.abs(delta).sum()), 4.0 * np.finfo(float).eps
-    rounding = eps4 * kappa * (tv + np.abs(phi).sum()) + eps4 * (gaps @ np.abs(phi))
-    upper = math.fsum(cost) + float(rounding)
+    # phi's cost kappa sum_k |r_k| + gaps . |phi| bounds the optimum.  Two TwoSums
+    # split r_k = (delta_k - phi_k) + phi_{k-1} into s_k + e1_k + e2_k exactly.
+    # Rounding makes the fsum of the terms below miss the cost, value exceed
+    # delta . f, and f's Lipschitz steps exceed the gaps (by eps/2 |f_e| on edge
+    # e, which moves delta . f by that times |phi_e|).  2 eps times those terms
+    # covers all three, so value <= upper; 2 eps = 2^-51 scales first (exact).
+    s1, e1 = _two_sum(delta, -np.append(phi, 0.0))
+    s, e2 = _two_sum(s1, np.insert(phi, 0, 0.0))
+    cost = math.fsum(np.concatenate([kappa * np.abs(r) for r in (s, e1, e2)]
+                                    + [gaps * np.abs(phi)]))
+    eps2 = 2.0 * np.finfo(float).eps
+    upper = cost + float(eps2 * cost + (eps2 * np.abs(delta)) @ np.abs(f)
+                         + (eps2 * np.abs(phi)) @ np.abs(f[:-1]))
     F = f[:, None]     # the coordinates of 1x1 blocks are their entries
     residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)
     cert = DualCertificate(F[..., None].astype(complex), value, residual, 0, upper,
                            phi[:, None, None].astype(complex))
-    # the driver's floor: 1% of the larger bound at F = 0, Y = 0
-    if not within_tolerance(value, upper, 0.01 * kappa * tv, options.tolerance):
+    floor = 0.01 * kappa * float(np.abs(delta).sum())   # as in pdhg.pdhg: at F = 0, Y = 0
+    if not within_tolerance(value, upper, floor, options.tolerance):
         raise ConvergenceError(
             f"the exact chain certificate misses relative gap {options.tolerance:.1e} "
             f"by roundoff (bounds [{value:.6g}, {upper:.6g}])", cert)

@@ -130,10 +130,12 @@ class DualCertificate(Certified):
     blocks) satisfies the constraints up to ``feasibility_residual``,
     ``value`` is its pairing with the objective and ``upper_bound`` a
     certified bound on the supremum.  ``flow``, when known, is the dual
-    variable Y whose cost (see the module docstring) is ``upper_bound``.
+    variable Y whose cost (see the module docstring) is ``upper_bound``.  An
+    unbounded supremum (a divergent Connes distance) has ``value =
+    upper_bound = math.inf`` and carries no witness: ``test_function`` is None.
     """
 
-    test_function: np.ndarray = field(repr=False)   # (B, n, n) Hermitian
+    test_function: np.ndarray | None = field(repr=False)   # (B, n, n) Hermitian
     value: float
     feasibility_residual: float
     iterations: int

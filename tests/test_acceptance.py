@@ -246,11 +246,11 @@ def test_criterion_6_metric_axioms_connes():
     worst_tri = -np.inf
     for _ in range(30):
         a, b, c = rand_state(), rand_state(), rand_state()
-        assert connes_distance(a, a, dirac, 1.0, opts) == 0.0
-        dab = connes_distance(a, b, dirac, 1.0, opts)
-        dba = connes_distance(b, a, dirac, 1.0, opts)
-        dac = connes_distance(a, c, dirac, 1.0, opts)
-        dcb = connes_distance(c, b, dirac, 1.0, opts)
+        assert connes_distance(a, a, dirac, 1.0, opts).value == 0.0
+        dab = connes_distance(a, b, dirac, 1.0, opts).value
+        dba = connes_distance(b, a, dirac, 1.0, opts).value
+        dac = connes_distance(a, c, dirac, 1.0, opts).value
+        dcb = connes_distance(c, b, dirac, 1.0, opts).value
         worst_sym = max(worst_sym, abs(dab - dba))
         worst_tri = max(worst_tri, dab - (dac + dcb))
         assert abs(dab - dba) <= 2 * tol
@@ -295,15 +295,15 @@ def test_criterion_8_connes_example():
     rho1 = State(np.diag([1.0, 0.0]).astype(complex))
     rho2 = State(np.diag([0.0, 1.0]).astype(complex))
     diag_ok = all(
-        abs(connes_distance(rho1, rho2, dirac, k, opts) - min(1.0, 2 * k)) <= 1e-4
+        abs(connes_distance(rho1, rho2, dirac, k, opts).value - min(1.0, 2 * k)) <= 1e-4
         for k in (0.1, 0.4, 1.0, 10.0)
     )
     q1 = State(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     q2 = State(np.array([[0.6, -0.1], [-0.1, 0.4]], dtype=complex))
     kappas = (1.0, 2.0, 4.0, 8.0)
-    q_values = [connes_distance(q1, q2, dirac, k, opts) for k in kappas]
+    q_values = [connes_distance(q1, q2, dirac, k, opts).value for k in kappas]
     q_ok = all(v >= 2 * k * 0.3 - 1e-4 for v, k in zip(q_values, kappas))
-    unbounded = math.isinf(connes_distance(q1, q2, dirac, math.inf, opts))
+    unbounded = math.isinf(connes_distance(q1, q2, dirac, math.inf, opts).value)
     _line(
         "8 (spectral distance example)",
         diag_ok and q_ok and unbounded,

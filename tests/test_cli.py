@@ -374,6 +374,24 @@ class TestDist:
                      "--dirac", str(tmp_path / "dirac.json"),
                      str(tmp_path / "f0.json"), str(tmp_path / "f1.json")])
 
+    def test_connes_structured_report_rechecks(self, tmp_path, capsys):
+        # the report's certificate, with the input files, is checkable on its own
+        from specdist.measures import _matrix_decode
+
+        dirac = [[[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]]
+        assert self._connes_on_spectra(tmp_path, dirac, "--kappa", "5") == 0
+        doc = json.loads(capsys.readouterr().out)
+        value, cert = doc["value"], doc["certificate"]
+        (f,) = _matrix_decode(cert["test_function"])
+        assert np.linalg.norm(f, 2) <= 5.0
+        for D in _matrix_decode(dirac):
+            assert np.linalg.norm(D @ f - f @ D, 2) <= 1.0 + 1e-9
+        rho1, rho2 = (load_measure(tmp_path / name).masses.sum(axis=0)
+                      for name in ("f0.json", "f1.json"))
+        assert np.trace((rho1 - rho2) @ f).real == pytest.approx(value, rel=1e-12)
+        assert value <= cert["upper_bound"]
+        assert cert["gap"] <= 1e-6 * cert["upper_bound"]
+
     def test_connes_partial_report_brackets_the_value(self, tmp_path, capsys):
         # the exit-3 bracket is that of the kappa = 5 program, and names kappa
         dirac = [[[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]]

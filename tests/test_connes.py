@@ -13,7 +13,7 @@ from specdist import (
     w1_kappa_scalar,
 )
 from specdist import connes
-from specdist.connes import connes_witness, sufficient_kappa
+from specdist.connes import UNBOUNDED_CAP, sufficient_kappa
 from specdist.measures import Grid
 
 
@@ -59,7 +59,10 @@ class TestStateValidation:
 class TestClosedForms:
     def test_equal_states(self):
         rho = _diag_state(0.3)
-        assert connes_distance(rho, rho, SIGMA_X, 1.0) == 0.0
+        cert = connes_distance(rho, rho, SIGMA_X, 1.0)
+        assert cert.value == 0.0
+        assert cert.upper_bound == 0.0 and cert.iterations == 0
+        assert cert.test_function.shape == (1, 2, 2) and not cert.test_function.any()
 
     @pytest.mark.parametrize("kappa", [math.nan, -math.inf, 0.0])
     def test_rejects_invalid_kappa(self, kappa):
@@ -71,36 +74,40 @@ class TestClosedForms:
     def test_diagonal_difference_states(self, kappa):
         # Hermitian f = [[a,b],[conj b,d]]: the commutator bound forces
         # |a - d| <= 1, the objective is a - d, the kappa ball caps |a|, |d|
-        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, kappa, TIGHT)
+        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, kappa, TIGHT).value
         assert got == pytest.approx(min(1.0, 2 * kappa), abs=1e-6)
 
     def test_qdiffering_lower_bound_family(self):
         rho1 = _offdiag_state(0.6, 0.2)
         rho2 = _offdiag_state(0.6, -0.1)
         for kappa in (1.0, 2.0, 4.0, 8.0):
-            got = connes_distance(rho1, rho2, SIGMA_X, kappa, TIGHT)
+            got = connes_distance(rho1, rho2, SIGMA_X, kappa, TIGHT).value
             assert got >= 2 * kappa * 0.3 - 1e-4
 
     def test_unbounded_flag_for_qdiffering(self):
         rho1 = _offdiag_state(0.6, 0.2)
         rho2 = _offdiag_state(0.6, -0.1)
-        assert math.isinf(connes_distance(rho1, rho2, SIGMA_X, math.inf))
+        cert = connes_distance(rho1, rho2, SIGMA_X, math.inf)
+        assert math.isinf(cert.value)
+        # the flag carries no witness
+        assert cert.upper_bound == math.inf and cert.test_function is None
 
     def test_infinite_kappa_saturating_case(self):
-        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, math.inf)
+        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, math.inf).value
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_degenerate_dirac_reports_unbounded(self):
         identity_dirac = DiracSet(np.eye(2, dtype=complex))
         got = connes_distance(_diag_state(1.0), _diag_state(0.0), identity_dirac, math.inf)
-        assert math.isinf(got)
+        assert math.isinf(got.value)
 
 
 class TestWitness:
     def test_witness_feasible_and_attains_value(self, rng):
         rho1 = _random_state(rng, 2)
         rho2 = _random_state(rng, 2)
-        value, f = connes_witness(rho1, rho2, SIGMA_X, 1.0, TIGHT)
+        cert = connes_distance(rho1, rho2, SIGMA_X, 1.0, TIGHT)
+        value, f = cert.value, cert.test_function[0]
         assert np.linalg.norm(f, 2) <= 1.0 + 1e-10
         for D in SIGMA_X.operators:
             assert np.linalg.norm(D @ f - f @ D, 2) <= 1.0 + 1e-10
@@ -111,9 +118,9 @@ class TestWitness:
         # the error carries the certificate of the kappa = 5 program itself:
         # its bounds bracket the converged value and its f is feasible there
         rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
-        value = connes_witness(rho1, rho2, SIGMA_X, 5.0, TIGHT)[0]
+        value = connes_distance(rho1, rho2, SIGMA_X, 5.0, TIGHT).value
         with pytest.raises(ConvergenceError) as err:
-            connes_witness(rho1, rho2, SIGMA_X, 5.0, SolverOptions(max_iterations=1))
+            connes_distance(rho1, rho2, SIGMA_X, 5.0, SolverOptions(max_iterations=1))
         cert = err.value.solution
         assert cert.lower_bound <= value <= cert.upper_bound
         f = cert.test_function[0]
@@ -126,46 +133,38 @@ class TestScale:
     divided by the size an optimal f can reach beyond 1."""
 
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
-    def test_iterations_stop_growing_above_sufficient_kappa(self, rng, monkeypatch, n, m):
-        iterations = _count_ball_solves(monkeypatch)
+    def test_iterations_stop_growing_above_sufficient_kappa(self, rng, n, m):
         rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
         ops = DiracSet(np.array([np.diag(rng.normal(size=n)).astype(complex)
                                  + 0.3 * _hermitian(rng, n) for _ in range(m)]))
         kappa = sufficient_kappa(rho1, rho2, ops)
         options = SolverOptions(tolerance=1e-6)
-        for factor in (100, 1e4):
-            connes_witness(rho1, rho2, ops, factor * kappa, options)
+        iterations = [connes_distance(rho1, rho2, ops, factor * kappa, options).iterations
+                      for factor in (100, 1e4)]
         assert iterations[1] <= iterations[0]
 
     @pytest.mark.parametrize("factor", [100, 1e4])
-    def test_gap_meets_the_tolerance_far_above_sufficient_kappa(self, rng, monkeypatch, factor):
+    def test_gap_meets_the_tolerance_far_above_sufficient_kappa(self, rng, factor):
         # solved at ball radius kappa, the floor of the relative gap (1% of
         # kappa ||sigma||_*) outgrows the value, which stops growing at kappa*
-        certificates = []
-        original = connes.solve_ball_program
-
-        def kept(*args, **kwargs):
-            certificates.append(original(*args, **kwargs))
-            return certificates[-1]
-
-        monkeypatch.setattr(connes, "solve_ball_program", kept)
         for _ in range(4):
             rho1, rho2 = _random_state(rng, 2), _random_state(rng, 2)
             ops = DiracSet(np.array([_hermitian(rng, 2) for _ in range(2)]))
             kappa = factor * sufficient_kappa(rho1, rho2, ops)
-            value, f = connes_witness(rho1, rho2, ops, kappa, SolverOptions(tolerance=1e-6))
-            assert certificates[-1].gap <= 1e-6 * value
-            assert np.linalg.norm(f, 2) <= kappa
+            cert = connes_distance(rho1, rho2, ops, kappa, SolverOptions(tolerance=1e-6))
+            assert cert.gap <= 1e-6 * cert.value
+            assert np.linalg.norm(cert.test_function[0], 2) <= kappa
 
-    def test_large_kappa_with_the_ball_binding_is_cheap(self, monkeypatch):
+    def test_large_kappa_with_the_ball_binding_is_cheap(self):
         # the distance grows without bound, so the ball binds at every kappa;
         # solved unscaled, the iterations would grow in proportion to kappa
-        iterations = _count_ball_solves(monkeypatch)
         rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
-        at_one = connes_witness(rho1, rho2, SIGMA_X, 1.0, TIGHT)[0]
+        at_one = connes_distance(rho1, rho2, SIGMA_X, 1.0, TIGHT)
+        iterations = [at_one.iterations]
         for kappa in (1e3, 1e5):
-            value = connes_witness(rho1, rho2, SIGMA_X, kappa, TIGHT)[0]
-            assert value == pytest.approx(at_one + 0.6 * (kappa - 1.0), rel=1e-6)
+            cert = connes_distance(rho1, rho2, SIGMA_X, kappa, TIGHT)
+            assert cert.value == pytest.approx(at_one.value + 0.6 * (kappa - 1.0), rel=1e-6)
+            iterations.append(cert.iterations)
         assert max(iterations) <= 4 * iterations[0]
 
 
@@ -175,9 +174,9 @@ class TestSolveCount:
         # sup |tr(sigma f)|, for either order of the states
         calls = _count_ball_solves(monkeypatch)
         rho1, rho2 = _random_state(rng, 2), _random_state(rng, 2)
-        forward = connes_distance(rho1, rho2, SIGMA_X, 1.0, TIGHT)
+        forward = connes_distance(rho1, rho2, SIGMA_X, 1.0, TIGHT).value
         assert len(calls) == 1
-        backward = connes_distance(rho2, rho1, SIGMA_X, 1.0, TIGHT)
+        backward = connes_distance(rho2, rho1, SIGMA_X, 1.0, TIGHT).value
         assert forward > 0.0
         assert backward == pytest.approx(forward, rel=2e-7)
 
@@ -189,16 +188,16 @@ class TestProbe:
         rho1 = _offdiag_state(0.6, 0.2)
         rho2 = _offdiag_state(0.6, -0.1)
         kappas = [1, 2, 4, 8]
-        values = [connes_distance(rho1, rho2, SIGMA_X, k, TIGHT) for k in kappas]
+        values = [connes_distance(rho1, rho2, SIGMA_X, k, TIGHT).value for k in kappas]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         assert np.allclose(np.diff(values) / np.diff(kappas), 2 * 0.3, atol=1e-4)
 
     def test_equal_states_all_zero(self):
         rho = _offdiag_state(0.5, 0.1)
-        assert [connes_distance(rho, rho, SIGMA_X, k) for k in (1, 2, 4)] == [0.0] * 3
+        assert [connes_distance(rho, rho, SIGMA_X, k).value for k in (1, 2, 4)] == [0.0] * 3
 
     def test_diagonal_difference_saturates(self):
-        values = [connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, k, TIGHT)
+        values = [connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, k, TIGHT).value
                   for k in (0.25, 0.5, 1.0, 2.0)]
         assert values == pytest.approx([0.5, 1.0, 1.0, 1.0], abs=1e-6)
 
@@ -208,17 +207,17 @@ class TestMetricProperties:
         opts = SolverOptions(tolerance=1e-6)
         for _ in range(6):
             a, b, c = (_random_state(rng, 2) for _ in range(3))
-            dab = connes_distance(a, b, SIGMA_X, 1.0, opts)
-            dba = connes_distance(b, a, SIGMA_X, 1.0, opts)
-            dac = connes_distance(a, c, SIGMA_X, 1.0, opts)
-            dcb = connes_distance(c, b, SIGMA_X, 1.0, opts)
+            dab = connes_distance(a, b, SIGMA_X, 1.0, opts).value
+            dba = connes_distance(b, a, SIGMA_X, 1.0, opts).value
+            dac = connes_distance(a, c, SIGMA_X, 1.0, opts).value
+            dcb = connes_distance(c, b, SIGMA_X, 1.0, opts).value
             assert abs(dab - dba) <= 2e-6
             assert dab <= dac + dcb + 2e-6
 
     def test_monotone_in_kappa(self, rng):
         a, b = _random_state(rng, 3), _random_state(rng, 3)
         D = DiracSet(np.array([np.diag([1.0, 2.0, 3.0])]).astype(complex))
-        values = [connes_distance(a, b, D, k) for k in (0.5, 1.0, 2.0)]
+        values = [connes_distance(a, b, D, k).value for k in (0.5, 1.0, 2.0)]
         assert values[0] <= values[1] + 1e-6
         assert values[1] <= values[2] + 1e-6
 
@@ -241,7 +240,7 @@ class TestScalarReduction:
             mu1 = scalar_measure(grid, [p1, 1.0 - p1])
             mu2 = scalar_measure(grid, [p2, 1.0 - p2])
             lp = w1_kappa_scalar(mu1, mu2, kappa)
-            got = connes_distance(rho1, rho2, dirac, kappa, TIGHT)
+            got = connes_distance(rho1, rho2, dirac, kappa, TIGHT).value
             assert got == pytest.approx(lp, abs=1e-6)
 
 
@@ -279,14 +278,14 @@ class TestInfiniteKappa:
         calls = _count_ball_solves(monkeypatch)
         rho = _offdiag_state(0.3, 0.2)
         assert (sufficient_kappa(rho, rho, dirac) == 0.0) is kappa_is_zero
-        assert connes_distance(rho, rho, dirac, math.inf) == 0.0
+        assert connes_distance(rho, rho, dirac, math.inf).value == 0.0
         assert calls == []
 
     def test_identity_dirac_is_unbounded_without_a_solve(self, monkeypatch):
         calls = _count_ball_solves(monkeypatch)
         identity = DiracSet(np.eye(2, dtype=complex))
         assert sufficient_kappa(_diag_state(1.0), _diag_state(0.0), identity) == math.inf
-        assert connes_distance(_diag_state(1.0), _diag_state(0.0), identity) == math.inf
+        assert connes_distance(_diag_state(1.0), _diag_state(0.0), identity).value == math.inf
         assert calls == []
         # everything commutes, so equal states need no bound at all
         assert sufficient_kappa(_diag_state(0.3), _diag_state(0.3), identity) == 0.0
@@ -294,20 +293,31 @@ class TestInfiniteKappa:
     def test_offdiagonal_difference_is_unbounded_without_a_solve(self, monkeypatch):
         calls = _count_ball_solves(monkeypatch)
         rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
-        assert connes_distance(rho1, rho2, SIGMA_X, math.inf) == math.inf
+        assert connes_distance(rho1, rho2, SIGMA_X, math.inf).value == math.inf
         assert calls == []
 
     def test_diagonal_difference_is_one(self, monkeypatch):
         calls = _count_ball_solves(monkeypatch)
-        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, math.inf, TIGHT)
+        got = connes_distance(_diag_state(1.0), _diag_state(0.0), SIGMA_X, math.inf, TIGHT).value
         assert got == pytest.approx(1.0, rel=2e-7)
         assert len(calls) == 1   # one bounded solve
+
+    def test_value_above_the_cap_is_unbounded(self):
+        # D = 1e-7 sigma_x scales the diagonal-difference distance from 1 to 1e7
+        tiny = DiracSet(1e-7 * SIGMA_X.operators)
+        loose = SolverOptions(tolerance=0.5)
+        cert = connes_distance(_diag_state(1.0), _diag_state(0.0), tiny, math.inf, loose)
+        assert cert.value == cert.upper_bound == math.inf
+        assert cert.test_function is None and cert.iterations > 0
+        # at a finite kappa the same value is a certificate like any other
+        bounded = connes_distance(_diag_state(1.0), _diag_state(0.0), tiny, 1e9, loose)
+        assert UNBOUNDED_CAP < bounded.value <= bounded.upper_bound < math.inf
 
     def test_larger_commutant_unbounded(self):
         # diag(1, 0, -1) pairs with the eigenprojection of the eigenvalue 2
         rho1, rho2 = _diag3(1.0, 0.0, 0.0), _diag3(0.0, 0.0, 1.0)
         assert sufficient_kappa(rho1, rho2, BLOCK) == math.inf
-        assert connes_distance(rho1, rho2, BLOCK) == math.inf
+        assert connes_distance(rho1, rho2, BLOCK).value == math.inf
 
     def test_larger_commutant_finite(self):
         # diag(1, -1, 0) is orthogonal to every eigenprojection; the pinching
@@ -315,7 +325,7 @@ class TestInfiniteKappa:
         # the 2x2 one
         rho1, rho2 = _diag3(1.0, 0.0, 0.0), _diag3(0.0, 1.0, 0.0)
         assert math.isfinite(sufficient_kappa(rho1, rho2, BLOCK))
-        assert connes_distance(rho1, rho2, BLOCK, math.inf, TIGHT) == pytest.approx(
+        assert connes_distance(rho1, rho2, BLOCK, math.inf, TIGHT).value == pytest.approx(
             1.0, rel=2e-7
         )
 
@@ -327,12 +337,12 @@ class TestInfiniteKappa:
         ops = DiracSet(np.array([np.diag(rng.normal(size=n)).astype(complex)
                                  + 0.3 * _hermitian(rng, n) for _ in range(m)]))
         kappa = sufficient_kappa(rho1, rho2, ops)
-        at_kappa = connes_distance(rho1, rho2, ops, kappa, TIGHT)
-        beyond = connes_distance(rho1, rho2, ops, 4 * kappa, TIGHT)
-        assert connes_distance(rho1, rho2, ops, math.inf, TIGHT) == at_kappa
+        at_kappa = connes_distance(rho1, rho2, ops, kappa, TIGHT).value
+        beyond = connes_distance(rho1, rho2, ops, 4 * kappa, TIGHT).value
+        assert connes_distance(rho1, rho2, ops, math.inf, TIGHT).value == at_kappa
         assert abs(beyond - at_kappa) <= 2e-7 * beyond
         # and the test has teeth: a much smaller bound binds
-        assert connes_distance(rho1, rho2, ops, kappa / 64, TIGHT) < at_kappa
+        assert connes_distance(rho1, rho2, ops, kappa / 64, TIGHT).value < at_kappa
 
 
 def _hermitian(rng, n):

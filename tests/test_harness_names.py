@@ -8,6 +8,7 @@ the benchmark, so these tests read the names from ``perfbench`` itself.
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,26 @@ def test_tracer_installs_and_uninstalls(harness):
         tracer.uninstall()
     for (module, attr, _, _), original in zip(tracing.PATCHES, originals):
         assert getattr(module, attr) is original
+
+
+@pytest.mark.parametrize("kappa, solves", [("1", 1), ("0", 0)], ids=["bounded", "unbounded"])
+def test_traced_connes_request(harness, tmp_path, kappa, solves):
+    # connes.ball_solves_per_distance counts the ball solves under each traced
+    # distance: both names must be the ones the library calls through
+    tracing = importlib.import_module("tracing")
+    assert cli.main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
+    (tmp_path / "dirac.json").write_text(json.dumps([[[[1, 0], [0.5, 0]], [[0.5, 0], [-1, 0]]]]))
+    tracer = tracing.Tracer(cli.main)
+    tracer.install()
+    try:
+        code = tracer.main(["dist", "--metric", "connes", "--kappa", kappa,
+                            "--dirac", str(tmp_path / "dirac.json"), "--out", str(tmp_path / "out"),
+                            str(tmp_path / "f0.json"), str(tmp_path / "f1.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.summary()["connes.connes_distance"]["calls"] == 1
+    assert tracer.children_of("connes.connes_distance", "pdhg.solve_ball_program") == solves
 
 
 def test_timed_kernels_exist(harness):

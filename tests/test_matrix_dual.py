@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,33 @@ class TestChainCertificate:
         # the optimal flow's cost is the least; a generic move raises it
         moved = phi + 1e-6 * np.abs(delta).sum() * np.random.default_rng(K).normal(size=K - 1)
         assert flow_cost(delta, problem.gaps, kappa, moved) > cert.upper_bound * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kappa", [1e-12, 0.3, 10.0, 1e6])
+    @pytest.mark.parametrize("K", [2, 3, 8, 34, 200])
+    @pytest.mark.parametrize("one_signed", [False, True])
+    def test_upper_bound_covers_the_exact_flow_cost(self, K, kappa, one_signed):
+        # the flow's cost in rational arithmetic: every float is exact as a Fraction
+        problem = self._problem([K, int(1e6 * kappa)], K, kappa, one_signed)
+        cert = solve_dual(problem, DEFAULT)
+        delta = [Fraction(d) for d in problem.deltas[:, 0, 0].real]
+        phi = [Fraction(p) for p in cert.flow[:, 0, 0].real]
+        flow = [Fraction(0), *phi, Fraction(0)]
+        cost = Fraction(kappa) * sum(abs(d - flow[k + 1] + flow[k]) for k, d in enumerate(delta)) \
+            + sum(Fraction(g) * abs(p) for g, p in zip(problem.gaps, phi))
+        assert cert.upper_bound >= cost
+        assert cert.value <= cert.upper_bound
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e12, 1e307, 4e307])
+    def test_gap_does_not_grow_with_kappa(self, kappa):
+        # 100 moved over a unit gap: the residuals are 0, so a large kappa
+        # must not widen the rounding allowance of the upper bound
+        grid = Grid(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        problem = assemble_dual(scalar_measure(grid, [100.0, 0.0]),
+                                scalar_measure(grid, [0.0, 100.0]), kappa)
+        cert = solve_dual(problem, DEFAULT)
+        assert cert.value == 100.0
+        assert cert.value <= cert.upper_bound
+        assert cert.gap <= 1e-12 * cert.value
 
     def test_zero_difference(self, rng):
         mu = random_scalar_measure(rng, random_grid(rng, 9))
