@@ -122,10 +122,9 @@ def _cmd_dist(args) -> int:
     except ConvergenceError as exc:
         report["converged"] = False
         report["error"] = str(exc)
-        if exc.solution is not None:
-            report["value"] = exc.solution.value
-            report["lower_bound"] = exc.solution.lower_bound
-            report["upper_bound"] = exc.solution.upper_bound
+        report["value"] = exc.solution.value
+        report["lower_bound"] = exc.solution.lower_bound
+        report["upper_bound"] = exc.solution.upper_bound
         partial_exit = EXIT_SOLVER
 
     _emit_report(report, args)

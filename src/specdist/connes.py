@@ -16,18 +16,21 @@ orthogonal complement of that null space without changing its commutators
 or its pairing with sigma, and there ``||f|| <= ||f||_F <= ||A f|| / s_min
 <= sqrt(M n) / s_min``, with ``s_min`` the smallest nonzero singular value
 of ``A``.  So the unbounded distance is the bounded one at that kappa,
-solved and certified like any other.
+solved and certified like any other, however large: a large kappa* can
+exhaust the iteration budget (``ConvergenceError`` with the bracket), but
+only the commutant makes a distance divergent.
 
 The constraint images are anti-Hermitian; multiplying by -i makes them
 Hermitian with the same operator norm, which puts the problem in the shape
 of :mod:`specdist.pdhg` (eigenvalue-clipping projections throughout).  In
 the real coordinates of :mod:`specdist.linalg` the map is one real
 ``(n^2, M n^2)`` matrix, built once per solve: the forward map is a product
-with it and the adjoint a product with its transpose.  The ball radius is
-``min(kappa, kappa*)``, with kappa* that sufficient kappa: the value is the
-same and f stays feasible for kappa, while a larger radius would lift the
-floor of the relative gap (1% of the radius times ``||sigma||_*``) above the
-value.  :func:`connes_distance` returns that solve's
+with it and the adjoint a product with its transpose.  At every kappa the
+ball radius is ``min(kappa, kappa*)``, with kappa* that sufficient kappa
+(infinite only for a divergent distance): the value is the same and f stays
+feasible for kappa, while a larger radius would lift the floor of the
+relative gap (1% of the radius times ``||sigma||_*``) above the value.
+:func:`connes_distance` returns that solve's
 :class:`~specdist.pdhg.DualCertificate`: f, the value and both bounds
 (also those a ``ConvergenceError`` carries) are not rescaled.  Only the
 iteration sees a scale: the commutator rows are divided by
@@ -60,9 +63,6 @@ STATE_TRACE_TOL = 1e-10
 # identity), and sigma pairs with the commutant when its projection onto
 # that null space exceeds this share of its Frobenius norm
 COMMUTANT_RTOL = 1e-9
-# a kappa = inf distance above this (reachable only through a tiny s_min)
-# is reported as unbounded
-UNBOUNDED_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -134,24 +134,21 @@ def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> Ba
     )
 
 
-def _check_dims(rho1: State, rho2: State, diracs: DiracSet):
-    if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
-        raise ValueError(
-            f"dimension mismatch: states {rho1.dim}, {rho2.dim}, diracs {diracs.dim}"
-        )
-
-
 def sufficient_kappa(rho1: State, rho2: State, diracs: DiracSet) -> float:
     """A kappa at which the bounded distance equals the unbounded one.
 
     ``math.inf`` when the state difference pairs nonzero with the commutant
     (the unbounded distance is infinite), otherwise ``sqrt(M n) / s_min``
-    (see the module docstring).  One SVD of the commutator superoperator in
-    coordinates (``n^2 x M n^2``, real), no iterative solve.
+    (see the module docstring).  One thin SVD of the commutator
+    superoperator in coordinates (``n^2 x M n^2``, real; only its left
+    singular vectors and singular values are read), no iterative solve.
     """
-    _check_dims(rho1, rho2, diracs)
+    if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
+        raise ValueError(
+            f"dimension mismatch: states {rho1.dim}, {rho2.dim}, diracs {diracs.dim}"
+        )
     sigma = linalg.to_coords(rho1.matrix - rho2.matrix)
-    u, s, _ = np.linalg.svd(_commutators(diracs.operators))
+    u, s, _ = np.linalg.svd(_commutators(diracs.operators), full_matrices=False)
     null = s <= COMMUTANT_RTOL * s[0]
     if np.linalg.norm(sigma @ u[:, null]) > COMMUTANT_RTOL * np.linalg.norm(sigma):
         return math.inf
@@ -171,27 +168,23 @@ def connes_distance(
     ``kappa`` is positive, ``math.inf`` for the unbounded distance.  The test
     function ``test_function[0]`` is checkable on its own: operator norm at
     most ``kappa``, every commutator norm at most 1, and trace pairing with
-    ``rho1 - rho2`` equal to ``value``.  Equal states give a 0 certificate
-    without a solve.  At ``kappa = math.inf`` the commutant decides
-    divergence without a solve, and a finite distance is solved at
-    :func:`sufficient_kappa`.  A divergent distance, or one above
-    ``UNBOUNDED_CAP``, is ``value = upper_bound = math.inf``.
+    ``rho1 - rho2`` equal to ``value``.  At every ``kappa`` the ball radius
+    is ``min(kappa, sufficient_kappa(...))`` (module docstring), and the one
+    solve at that radius is the result.  Equal states give a 0 certificate
+    without a solve.  The radius is infinite only when ``kappa = math.inf``
+    and the state difference pairs with the commutant: that distance
+    diverges, and its certificate, returned without a solve, is ``value =
+    upper_bound = math.inf`` with no test function.
     """
-    _check_dims(rho1, rho2, diracs)
     if not kappa > 0:
         raise ValueError(f"kappa must be positive (math.inf for no bound), got {kappa}")
+    radius = min(kappa, sufficient_kappa(rho1, rho2, diracs))
     sigma = rho1.matrix - rho2.matrix
     if not sigma.any():
         return DualCertificate(np.zeros((1,) + sigma.shape, dtype=complex), 0.0, 0.0, 0, 0.0)
-    # the ball radius (module docstring); kappa* needs an SVD, spared at kappa <= 1
-    radius = kappa if kappa <= 1.0 else min(kappa, sufficient_kappa(rho1, rho2, diracs))
-    iterations = 0
-    if radius < math.inf:
-        # the feasible set is symmetric under f -> -f, so the supremum of
-        # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
-        cert = solve_ball_program(_commutator_program(sigma, diracs, radius),
-                                  options or SolverOptions())
-        if kappa < math.inf or cert.value <= UNBOUNDED_CAP:
-            return cert
-        iterations = cert.iterations
-    return DualCertificate(None, math.inf, 0.0, iterations, math.inf)
+    if radius == math.inf:
+        return DualCertificate(None, math.inf, 0.0, 0, math.inf)
+    # the feasible set is symmetric under f -> -f, so the supremum of
+    # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
+    return solve_ball_program(_commutator_program(sigma, diracs, radius),
+                              options or SolverOptions())

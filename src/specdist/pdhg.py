@@ -90,10 +90,10 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before certification.
 
     ``solution`` holds the best certified result available at abort (see
-    :class:`Certified`), or None when no useful iterate exists.
+    :class:`Certified`).
     """
 
-    def __init__(self, message: str, solution=None):
+    def __init__(self, message: str, solution):
         super().__init__(message)
         self.solution = solution
 
@@ -173,11 +173,12 @@ def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
     them; the driver keeps the best of each.  ``package(lower, lower_witness,
     upper, upper_witness, iterations)`` builds the caller's result, returned on
     certification and carried by :class:`ConvergenceError` otherwise.  The
-    relative gap is taken against at least 1% of the larger bound at the
-    starting point.
+    relative gap is taken against at least 1% of the lower bound at the
+    starting point when that is positive (a known value the caller passed
+    in), otherwise 1% of the upper bound there.
     """
     best = list(certify(x, y))   # (lower, its witness, upper, its witness) so far
-    floor = 0.01 * max(abs(best[0]), abs(best[2]))
+    floor = 0.01 * (best[0] if best[0] > 0 else abs(best[2]))
 
     def relative(lower, upper) -> float:
         return (upper - lower) / max(abs(upper), abs(lower), floor)

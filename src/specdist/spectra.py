@@ -254,8 +254,6 @@ def table1_report(
                 extra = {"iterations": cert.iterations}
             value, upper = cert.value, cert.upper_bound
         except ConvergenceError as exc:
-            if exc.solution is None:
-                raise
             # keep the best certified bracket of the solve that gave up
             value, upper = exc.solution.lower_bound, exc.solution.upper_bound
             extra = {"iterations": exc.solution.iterations, "converged": False}

@@ -365,6 +365,17 @@ class TestDist:
         out = capsys.readouterr().out
         assert "0.5" in out
 
+    def test_connes_large_sufficient_kappa_is_a_certified_value(self, tmp_path, capsys):
+        # D = 1e-7 sigma_x: kappa* = 7.07e6, and the kappa = inf distance (1e7)
+        # is certified at that radius, not reported as divergent
+        code = self._connes(tmp_path, 1e-7, "--kappa", "0", "--tol", "0.5",
+                            "--format", "structured")
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kappa"] == "inf"
+        assert doc["value"] == 10000000.000000002
+        assert doc["value"] <= doc["certificate"]["upper_bound"]
+
     @staticmethod
     def _connes_on_spectra(tmp_path, dirac, *flags):
         """``dist --metric connes`` on 4-point gen-spectra files, structured."""

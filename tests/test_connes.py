@@ -13,7 +13,7 @@ from specdist import (
     w1_kappa_scalar,
 )
 from specdist import connes
-from specdist.connes import UNBOUNDED_CAP, sufficient_kappa
+from specdist.connes import sufficient_kappa
 from specdist.measures import Grid
 
 
@@ -302,16 +302,33 @@ class TestInfiniteKappa:
         assert got == pytest.approx(1.0, rel=2e-7)
         assert len(calls) == 1   # one bounded solve
 
-    def test_value_above_the_cap_is_unbounded(self):
-        # D = 1e-7 sigma_x scales the diagonal-difference distance from 1 to 1e7
+    def test_large_sufficient_kappa_is_certified(self):
+        # D = 1e-7 sigma_x scales the diagonal-difference distance from 1 to
+        # 1e7 (kappa* = 7.07e6): kappa = inf is the solve at kappa*, like 1e9
         tiny = DiracSet(1e-7 * SIGMA_X.operators)
         loose = SolverOptions(tolerance=0.5)
-        cert = connes_distance(_diag_state(1.0), _diag_state(0.0), tiny, math.inf, loose)
-        assert cert.value == cert.upper_bound == math.inf
-        assert cert.test_function is None and cert.iterations > 0
-        # at a finite kappa the same value is a certificate like any other
-        bounded = connes_distance(_diag_state(1.0), _diag_state(0.0), tiny, 1e9, loose)
-        assert UNBOUNDED_CAP < bounded.value <= bounded.upper_bound < math.inf
+        unbounded, bounded = (
+            connes_distance(_diag_state(1.0), _diag_state(0.0), tiny, kappa, loose)
+            for kappa in (math.inf, 1e9)
+        )
+        assert (unbounded.value, unbounded.upper_bound, unbounded.iterations) == (
+            bounded.value, bounded.upper_bound, bounded.iterations)
+        assert 1e6 < unbounded.value <= unbounded.upper_bound < math.inf
+
+    def test_kappa_above_sufficient_kappa_solves_at_it(self):
+        # D = 10 sigma_x: kappa* = 0.0707 < 1, so kappa = 1 and kappa = inf
+        # are one solve at the same radius
+        big = DiracSet(10.0 * SIGMA_X.operators)
+        tight = SolverOptions(tolerance=1e-9)
+        one, unbounded = (
+            connes_distance(_diag_state(1.0), _diag_state(0.0), big, kappa, tight)
+            for kappa in (1.0, math.inf)
+        )
+        assert sufficient_kappa(_diag_state(1.0), _diag_state(0.0), big) < 1.0
+        assert (one.value, one.upper_bound, one.iterations, one.feasibility_residual) == (
+            unbounded.value, unbounded.upper_bound, unbounded.iterations,
+            unbounded.feasibility_residual)
+        np.testing.assert_array_equal(one.test_function, unbounded.test_function)
 
     def test_larger_commutant_unbounded(self):
         # diag(1, 0, -1) pairs with the eigenprojection of the eigenvalue 2

@@ -251,6 +251,19 @@ class TestDualityGap:
         assert cert.lower_bound == cert.value
         assert cert.upper_bound - cert.lower_bound <= 5e-4 * cert.upper_bound
 
+    def test_primal_floor_is_set_by_the_known_value(self):
+        # A moves over a 1e-3 gap: the diagonal start's objective, kappa ||Delta||_TV,
+        # is ~2,000 times the value, so a floor taken from it would let the
+        # primal stop far from the dual's value
+        A = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+        B = np.array([[1.0, 0.5j], [-0.5j, 3.0]])
+        zero = np.zeros((2, 2), dtype=complex)
+        grid = Grid(np.array([0.0, 1e-3, 2e-3]), np.ones(3))
+        mu1 = MatrixMeasure(grid, np.array([A, zero, B]))
+        mu2 = MatrixMeasure(grid, np.array([zero, A, B]))
+        report = duality_gap(mu1, mu2, 1.0, GAP_OPTS)
+        assert 0.0 <= report.relative_gap <= 1e-3
+
     def test_single_point_grid(self, rng):
         # one grid point: transport is free on the diagonal, the optimum is
         # kappa times the nuclear norm of the mass difference
