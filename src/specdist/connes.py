@@ -27,9 +27,9 @@ the real coordinates of :mod:`specdist.linalg` the map is one real
 ``(n^2, M n^2)`` matrix, built once per solve: the forward map is a product
 with it and the adjoint a product with its transpose.  At every kappa the
 ball radius is ``min(kappa, kappa*)``, with kappa* that sufficient kappa
-(infinite only for a divergent distance): the value is the same and f stays
-feasible for kappa, while a larger radius would lift the floor of the
-relative gap (1% of the radius times ``||sigma||_*``) above the value.
+(infinite only for a divergent distance): the value is the same, f stays
+feasible for kappa, and the row scale s below, capped at kappa*, keeps the
+iterations from growing with kappa beyond it.
 :func:`connes_distance` returns that solve's
 :class:`~specdist.pdhg.DualCertificate`: f, the value and both bounds
 (also those a ``ConvergenceError`` carries) are not rescaled.  Only the

@@ -147,8 +147,7 @@ def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCert
     residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)
     cert = DualCertificate(F[..., None].astype(complex), value, residual, 0, upper,
                            phi[:, None, None].astype(complex))
-    floor = 0.01 * kappa * float(np.abs(delta).sum())   # as in pdhg.pdhg: at F = 0, Y = 0
-    if not within_tolerance(value, upper, floor, options.tolerance):
+    if not within_tolerance(value, upper, options.tolerance):
         raise ConvergenceError(
             f"the exact chain certificate misses relative gap {options.tolerance:.1e} "
             f"by roundoff (bounds [{value:.6g}, {upper:.6g}])", cert)

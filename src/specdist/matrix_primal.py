@@ -56,7 +56,7 @@ import numpy as np
 from . import linalg
 from .measures import MatrixMeasure, _check_compatible
 from .matrix_dual import DualCertificate, _adjoint, _forward, assemble_dual, solve_dual
-from .pdhg import Certified, ConvergenceError, SolverOptions, _feasibility_scale, pdhg
+from .pdhg import Certified, ConvergenceError, SolverOptions, _feasibility_scale, pdhg, relative_gap
 
 __all__ = [
     "TransportSolution",
@@ -251,13 +251,11 @@ def duality_gap(
         primal = solve_unbalanced_primal(mu1, mu2, kappa, halved, certificate)
     except ConvergenceError as exc:
         raise ConvergenceError(f"gap audit: {exc}", certificate) from exc
-    gap = primal.objective - certificate.value
-    rel = gap / max(abs(primal.objective), abs(certificate.value), 1e-12)
     return GapReport(
         primal=primal.objective,
         dual=certificate.value,
-        gap=gap,
-        relative_gap=rel,
+        gap=primal.objective - certificate.value,
+        relative_gap=relative_gap(certificate.value, primal.objective),
         primal_solution=primal,
         dual_certificate=certificate,
     )

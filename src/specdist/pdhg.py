@@ -22,11 +22,11 @@ Every solve is certified from both sides without trusting the iteration:
   ``sum_b rho_b ||(C - L* Y)_b||_* + sum_e r_e ||Y_e||_*``
   by weak duality (Hoelder on each block).
 
-The iteration stops when the certified relative gap reaches the requested
-tolerance, which makes the reported value trustworthy independent of step
-sizes and iteration counts.  A ball program's result is a
-:class:`DualCertificate`: the feasible iterate with the best lower bound,
-its value and the best upper bound.
+The iteration stops when the best bounds' own relative gap
+(:func:`relative_gap`) reaches the requested tolerance, which makes the
+reported value trustworthy independent of step sizes and iteration
+counts.  A ball program's result is a :class:`DualCertificate`: the feasible
+iterate with the best lower bound, its value and the best upper bound.
 
 :func:`pdhg` is the one PDHG driver of the package; the ball programs here
 and the transport program of :mod:`specdist.matrix_primal` supply their
@@ -147,10 +147,17 @@ class DualCertificate(Certified):
         return self.value
 
 
-def within_tolerance(lower: float, upper: float, floor: float, tolerance: float) -> bool:
-    """The stopping test: a finite relative gap, against at least ``floor``, within tolerance."""
-    scale = max(abs(upper), abs(lower), floor)
-    return math.isfinite(scale) and upper - lower <= tolerance * scale
+def relative_gap(lower: float, upper: float) -> float:
+    """``(upper - lower) / max(|upper|, |lower|)``; 0 at [0, 0], infinite unless both are finite."""
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        return math.inf
+    scale = max(abs(upper), abs(lower))
+    return (upper - lower) / scale if scale else 0.0
+
+
+def within_tolerance(lower: float, upper: float, tolerance: float) -> bool:
+    """The stopping test: the bracket's relative gap within tolerance."""
+    return relative_gap(lower, upper) <= tolerance
 
 
 def _move(new: np.ndarray, old: np.ndarray) -> float:
@@ -172,16 +179,10 @@ def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
     certified bounds on the optimum with whatever the caller needs to report
     them; the driver keeps the best of each.  ``package(lower, lower_witness,
     upper, upper_witness, iterations)`` builds the caller's result, returned on
-    certification and carried by :class:`ConvergenceError` otherwise.  The
-    relative gap is taken against at least 1% of the lower bound at the
-    starting point when that is positive (a known value the caller passed
-    in), otherwise 1% of the upper bound there.
+    certification and carried by :class:`ConvergenceError` otherwise.  Stops,
+    restarts and the error message all read :func:`relative_gap` of a bracket.
     """
     best = list(certify(x, y))   # (lower, its witness, upper, its witness) so far
-    floor = 0.01 * (best[0] if best[0] > 0 else abs(best[2]))
-
-    def relative(lower, upper) -> float:
-        return (upper - lower) / max(abs(upper), abs(lower), floor)
 
     def check(xp, yp) -> float:
         lower, lower_witness, upper, upper_witness = certify(xp, yp)
@@ -189,14 +190,14 @@ def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
             best[0:2] = lower, lower_witness
         if upper < best[2]:
             best[2:4] = upper, upper_witness
-        return relative(lower, upper)
+        return relative_gap(lower, upper)
 
     def certified() -> bool:
-        return within_tolerance(best[0], best[2], floor, options.tolerance)
+        return within_tolerance(best[0], best[2], options.tolerance)
 
     if certified():
         return package(*best, 0)
-    restart_gap = relative(best[0], best[2])
+    restart_gap = relative_gap(best[0], best[2])
 
     def steps(omega):
         tau, sigma = 0.999 * omega / map_norm, 0.999 / (omega * map_norm)
@@ -237,7 +238,7 @@ def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
     raise ConvergenceError(
         f"no certificate at relative gap {options.tolerance:.1e} within "
         f"{options.max_iterations} iterations (bounds [{best[0]:.6g}, {best[2]:.6g}], "
-        f"reached {relative(best[0], best[2]):.2e})",
+        f"reached {relative_gap(best[0], best[2]):.2e})",
         package(*best, options.max_iterations),
     )
 

@@ -60,6 +60,22 @@ def random_scalar_measure(rng, grid, scale=1.0):
     return scalar_measure(grid, rng.uniform(0.0, scale, size=grid.size))
 
 
+def short_gap_pair(h, scale=1.0):
+    """A = [[2, 1], [1, 1]] times ``scale`` moved over the gap ``h``: the W1,kappa
+    value at kappa = 1 is ``3 h scale``, far below ``kappa ||Delta||_TV = 6 scale``."""
+    A = scale * np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
+    grid = Grid(np.array([0.0, h]), np.ones(2))
+    return MatrixMeasure(grid, np.array([A, zero])), MatrixMeasure(grid, np.array([zero, A]))
+
+
+def cancellation_pair():
+    """1x1 masses 1 and 1 - 1e-12 a gap of 1e-14 apart: the value, ~1.01e-12, cancels
+    against sum |delta_k f_k| ~ 2, so the exact certificate's relative gap is ~1.3e-3."""
+    grid = Grid(np.array([0.0, 1e-14]), np.ones(2))
+    return scalar_measure(grid, [1.0, 0.0]), scalar_measure(grid, [0.0, 1.0 - 1e-12])
+
+
 def flow_cost(delta, gaps, kappa, phi):
     """Cost of the edge flow ``phi`` in the dual of the chain program, by plain numpy:
     ``kappa sum_k |delta_k - phi_k + phi_{k-1}| + sum_e g_e |phi_e|``."""

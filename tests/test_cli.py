@@ -14,6 +14,8 @@ from specdist import load_measure, save_measure
 from specdist.cli import main
 from specdist.spectra import TableCell
 
+from conftest import cancellation_pair, short_gap_pair
+
 
 @pytest.fixture(scope="module")
 def spectra_dir(tmp_path_factory):
@@ -269,6 +271,31 @@ class TestDist:
         assert doc["converged"] is False
         assert doc["lower_bound"] == doc["value"] <= doc["upper_bound"]
         assert "Traceback" not in err
+
+    def test_short_gap_certificate_meets_the_tolerance(self, tmp_path, capsys):
+        paths = [str(tmp_path / "near0.json"), str(tmp_path / "near1.json")]
+        for mu, path in zip(short_gap_pair(1e-6), paths):
+            save_measure(mu, path)
+        code = main(["dist", "--metric", "matrix-w1k", "--tol", "1e-3",
+                     "--format", "structured", *paths])
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["gap"] <= 1e-3 * cert["upper_bound"]
+
+    def test_cancellation_below_the_tolerance_exits_3_with_partial(self, tmp_path, capsys):
+        # the exact n = 1 certificate's bracket is ~1.3e-3 wide at the value ~1.01e-12
+        paths = [str(tmp_path / "c0.json"), str(tmp_path / "c1.json")]
+        for mu, path in zip(cancellation_pair(), paths):
+            save_measure(mu, path)
+        code = main(["dist", "--metric", "matrix-w1k", "--tol", "1e-6",
+                     "--format", "structured", *paths])
+        assert code == 3
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        assert doc["lower_bound"] == pytest.approx(1.00997e-12, rel=1e-5)
+        assert doc["upper_bound"] == pytest.approx(1.01131e-12, rel=1e-5)
+        assert "by roundoff" in doc["error"] and "Traceback" not in err
 
     def test_stalled_gap_audit_exits_3_with_partial(self, tmp_path, capsys):
         # a budget that certifies both dual solves but not the transport primal

@@ -145,8 +145,9 @@ class TestScale:
 
     @pytest.mark.parametrize("factor", [100, 1e4])
     def test_gap_meets_the_tolerance_far_above_sufficient_kappa(self, rng, factor):
-        # solved at ball radius kappa, the floor of the relative gap (1% of
-        # kappa ||sigma||_*) outgrows the value, which stops growing at kappa*
+        # the value stops growing at kappa*; solved at ball radius min(kappa, kappa*)
+        # with the row scale capped there, the gap meets the tolerance at the
+        # value's own scale however far kappa is above kappa*
         for _ in range(4):
             rho1, rho2 = _random_state(rng, 2), _random_state(rng, 2)
             ops = DiracSet(np.array([_hermitian(rng, 2) for _ in range(2)]))

@@ -18,11 +18,11 @@ from specdist import (
 )
 from specdist.matrix_dual import ball_program
 from specdist.measures import Grid
-from specdist.pdhg import solve_ball_program
+from specdist.pdhg import relative_gap, solve_ball_program
 from specdist.scalar_metrics import w1_kappa_chain
 
-from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
-                      random_scalar_measure)
+from conftest import (cancellation_pair, flow_cost, random_grid, random_matrix_measure,
+                      random_psd, random_scalar_measure, short_gap_pair)
 
 TIGHT = SolverOptions(tolerance=1e-7)
 DEFAULT = SolverOptions(tolerance=1e-6)
@@ -151,10 +151,14 @@ class TestSolveDual:
         assert best.value <= best.upper_bound
         assert best.test_function.shape == (8, 2, 2)
 
-
-def _relative_gap(cert, problem):
-    floor = 0.01 * problem.kappa * float(np.abs(problem.deltas).sum())
-    return cert.gap / max(abs(cert.upper_bound), abs(cert.value), floor)
+    @pytest.mark.parametrize("h", [1e-6, 1e-9])
+    def test_short_gap_meets_the_tolerance(self, h):
+        # the value 3h is far below kappa ||Delta||_TV = 6, the bound at the start;
+        # the bracket's own relative gap decides when the solve stops
+        cert = solve_dual(assemble_dual(*short_gap_pair(h), 1.0), SolverOptions(tolerance=1e-3))
+        assert cert.gap <= 1e-3 * cert.upper_bound
+        assert cert.value <= 3 * h * (1 + 1e-12)
+        assert 3 * h <= cert.upper_bound * (1 + 1e-12)
 
 
 class TestChainCertificate:
@@ -180,7 +184,7 @@ class TestChainCertificate:
         cert = solve_dual(problem, DEFAULT)
         assert cert.iterations == 0
         assert cert.upper_bound >= cert.value
-        assert _relative_gap(cert, problem) <= 1e-12
+        assert relative_gap(cert.value, cert.upper_bound) <= 1e-12
         violation, mismatch = check_certificate(problem, cert)
         assert violation <= 1e-14 * max(1.0, kappa)   # roundoff in f's Lipschitz steps
         assert mismatch <= 1e-12 * max(1.0, cert.value)
@@ -266,6 +270,18 @@ class TestChainCertificate:
         assert cert.iterations == 0
         assert cert.value <= cert.upper_bound
         assert cert.test_function.shape == (20, 1, 1)
+
+    def test_cancellation_below_the_tolerance_raises(self):
+        # the value ~1.01e-12 cancels against sum |delta_k f_k| ~ 2: roundoff leaves
+        # the bracket ~1.3e-3 wide, far above the tolerance asked for
+        with pytest.raises(ConvergenceError, match="by roundoff") as info:
+            solve_dual(assemble_dual(*cancellation_pair(), 1.0), SolverOptions(tolerance=1e-6))
+        cert = info.value.solution
+        assert cert.iterations == 0
+        assert cert.value == pytest.approx(1.00997e-12, rel=1e-5)
+        assert cert.upper_bound == pytest.approx(1.01131e-12, rel=1e-5)
+        assert cert.value <= cert.upper_bound
+        assert cert.gap > 1e-6 * cert.upper_bound
 
 
 class TestDw1Kappa:

@@ -19,7 +19,7 @@ from specdist.matrix_primal import _plan_marginals
 from specdist.measures import Grid
 
 from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
-                      random_scalar_measure)
+                      random_scalar_measure, short_gap_pair)
 
 GAP_OPTS = SolverOptions(tolerance=1e-3)
 
@@ -253,8 +253,8 @@ class TestDualityGap:
 
     def test_primal_floor_is_set_by_the_known_value(self):
         # A moves over a 1e-3 gap: the diagonal start's objective, kappa ||Delta||_TV,
-        # is ~2,000 times the value, so a floor taken from it would let the
-        # primal stop far from the dual's value
+        # is ~2,000 times the value; the primal's relative gap must still be
+        # measured at the value's own scale
         A = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
         B = np.array([[1.0, 0.5j], [-0.5j, 3.0]])
         zero = np.zeros((2, 2), dtype=complex)
@@ -262,6 +262,20 @@ class TestDualityGap:
         mu1 = MatrixMeasure(grid, np.array([A, zero, B]))
         mu2 = MatrixMeasure(grid, np.array([zero, A, B]))
         report = duality_gap(mu1, mu2, 1.0, GAP_OPTS)
+        assert 0.0 <= report.relative_gap <= 1e-3
+
+    def test_short_gap_audit_meets_the_tolerance(self):
+        # the value 3e-6 is far below kappa ||Delta||_TV = 6, where the dual's
+        # iteration starts; the audit's relative gap is the bracket's own
+        report = duality_gap(*short_gap_pair(1e-6), 1.0, GAP_OPTS)
+        assert 0.0 <= report.relative_gap <= 1e-3
+
+    def test_relative_gap_has_no_absolute_floor(self):
+        # masses x 1e-10: the values are ~3e-16, so a floor of 1e-12 under the
+        # quotient would report a relative gap thousands of times too small
+        report = duality_gap(*short_gap_pair(1e-6, 1e-10), 1.0, GAP_OPTS)
+        assert report.dual == pytest.approx(3e-16, rel=1e-3)
+        assert report.relative_gap == report.gap / max(abs(report.primal), abs(report.dual))
         assert 0.0 <= report.relative_gap <= 1e-3
 
     def test_single_point_grid(self, rng):

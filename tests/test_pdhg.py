@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specdist import SolverOptions, linalg
-from specdist.pdhg import BallProgram, solve_ball_program, within_tolerance
+from specdist.pdhg import BallProgram, relative_gap, solve_ball_program, within_tolerance
 
 from conftest import random_hermitian
 
@@ -101,9 +101,23 @@ def test_certified_bounds_sandwich_the_value(rng):
     assert solution.feasibility_residual <= 1e-12
 
 
-@pytest.mark.parametrize("lower, upper, floor", [
-    (0.0, math.inf, 0.0), (-math.inf, 1.0, 0.0), (0.0, 1.0, math.inf),
+@pytest.mark.parametrize("lower, upper", [
+    (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
 ])
-def test_within_tolerance_never_accepts_a_non_finite_gap(lower, upper, floor):
-    assert not within_tolerance(lower, upper, floor, 1e-6)
-    assert within_tolerance(1.0, 1.0 + 1e-7, 0.0, 1e-6)
+def test_within_tolerance_never_accepts_a_non_finite_gap(lower, upper):
+    assert not within_tolerance(lower, upper, 1e-6)
+    assert within_tolerance(1.0, 1.0 + 1e-7, 1e-6)
+    assert within_tolerance(0.0, 0.0, 1e-6)
+
+
+def test_relative_gap_is_the_brackets_own():
+    assert relative_gap(0.0, 0.0) == 0.0
+    assert relative_gap(2.0, 3.0) == 1.0 / 3.0
+    assert relative_gap(-3.0, -2.0) == 1.0 / 3.0
+    assert relative_gap(3e-6, 3.0000142e-6) == (3.0000142e-6 - 3e-6) / 3.0000142e-6
+    assert relative_gap(1e-300, 2e-300) == 0.5     # no floor, however small the bracket
+    assert relative_gap(0.0, 1e-300) == 1.0
+    assert relative_gap(1.0, 0.5) == -0.5          # an inverted bracket stays negative
+    for lower, upper in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 0.0),
+                         (math.inf, math.inf)]:
+        assert relative_gap(lower, upper) == math.inf
