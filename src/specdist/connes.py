@@ -16,27 +16,24 @@ orthogonal complement of that null space without changing its commutators
 or its pairing with sigma, and there ``||f|| <= ||f||_F <= ||A f|| / s_min
 <= sqrt(M n) / s_min``, with ``s_min`` the smallest nonzero singular value
 of ``A``.  So the unbounded distance is the bounded one at that kappa,
-solved and certified like any other, however large: a large kappa* can
-exhaust the iteration budget (``ConvergenceError`` with the bracket), but
-only the commutant makes a distance divergent.
+solved and certified like any other, however large: only the commutant
+makes a distance divergent.
 
 The constraint images are anti-Hermitian; multiplying by -i makes them
 Hermitian with the same operator norm, which puts the problem in the shape
-of :mod:`specdist.pdhg` (eigenvalue-clipping projections throughout).  In
-the real coordinates of :mod:`specdist.linalg` the map is one real
-``(n^2, M n^2)`` matrix, built once per solve: the forward map is a product
-with it and the adjoint a product with its transpose.  At every kappa the
-ball radius is ``min(kappa, kappa*)``, with kappa* that sufficient kappa
-(infinite only for a divergent distance): the value is the same, f stays
-feasible for kappa, and the row scale s below, capped at kappa*, keeps the
-iterations from growing with kappa beyond it.
-:func:`connes_distance` returns that solve's
-:class:`~specdist.pdhg.DualCertificate`: f, the value and both bounds
-(also those a ``ConvergenceError`` carries) are not rescaled.  Only the
-iteration sees a scale: the commutator rows are divided by
-``s = max(1, min(kappa, kappa*))``, the largest norm beyond 1 an optimal f
-needs.  Unscaled, the iteration (primal weight 1 at the start) would take
-iterations in proportion to it.
+of a :class:`~specdist.pdhg.BallProgram`: ``||f|| <= kappa`` and each
+``||-i[D_i, f]|| <= 1`` are pairs of linear matrix inequalities, so the
+program is one small semidefinite program, solved by the interior-point
+method of :mod:`specdist.ipm`.  In the real coordinates of
+:mod:`specdist.linalg` the map is one real ``(n^2, M n^2)`` matrix, built
+once per distance and shared with :func:`sufficient_kappa`: the forward map
+is a product with it and the adjoint a product with its transpose.  At every
+kappa the ball radius is ``min(kappa, kappa*)``, with kappa* that sufficient
+kappa (infinite only for a divergent distance): the value is the same, and f
+stays feasible for kappa.  :func:`connes_distance` returns that solve's
+:class:`~specdist.pdhg.DualCertificate`: f, the value, both bounds (also
+those a ``ConvergenceError`` carries) and, as ``flow``, the ``Y`` of the
+upper bound.
 """
 
 from __future__ import annotations
@@ -48,7 +45,8 @@ import numpy as np
 
 from . import linalg
 from .measures import _readonly
-from .pdhg import BallProgram, DualCertificate, SolverOptions, solve_ball_program
+from .ipm import solve_ball_program
+from .pdhg import BallProgram, DualCertificate, SolverOptions
 
 __all__ = [
     "State",
@@ -118,19 +116,16 @@ def _commutators(ops: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(images.transpose(1, 0, 2).reshape(basis.shape[0], -1))
 
 
-def _commutator_program(sigma: np.ndarray, diracs: DiracSet, kappa: float) -> BallProgram:
-    scale = max(1.0, kappa)
-    ops = diracs.operators / scale    # the rows divided by s (module docstring)
-    A = _commutators(ops)
-    norms = linalg.hermitian_op_norms(ops)
-    map_norm = 2.0 * float(np.sqrt((norms**2).sum()))
+def _commutator_program(sigma: np.ndarray, diracs: DiracSet, A: np.ndarray,
+                        kappa: float) -> BallProgram:
+    norms = linalg.hermitian_op_norms(diracs.operators)
     return BallProgram(
         objective=linalg.to_coords(sigma)[None],
         ball_radii=np.full(1, kappa),
         forward=lambda F: (F[0] @ A).reshape(diracs.count, -1),
         adjoint=lambda Y: (A @ Y.ravel())[None],
-        image_radii=np.full(diracs.count, 1.0 / scale),
-        map_norm=max(map_norm, 1e-300),
+        image_radii=np.ones(diracs.count),
+        map_norm=max(2.0 * float(np.sqrt((norms**2).sum())), 1e-300),
     )
 
 
@@ -143,12 +138,17 @@ def sufficient_kappa(rho1: State, rho2: State, diracs: DiracSet) -> float:
     superoperator in coordinates (``n^2 x M n^2``, real; only its left
     singular vectors and singular values are read), no iterative solve.
     """
+    return _sufficient_kappa(rho1, rho2, diracs, _commutators(diracs.operators))
+
+
+def _sufficient_kappa(rho1: State, rho2: State, diracs: DiracSet, A: np.ndarray) -> float:
+    """:func:`sufficient_kappa` from the commutator matrix ``A`` of ``diracs``."""
     if rho1.dim != rho2.dim or rho1.dim != diracs.dim:
         raise ValueError(
             f"dimension mismatch: states {rho1.dim}, {rho2.dim}, diracs {diracs.dim}"
         )
     sigma = linalg.to_coords(rho1.matrix - rho2.matrix)
-    u, s, _ = np.linalg.svd(_commutators(diracs.operators), full_matrices=False)
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
     null = s <= COMMUTANT_RTOL * s[0]
     if np.linalg.norm(sigma @ u[:, null]) > COMMUTANT_RTOL * np.linalg.norm(sigma):
         return math.inf
@@ -170,7 +170,8 @@ def connes_distance(
     most ``kappa``, every commutator norm at most 1, and trace pairing with
     ``rho1 - rho2`` equal to ``value``.  At every ``kappa`` the ball radius
     is ``min(kappa, sufficient_kappa(...))`` (module docstring), and the one
-    solve at that radius is the result.  Equal states give a 0 certificate
+    solve at that radius is the result; its ``iterations`` are Newton steps
+    (``options.max_iterations`` caps them).  Equal states give a 0 certificate
     without a solve.  The radius is infinite only when ``kappa = math.inf``
     and the state difference pairs with the commutant: that distance
     diverges, and its certificate, returned without a solve, is ``value =
@@ -178,7 +179,8 @@ def connes_distance(
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive (math.inf for no bound), got {kappa}")
-    radius = min(kappa, sufficient_kappa(rho1, rho2, diracs))
+    A = _commutators(diracs.operators)
+    radius = min(kappa, _sufficient_kappa(rho1, rho2, diracs, A))
     sigma = rho1.matrix - rho2.matrix
     if not sigma.any():
         return DualCertificate(np.zeros((1,) + sigma.shape, dtype=complex), 0.0, 0.0, 0, 0.0)
@@ -186,5 +188,5 @@ def connes_distance(
         return DualCertificate(None, math.inf, 0.0, 0, math.inf)
     # the feasible set is symmetric under f -> -f, so the supremum of
     # |tr(sigma f)| is that of the linear objective tr(sigma f): one solve
-    return solve_ball_program(_commutator_program(sigma, diracs, radius),
+    return solve_ball_program(_commutator_program(sigma, diracs, A, radius),
                               options or SolverOptions())

@@ -10,8 +10,10 @@ over stacked Hermitian blocks ``F``, where ``L`` is a linear map into
 Hermitian blocks (adjacent differences for the Wasserstein dual, commutators
 for the spectral distance).  Both constraint families admit exact projections
 by eigenvalue clipping, so a primal-dual hybrid-gradient (PDHG) iteration
-applies directly.  A :class:`BallProgram` is stated in the real coordinates
-of :mod:`specdist.linalg` (``C``, ``F`` and ``Y`` are ``(..., n^2)`` stacks);
+applies directly; the spectral distance's program, with its one ball block,
+goes to the interior-point method of :mod:`specdist.ipm` instead.  A
+:class:`BallProgram` is stated in the real coordinates of
+:mod:`specdist.linalg` (``C``, ``F`` and ``Y`` are ``(..., n^2)`` stacks);
 only the reported test function is converted back to matrices.
 
 Every solve is certified from both sides without trusting the iteration:
@@ -28,10 +30,10 @@ reported value trustworthy independent of step sizes and iteration
 counts.  A ball program's result is a :class:`DualCertificate`: the feasible
 iterate with the best lower bound, its value and the best upper bound.
 
-:func:`pdhg` is the one PDHG driver of the package; the ball programs here
-and the transport program of :mod:`specdist.matrix_primal` supply their
-linear map, a ``certify`` hook that turns any primal-dual pair into certified
-bounds and a builder of their proximal maps at given steps.  The driver
+:func:`pdhg` is the one PDHG driver of the package; the Wasserstein dual's
+ball program here and the transport program of :mod:`specdist.matrix_primal`
+supply their linear map, a ``certify`` hook that turns any primal-dual pair
+into certified bounds and a builder of their proximal maps at given steps.  The driver
 builds the prox maps once per step size, at the start and at each restart
 that moves ``omega``, so step constants such as ``tau C`` are formed there
 and not in every iteration.  The driver follows PDLP (Applegate
@@ -68,12 +70,13 @@ WEIGHT_SMOOTHING = 0.5      # weight of the newest move ratio in log(omega)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration controls shared by all first-order solves.
+    """Iteration controls shared by all certified solves.
 
     ``tolerance`` is the certified relative duality gap at which a solve is
-    declared converged, and ``max_iterations`` its budget.  Step sizes are
-    not options: the driver derives them from ``||L||`` and its adaptive
-    primal weight (see the module docstring).
+    declared converged, and ``max_iterations`` its budget (Newton steps for
+    the interior-point solve of :mod:`specdist.ipm`).  Step sizes are not
+    options: the driver derives them from ``||L||`` and its adaptive primal
+    weight (see the module docstring).
     """
 
     max_iterations: int = 200_000

@@ -12,7 +12,7 @@ from specdist import (
     scalar_measure,
     w1_kappa_scalar,
 )
-from specdist import connes
+from specdist import benchmark_measure, connes, ipm, make_uniform_grid, pdhg
 from specdist.connes import sufficient_kappa
 from specdist.measures import Grid
 
@@ -129,8 +129,8 @@ class TestWitness:
 
 
 class TestScale:
-    """The program is solved at the caller's kappa, with the commutator rows
-    divided by the size an optimal f can reach beyond 1."""
+    """The program is solved at ball radius min(kappa, kappa*), and its Newton
+    steps do not grow with that radius."""
 
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
     def test_iterations_stop_growing_above_sufficient_kappa(self, rng, n, m):
@@ -145,9 +145,9 @@ class TestScale:
 
     @pytest.mark.parametrize("factor", [100, 1e4])
     def test_gap_meets_the_tolerance_far_above_sufficient_kappa(self, rng, factor):
-        # the value stops growing at kappa*; solved at ball radius min(kappa, kappa*)
-        # with the row scale capped there, the gap meets the tolerance at the
-        # value's own scale however far kappa is above kappa*
+        # the value stops growing at kappa*; solved at ball radius min(kappa, kappa*),
+        # the gap meets the tolerance at the value's own scale however far kappa
+        # is above kappa*
         for _ in range(4):
             rho1, rho2 = _random_state(rng, 2), _random_state(rng, 2)
             ops = DiracSet(np.array([_hermitian(rng, 2) for _ in range(2)]))
@@ -157,8 +157,8 @@ class TestScale:
             assert np.linalg.norm(cert.test_function[0], 2) <= kappa
 
     def test_large_kappa_with_the_ball_binding_is_cheap(self):
-        # the distance grows without bound, so the ball binds at every kappa;
-        # solved unscaled, the iterations would grow in proportion to kappa
+        # the distance grows without bound, so the ball binds at every kappa,
+        # and the Newton steps stay flat as kappa grows
         rho1, rho2 = _offdiag_state(0.6, 0.2), _offdiag_state(0.6, -0.1)
         at_one = connes_distance(rho1, rho2, SIGMA_X, 1.0, TIGHT)
         iterations = [at_one.iterations]
@@ -366,3 +366,140 @@ class TestInfiniteKappa:
 def _hermitian(rng, n):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (A + A.conj().T)
+
+
+def _recipe(index):
+    """Instance ``index`` of a seeded family of random Connes problems: n = 2, 3, 4
+    and 1, 2, 3 Dirac operators in turn, each operator scaled by 10^U(-2, 2)."""
+    rng = np.random.default_rng(7)
+    for i in range(index + 1):
+        n, m = (2, 3, 4)[i % 3], 1 + i % 3
+        rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
+        ops = DiracSet(np.array([_hermitian(rng, n) * 10 ** rng.uniform(-2, 2)
+                                 for _ in range(m)]))
+    return rho1, rho2, ops
+
+
+def _gen_spectra_pair():
+    """The states of ``dist --metric connes`` on 4-point ``gen-spectra`` files."""
+    grid = make_uniform_grid(4, 0.0, math.pi)
+    return tuple(State(benchmark_measure(i, grid).masses.sum(axis=0)) for i in (0, 1))
+
+
+def _stall(name):
+    if name == "tiny-sigma-x":
+        return _diag_state(1.0), _diag_state(0.0), DiracSet(1e-7 * SIGMA_X.operators), math.inf
+    if name == "near-degenerate":
+        near = DiracSet(np.diag([1.0, 1.0 + 1e-6]).astype(complex))
+        return _offdiag_state(0.5, 0.2), _offdiag_state(0.5, 0.1), near, math.inf
+    if name == "large-entry":
+        large = DiracSet(np.array([[1e10, 0.5], [0.5, -1.0]], dtype=complex))
+        return (*_gen_spectra_pair(), large, 1.0)
+    return (*_recipe(int(name.split("-")[1])), math.inf)
+
+
+class TestInteriorPoint:
+    """The Connes ball program is one small semidefinite program, solved by a
+    primal-dual interior-point method in a few Newton steps."""
+
+    # each ran the whole 200,000-iteration budget of the first-order solver;
+    # kappa* = 7.07e6 for 1e-7 sigma_x, whose distance is 1e7, and 1.41e6 for
+    # the nearly degenerate pair, whose distance is 2e5
+    @pytest.mark.parametrize("name, value", [
+        ("tiny-sigma-x", 1e7), ("near-degenerate", 2e5), ("large-entry", None),
+        ("recipe-4", None), ("recipe-7", None), ("recipe-34", None), ("recipe-37", None)])
+    def test_recorded_stall_certifies_in_few_newton_steps(self, name, value):
+        rho1, rho2, ops, kappa = _stall(name)
+        cert = connes_distance(rho1, rho2, ops, kappa, SolverOptions(max_iterations=30))
+        assert 0.0 < cert.value <= cert.upper_bound < math.inf
+        assert cert.gap <= 1e-6 * cert.upper_bound
+        if value is not None:
+            assert cert.value <= value <= cert.upper_bound
+        radius = min(kappa, sufficient_kappa(rho1, rho2, ops))
+        f = cert.test_function[0]
+        assert np.linalg.norm(f, 2) <= radius * (1 + 1e-12)
+        for D in ops.operators:
+            assert np.linalg.norm(D @ f - f @ D, 2) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n, m, kappa", [(2, 1, 1.0), (3, 2, 1.0), (3, 2, math.inf),
+                                             (4, 3, 0.5)])
+    def test_unitary_invariance(self, rng, n, m, kappa):
+        # d(U rho1 U*, U rho2 U*; U D U*) = d(rho1, rho2; D), as overlapping brackets
+        rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
+        ops = np.array([_hermitian(rng, n) for _ in range(m)])
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        turned = [State(U @ rho.matrix @ U.conj().T) for rho in (rho1, rho2)]
+        a = connes_distance(rho1, rho2, DiracSet(ops), kappa)
+        b = connes_distance(*turned, DiracSet(U @ ops @ U.conj().T), kappa)
+        assert max(a.value, b.value) <= min(a.upper_bound, b.upper_bound)
+        assert a.gap <= 1e-6 * a.upper_bound and b.gap <= 1e-6 * b.upper_bound
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-15])
+    def test_tight_tolerance_never_inverts_the_bracket(self, tolerance):
+        # roundoff ends the solve with ConvergenceError, after a few Newton
+        # steps and with an ordered bracket, or the bracket certifies ordered
+        options = SolverOptions(tolerance=tolerance)
+        for index in range(12):
+            rho1, rho2, ops = _recipe(index)
+            for kappa in (1.0, min(1e3, sufficient_kappa(rho1, rho2, ops))):
+                try:
+                    cert = connes_distance(rho1, rho2, ops, kappa, options)
+                except ConvergenceError as err:
+                    cert = err.solution
+                    assert "improved neither bound" in str(err) or "broke down" in str(err)
+                else:
+                    assert cert.gap <= tolerance * cert.upper_bound
+                assert cert.value <= cert.upper_bound
+                assert cert.iterations <= 60
+
+    def test_flow_recomputes_the_upper_bound(self, rng):
+        # upper_bound = radius ||sigma - sum_e i[D_e, Y_e]||_* + sum_e ||Y_e||_*
+        for n, m, kappa in ((2, 1, 1.0), (3, 2, math.inf), (4, 3, 2.0)):
+            rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
+            ops = DiracSet(np.array([_hermitian(rng, n) for _ in range(m)]))
+            cert = connes_distance(rho1, rho2, ops, kappa)
+            radius = min(kappa, sufficient_kappa(rho1, rho2, ops))
+            Y = cert.flow
+            assert Y.shape == (m, n, n)
+            np.testing.assert_allclose(Y, Y.conj().swapaxes(-1, -2), atol=1e-15)
+
+            def nuclear(M):
+                return np.linalg.svd(M, compute_uv=False).sum()
+
+            slack = rho1.matrix - rho2.matrix - sum(
+                1j * (D @ Ye - Ye @ D) for D, Ye in zip(ops.operators, Y))
+            upper = radius * nuclear(slack) + sum(nuclear(Ye) for Ye in Y)
+            assert upper == pytest.approx(cert.upper_bound, rel=1e-12)
+
+    def test_schur_eigendecomposition_fallback(self, rng, monkeypatch):
+        # a Schur complement that fails its Cholesky factorization is solved by
+        # an eigendecomposition with floored eigenvalues, and the solve certifies
+        ones = np.ones((1, 2, 1, 1))   # M = [[1, 1], [1, 1]], singular
+        np.testing.assert_allclose(ipm._schur_solver(ones, ones)(np.array([2.0, 2.0])), [1.0, 1.0])
+        rho1, rho2 = _random_state(rng, 3), _random_state(rng, 3)
+        ops = DiracSet(np.array([_hermitian(rng, 3) for _ in range(2)]))
+        expected = connes_distance(rho1, rho2, ops, 1.0)
+        cholesky = np.linalg.cholesky
+
+        def no_schur_cholesky(a, *args, **kwargs):
+            if np.ndim(a) == 2:   # the Schur matrices; the step lengths factor stacks
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_schur_cholesky)
+        cert = connes_distance(rho1, rho2, ops, 1.0)
+        assert cert.gap <= 1e-6 * cert.upper_bound
+        assert max(cert.value, expected.value) <= min(cert.upper_bound, expected.upper_bound)
+
+    def test_brackets_overlap_with_the_first_order_solver(self, rng):
+        # the program as the first-order solver sees it, solved by both
+        for n, m, kappa in ((2, 1, 1.0), (3, 2, 0.5), (3, 1, 2.0)):
+            rho1, rho2 = _random_state(rng, n), _random_state(rng, n)
+            ops = DiracSet(np.array([_hermitian(rng, n) for _ in range(m)]))
+            A = connes._commutators(ops.operators)
+            program = connes._commutator_program(rho1.matrix - rho2.matrix, ops, A, kappa)
+            first_order = pdhg.solve_ball_program(program, SolverOptions())
+            newton = ipm.solve_ball_program(program, SolverOptions())
+            assert newton.iterations < 30 < first_order.iterations
+            assert max(newton.value, first_order.value) <= min(newton.upper_bound,
+                                                               first_order.upper_bound)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from specdist import DiracSet, DualProblem, Grid, MatrixMeasure, State, as_hermitian
 from specdist import linalg
-from specdist.connes import _commutator_program
+from specdist.connes import _commutator_program, _commutators
 
 from conftest import clip_oracle, eig_map, random_hermitian, soft_threshold_oracle, trace_pairing
 
@@ -232,7 +232,9 @@ class TestCommutator:
 
     @staticmethod
     def _images(D, f):
-        program = _commutator_program(np.zeros_like(f), DiracSet(D), 1.0)
+        diracs = DiracSet(D)
+        program = _commutator_program(np.zeros_like(f), diracs,
+                                      _commutators(diracs.operators), 1.0)
         return linalg.from_coords(program.forward(linalg.to_coords(f)[None]))
 
     def test_off_diagonal_pattern(self):
@@ -252,7 +254,9 @@ class TestCommutator:
         rng = _rng(seed)
         D = np.array([random_hermitian(rng, 3) for _ in range(2)])
         f = random_hermitian(rng, 3)
-        program = _commutator_program(np.zeros_like(f), DiracSet(D), 1.0)
+        diracs = DiracSet(D)
+        program = _commutator_program(np.zeros_like(f), diracs,
+                                      _commutators(diracs.operators), 1.0)
         images = linalg.from_coords(program.forward(linalg.to_coords(f)[None]))
         assert np.abs(images + 1j * (D @ f - f @ D)).max() <= 1e-12
         assert np.abs(images - images.conj().swapaxes(-1, -2)).max() <= 1e-12
