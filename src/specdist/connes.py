@@ -21,13 +21,13 @@ makes a distance divergent.
 
 The constraint images are anti-Hermitian; multiplying by -i makes them
 Hermitian with the same operator norm, which puts the problem in the shape
-of a :class:`~specdist.pdhg.BallProgram`: ``||f|| <= kappa`` and each
+of a :class:`~specdist.ipm.BallProgram`: ``||f|| <= kappa`` and each
 ``||-i[D_i, f]|| <= 1`` are pairs of linear matrix inequalities, so the
 program is one small semidefinite program, solved by the interior-point
 method of :mod:`specdist.ipm`.  In the real coordinates of
 :mod:`specdist.linalg` the map is one real ``(n^2, M n^2)`` matrix, built
-once per distance and shared with :func:`sufficient_kappa`: the forward map
-is a product with it and the adjoint a product with its transpose.  At every
+once per distance and shared with :func:`sufficient_kappa`; its M column
+blocks are the maps of the program's M images of the one block.  At every
 kappa the ball radius is ``min(kappa, kappa*)``, with kappa* that sufficient
 kappa (infinite only for a divergent distance): the value is the same, and f
 stays feasible for kappa.  :func:`connes_distance` returns that solve's
@@ -45,8 +45,8 @@ import numpy as np
 
 from . import linalg
 from .measures import _readonly
-from .ipm import solve_ball_program
-from .pdhg import BallProgram, DualCertificate, SolverOptions
+from .ipm import BallProgram, solve_ball_program
+from .pdhg import DualCertificate, SolverOptions
 
 __all__ = [
     "State",
@@ -118,14 +118,13 @@ def _commutators(ops: np.ndarray) -> np.ndarray:
 
 def _commutator_program(sigma: np.ndarray, diracs: DiracSet, A: np.ndarray,
                         kappa: float) -> BallProgram:
-    norms = linalg.hermitian_op_norms(diracs.operators)
+    m, count = A.shape[0], diracs.count
     return BallProgram(
         objective=linalg.to_coords(sigma)[None],
         ball_radii=np.full(1, kappa),
-        forward=lambda F: (F[0] @ A).reshape(diracs.count, -1),
-        adjoint=lambda Y: (A @ Y.ravel())[None],
-        image_radii=np.ones(diracs.count),
-        map_norm=max(2.0 * float(np.sqrt((norms**2).sum())), 1e-300),
+        maps=A.reshape(m, count, m).swapaxes(0, 1),   # every image reads the one block
+        blocks=np.zeros(count, dtype=int),
+        image_radii=np.ones(count),
     )
 
 

@@ -1,151 +1,296 @@
-"""Primal-dual interior-point solver for ball programs with one ball block.
+"""Ball programs and their primal-dual interior-point solver.
 
+A ball program maximizes ``sum_b tr(C_b F_b)`` over stacked Hermitian blocks
+F subject to ``||F_b|| <= rho_b`` and ``||(L F)_e|| <= r_e`` (operator
+norms), in the real coordinates x of :mod:`specdist.linalg`.  Image e maps
+one block, ``(L x)_e = x_{b_e} G_e`` (the commutators of the Connes
+distance, all of its one block), or the difference of two adjacent ones,
+``(x_{b_e} - x_{b_e + 1}) G_e`` (the chain of the W1,kappa dual).
 ``||G|| <= r`` is the pair of linear matrix inequalities ``r I -+ G >= 0``,
-so such a program (:mod:`specdist.pdhg`) is the semidefinite program
-``max c.x`` over the coordinates x of F subject to
-``S_k = r_k I - sum_i x_i A_ki >= 0``, with ``2 (1 + E)`` blocks k: the ball
-and each image ``(L F)_e``, each with both signs.  Its dual minimizes
-``sum_k r_k tr X_k`` over ``X_k >= 0`` with ``sum_k <A_ki, X_k> = c_i``.
-From ``x = 0``, ``S = r I``, ``X = I`` each Newton step takes the
-Helmberg-Rendl-Vanderbei-Wolkowicz direction (SIAM J. Optim. 1996) through
-the dense Schur complement ``M_il = sum_k Re tr(A_ki X_k A_kl S_k^-1)``,
-with Mehrotra's predictor-corrector (``sigma = (mu_aff / mu)^3``, SIAM J.
-Optim. 1992) and steps of 0.95 of the distance to the boundary.  S is the
-exact slack of x, so x stays strictly feasible; the Schur solve loses
-accuracy as ``mu`` falls, so each ``dX`` is corrected by ``X A(v) X``,
-inside X's range, to meet the equality constraints.
+so the program is the semidefinite program ``max c.x`` subject to ``S_k =
+r_k I - A_k(x) >= 0`` over ``2 (B + E)`` blocks k (balls and images, each
+with both signs), whose dual minimizes ``sum_k r_k tr X_k`` over ``X_k >=
+0`` with ``sum_k A_k*(X_k) = c``.
 
-Certification is :mod:`specdist.pdhg`'s, unchanged: x scaled into the
-feasible set gives the lower bound, ``Y_e = X_e+ - X_e-`` of the image
-blocks the upper bound.  A bound that would invert the bracket is not
-taken; three Newton steps in a row that improve neither bound (roundoff),
-like the budget, end the solve with ``ConvergenceError``.
+From ``x = 0``, ``S = r I``, ``X = I`` each Newton step takes the
+Helmberg-Rendl-Vanderbei-Wolkowicz direction (SIAM J. Optim. 1996) with
+Mehrotra's predictor-corrector (``sigma = (mu_aff / mu)^3``, SIAM J. Optim.
+1992) and steps of 0.95 of the distance to the boundary.  Its Schur
+complement ``sum_k J_k^T W_k J_k``, with ``W_k[a, b] = Re tr(E_a X_k E_b
+S_k^-1)`` and J_k the constraint's Jacobian, is block tridiagonal in the
+blocks of x (one dense block for Connes), and block cyclic reduction
+(Heller, SIAM J. Numer. Anal. 1976) solves it in log2 B batched levels.
+S is the exact slack of x, so x stays strictly feasible; the Schur solve
+loses accuracy as ``mu`` falls, so the step's ``dX`` is corrected by ``X A(v)
+X``, inside X's range, to meet the equality constraints.  Inverse square
+roots and step lengths come from the spectral kernels of :mod:`specdist.linalg`.
+
+Certification is the package's: x scaled into the feasible set gives the
+lower bound, ``Y_e = X_e+ - X_e-`` of the image blocks the upper bound
+``sum_b rho_b ||C_b - (L* Y)_b||_* + sum_e r_e ||Y_e||_*`` (weak duality),
+each rounded outward by two units of roundoff of its terms.  A bound that
+would invert the bracket is not taken; three Newton steps in a row that
+improve neither bound (roundoff), like the budget, end the solve with
+``ConvergenceError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .pdhg import (BallProgram, ConvergenceError, DualCertificate, SolverOptions,
-                   _feasibility_scale, _residual, _upper_bound, relative_gap, within_tolerance)
+from .pdhg import (ConvergenceError, DualCertificate, SolverOptions, _feasibility_scale,
+                   relative_gap, within_tolerance)
 
 STEP_TO_BOUNDARY = 0.95   # share of the distance to the boundary of the cone a step takes
-EIGEN_FLOOR = 1e-14       # eigenvalues of a Schur matrix floored at this share of the largest
+EIGEN_FLOOR = 1e-14       # floor of scaled pivot eigenvalues, and reduced pivots' ridge, relative
 STALL_STEPS = 3           # Newton steps in a row that improve neither bound end the solve
+EPS2 = 2.0 * np.finfo(float).eps   # outward rounding of both bounds, per unit of their terms
+WEIGHT_CHUNK = 1 << 15    # bytes of Schur weights formed at a time
 
 
-def _constraints(program: BallProgram) -> tuple[np.ndarray, np.ndarray]:
-    """``A_ki`` as complex ``(2 (1 + E), n^2, n, n)`` matrices, read off the
-    forward map of the basis, and the radii ``r_k``: signs +, then -."""
-    basis = np.eye(program.objective.shape[-1])
-    images = np.stack([program.forward(e[None]) for e in basis])      # (n^2, E, n^2)
-    A = linalg.from_coords(np.concatenate([basis[:, None], images], axis=1).swapaxes(0, 1))
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transposed blocks, contiguous: transposed strides would run another BLAS
+    small-matrix kernel, whose code pages add to the process's memory."""
+    return np.ascontiguousarray(np.swapaxes(M, -1, -2))
+
+
+@dataclass(frozen=True)
+class BallProgram:
+    """Data of one ball-constrained linear maximization (see module docstring)."""
+
+    objective: np.ndarray     # (B, n^2) coordinates of the blocks C
+    ball_radii: np.ndarray    # (B,) operator-norm radii for F
+    maps: np.ndarray          # (E, n^2, n^2), or (1, ...) for every image: G_e
+    blocks: np.ndarray        # (E,) b_e, the block image e reads
+    image_radii: np.ndarray   # (E,) operator-norm radii for L F
+    differences: bool = False   # image e reads x_{b_e} - x_{b_e + 1}
+
+    def forward(self, F: np.ndarray) -> np.ndarray:
+        """``L F``, ``(E, n^2)``."""
+        read = F[self.blocks] - F[1:][self.blocks] if self.differences else F[self.blocks]
+        return (read[:, None] @ self.maps)[:, 0]
+
+    def adjoint(self, Y: np.ndarray) -> np.ndarray:
+        """``L* Y``, ``(B, n^2)``."""
+        out = np.zeros(self.objective.shape)
+        Z = (Y[:, None] @ _t(self.maps))[:, 0]
+        np.add.at(out, self.blocks, Z)
+        if self.differences:   # out[1:] at b_e is block b_e + 1, without index arithmetic
+            np.add.at(out[1:], self.blocks, -Z)
+        return out
+
+
+def _upper_bound(program: BallProgram, Y: np.ndarray) -> float:
+    slack = program.objective - program.adjoint(Y)
     radii = np.concatenate([program.ball_radii, program.image_radii])
-    return np.concatenate([A, -A]), np.concatenate([radii, radii])
+    return float(radii @ linalg.nuclear_norms(np.concatenate([slack, Y])))
 
 
-def _combination(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(sum_i v_i A_ki)_k``; row i of ``rows`` is the blocks ``A_ki`` flattened."""
-    n = math.isqrt(rows.shape[0])
-    return (v @ rows).reshape(-1, n, n)
+def _residual(F, LF, ball_radii, image_radii) -> float:
+    return max(0.0, float((linalg.op_norms(F) - ball_radii).max(initial=0.0)),
+               float((linalg.op_norms(LF) - image_radii).max(initial=0.0)))
 
 
-def _pairings(rows: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``(sum_k Re tr(A_ki Z_k))_i``, the adjoint of :func:`_combination`."""
-    return (rows @ np.swapaxes(Z, -1, -2).reshape(-1)).real
+def _weights(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``W_k[a, b] = Re tr(E_a X_k E_b Q_k)`` summed over each constraint's two
+    signs (the stacks' halves), ``(J / 2, n^2, n^2)``: row i of ``X E_b Q`` for
+    every b, paired with row i of every ``E_a``, one i and ``WEIGHT_CHUNK``
+    bytes at a time, so no ``(J, n^2, n^2)`` temporary is formed."""
+    half, n = X.shape[0] // 2, X.shape[-1]
+    m = n * n
+    by_row, pairings = _basis_rows(n)
+    W = np.zeros((half, m, m))
+    step = max(1, WEIGHT_CHUNK // W[0].nbytes)
+    for k in range(0, half, step):
+        end = min(k + step, half)
+        plus, minus = slice(k, end), slice(half + k, half + end)
+        for i in range(n):
+            rows = (X[plus, i] @ by_row).reshape(-1, m, n) @ Q[plus]   # (X E_b Q)[i, :]
+            rows += (X[minus, i] @ by_row).reshape(-1, m, n) @ Q[minus]
+            W[plus] += rows.view(float) @ pairings[i]
+    return W
 
 
-def _products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``A_ki P_k`` for every i and k, one matrix product per block k."""
-    K, m, n, _ = A.shape
-    return (A.reshape(K, m * n, n) @ P).reshape(A.shape)
+@functools.cache
+def _basis_rows(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``[k, (b, l)] = E_b[k, l]``, and per row i the real ``(2n, n^2)`` table
+    pairing a row's interleaved real and imaginary parts with row i of each E_a."""
+    E = linalg.from_coords(np.eye(n * n))
+    return (E.transpose(1, 0, 2).reshape(n, -1),
+            [_t(E[:, i].view(float)) for i in range(n)])
 
 
-def _schur_solver(AP: np.ndarray, AQ: np.ndarray):
-    """``b -> M^-1 b`` for ``M_il = sum_k Re tr(AP_ki AQ_kl)``, positive
-    semidefinite: by Cholesky, or, when roundoff has cost M its definiteness,
-    by an eigendecomposition with eigenvalues floored at ``EIGEN_FLOOR`` of
-    the largest."""
-    m = AP.shape[1]
-    M = (AP.transpose(1, 0, 2, 3).reshape(m, -1) @ AQ.transpose(1, 0, 3, 2).reshape(m, -1).T).real
-    M = 0.5 * (M + M.T)
-    try:
-        L = np.linalg.cholesky(M)
-        return lambda b: np.linalg.solve(L.T, np.linalg.solve(L, b))
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(M)
-        w = np.maximum(w, EIGEN_FLOOR * w[-1])
-        return lambda b: V @ ((V.T @ b) / w)
+def _normal_blocks(program: BallProgram, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal blocks ``(B, m, m)`` of ``sum_k J_k^T W_k
+    J_k``, from the sign-summed weights of the balls and images; the last
+    superdiagonal block is 0."""
+    B = program.ball_radii.size
+    diag, images = W[:B].copy(), program.maps @ W[B:] @ _t(program.maps)
+    np.add.at(diag, program.blocks, images)
+    upper = np.zeros_like(diag)   # upper[B - 1] = 0: no block after the last
+    if program.differences:
+        np.add.at(diag[1:], program.blocks, images)
+        np.add.at(upper, program.blocks, images)
+        np.negative(upper, out=upper)
+    return diag, upper
 
 
-def _steps(X, dX, S, dS) -> tuple[float, float]:
-    """``min(1, 0.95 alpha_max)`` for X and for S, ``alpha_max`` the largest
-    alpha keeping every block of ``P + alpha dP`` positive semidefinite:
-    ``-1 / lambda_min(L^-1 dP L^-*)`` with ``P = L L*``."""
-    L_inv = np.linalg.inv(np.linalg.cholesky(np.concatenate([X, S])))
-    lam = np.linalg.eigvalsh(L_inv @ np.concatenate([dX, dS]) @ np.conj(
-        np.swapaxes(L_inv, -1, -2)))[:, 0].reshape(2, -1).min(axis=1)
-    return tuple(min(1.0, -STEP_TO_BOUNDARY / v) if v < 0 else 1.0 for v in lam)
+def _floored_factor(M: np.ndarray) -> np.ndarray:
+    """A real ``(2m, m)`` factor H with ``M^-1 = H^T H`` for symmetric positive
+    semidefinite blocks ``M = s V w V* s`` (``s = diag(M)^1/2``, which keeps
+    graded blocks' eigenvalues accurate): the real and imaginary parts of
+    ``w^-1/2 V* / s``, w floored at ``EIGEN_FLOOR`` of its largest.  Complex
+    ``eigh`` is the LAPACK routine the spectral kernels already load."""
+    s = np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None]
+    w, V = np.linalg.eigh((M / s / s.mT).astype(complex))
+    H = V.mT.conj() * np.maximum(w, EIGEN_FLOOR * w[..., -1:])[..., None] ** -0.5 / s.mT
+    return np.concatenate([H.real, H.imag], axis=-2)
 
 
-def _newton_step(A, rows, R, c, x, X):
-    """One predictor-corrector step from ``(x, X)``."""
-    S = R - _combination(rows, x)
-    S_inv = np.linalg.inv(S)
-    AX = _products(A, X)
-    solve, solve_X = _schur_solver(AX, _products(A, S_inv)), _schur_solver(AX, AX)
-    residual = c - _pairings(rows, X)
+def _block_solver(diag: np.ndarray, upper: np.ndarray):
+    """``b -> M^-1 b`` for the symmetric block-tridiagonal M with these blocks
+    (``upper[b] = M[b, b + 1]``, the last 0), by block cyclic reduction: each
+    level eliminates the odd-numbered blocks j, leaving a block-tridiagonal
+    system in the even-numbered ones, through the pivots' factors H, as
+    Cholesky does: ``M[i, j] M[j, j]^-1 M[j, k] = T_i^T T_k``, ``T_i = H
+    M[j, i]`` (explicit pivot inverses lose the solve's accuracy once M is
+    ill-conditioned).  A reduced pivot is raised by ``EIGEN_FLOOR`` of its
+    diagonal first: what it resolves only below that (the common part of
+    blocks tied by a gap far below kappa, lost to cancellation) is left alone."""
+    eye = np.eye(diag.shape[-1])
+    levels = []
+    while len(diag) > 1:
+        odd, even = len(diag) // 2, (len(diag) + 1) // 2
+        left, right = upper[0::2][:odd], upper[1::2]   # M[j - 1, j] and M[j, j + 1]
+        H = _floored_factor(diag[1::2])
+        to_left, to_right = H @ _t(left), H @ right
+        left_t = _t(to_left)
+        diag = diag[0::2] * (1.0 + EIGEN_FLOOR * eye)
+        diag[:odd] -= left_t @ to_left
+        diag[1:] -= (_t(to_right) @ to_right)[:even - 1]
+        upper = np.zeros_like(diag)
+        upper[:even - 1] = -(left_t @ to_right)[:even - 1]
+        levels.append((H, left, right))
+    last = _floored_factor(diag)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        # vectors are columns (..., m, 1); a transposed matrix times a vector is
+        # the vector's row (a view) times the matrix
+        b = b[..., None]
+        reduced = []
+        for H, left, right in levels:
+            y = H @ b[1::2]
+            z = (y.mT @ H).mT   # M[j, j]^-1 b_j
+            b = b[0::2].copy()
+            b[:len(y)] -= left @ z
+            b[1:] -= (z.mT @ right).mT[:len(b) - 1]
+            reduced.append(y)
+        x = ((last @ b).mT @ last).mT
+        for (H, left, right), y in zip(reversed(levels), reversed(reduced)):
+            after = np.concatenate([x[1:], np.zeros_like(x[:1])])[:len(y)]
+            full = np.empty((len(x) + len(y),) + x.shape[1:])
+            full[0::2] = x
+            y = y - H @ ((x[:len(y)].mT @ left).mT + right @ after)
+            full[1::2] = (y.mT @ H).mT
+            x = full
+        return x[..., 0]
+
+    return solve
+
+
+def _newton_step(program, A, A_adj, R, c, x, X):
+    """One predictor-corrector step from ``(x, X)``, the iterates in coordinates."""
+    J, n = X.shape[0], math.isqrt(X.shape[-1])
+    S = R - A(x)
+    root = linalg.from_coords(linalg.map_eigenvalues(np.concatenate([X, S]),
+                                                     lambda lam: lam ** -0.5))
+    S_inv = root[J:] @ root[J:]
+    Xm = linalg.from_coords(X)
+    solve = _block_solver(*_normal_blocks(program, _weights(Xm, S_inv)))
 
     def direction(Z):
-        """``(dx, dS, dX)`` toward ``X S = Z S``, ``dX`` meeting the residual."""
-        dx = solve(c - _pairings(rows, Z))
-        dS = -_combination(rows, dx)
-        dX = Z - X - X @ dS @ S_inv
-        dX = 0.5 * (dX + np.conj(np.swapaxes(dX, -1, -2)))
-        dX += X @ _combination(rows, solve_X(residual - _pairings(rows, dX))) @ X
-        return dx, dS, dX
+        """``(dx, dS, dX)`` toward ``X S = Z S``."""
+        dx = solve(c - A_adj(Z))
+        dS = -A(dx)
+        return dx, dS, Z - X - linalg.to_coords(Xm @ linalg.from_coords(dS) @ S_inv)
+
+    def steps(dX, dS) -> tuple[float, float]:
+        """``min(1, 0.95 alpha_max)`` for X and for S, ``alpha_max`` the largest
+        alpha keeping every block of ``P + alpha dP`` positive semidefinite:
+        ``-1 / lambda_min(P^-1/2 dP P^-1/2)``."""
+        scaled = linalg.to_coords(root @ linalg.from_coords(np.concatenate([dX, dS])) @ root)
+        lam = linalg.eigenvalues(scaled)[0].reshape(2, -1).min(axis=1)
+        return tuple(min(1.0, -STEP_TO_BOUNDARY / v) if v < 0 else 1.0 for v in lam)
 
     def mean_complementarity(X, S):
-        return np.trace(X @ S, axis1=-2, axis2=-1).real.mean() / X.shape[-1]
+        return float(np.vdot(X, S)) / (J * n)
 
     mu = mean_complementarity(X, S)
     dx, dS, dX = direction(np.zeros_like(X))                    # predictor
-    a_x, a_s = _steps(X, dX, S, dS)
+    a_x, a_s = steps(dX, dS)
     sigma = (mean_complementarity(X + a_x * dX, S + a_s * dS) / mu) ** 3
-    dx, dS, dX = direction((sigma * mu * np.eye(X.shape[-1]) - dX @ dS) @ S_inv)   # corrector
-    a_x, a_s = _steps(X, dX, S, dS)
+    target = sigma * mu * np.eye(n) - linalg.from_coords(dX) @ linalg.from_coords(dS)
+    dx, dS, dX = direction(linalg.to_coords(target @ S_inv))   # corrector
+    del solve   # one factorization at a time
+    # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k
+    v = _block_solver(*_normal_blocks(program, _weights(Xm, Xm)))(c - A_adj(X + dX))
+    dX += linalg.to_coords(Xm @ linalg.from_coords(A(v)) @ Xm)
+    a_x, a_s = steps(dX, dS)
     return x + a_s * dx, X + a_x * dX
 
 
 def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCertificate:
-    """Certify the supremum of a ball program with one ball block.
+    """Certify the supremum of a ball program.
 
     The certificate's ``flow`` is the Y of its upper bound; ``iterations``
-    counts Newton steps, capped by ``options.max_iterations``.
+    counts Newton steps, capped by ``options.max_iterations``.  Without
+    images the supremum is attained in closed form, without a step.
     """
-    c = np.asarray(program.objective, dtype=float)[0]
+    c = np.asarray(program.objective, dtype=float)
     rho = np.asarray(program.ball_radii, dtype=float)
     r = np.asarray(program.image_radii, dtype=float)
-    E = r.shape[0]
-    A, radii = _constraints(program)
-    rows = np.ascontiguousarray(A.swapaxes(0, 1)).reshape(A.shape[1], -1)
-    R = radii[:, None, None] * np.eye(A.shape[-1])
-
-    def certify(x, X):
-        """Both bounds with their witnesses F and Y; none for a non-finite iterate."""
-        if not (np.isfinite(x).all() and np.isfinite(X).all()):
-            return -np.inf, None, np.inf, None
-        F = x[None] / _feasibility_scale(x[None], program.forward(x[None]), rho, r)
-        Y = linalg.to_coords(X[1:1 + E] - X[2 + E:])
-        return float(np.vdot(F, c)), F, _upper_bound(program, Y), Y
+    B, E = rho.size, r.size
 
     def package(lower, F, upper, Y, steps) -> DualCertificate:
         return DualCertificate(linalg.from_coords(F), lower,
                                _residual(F, program.forward(F), rho, r), steps, upper,
-                               linalg.from_coords(Y))
+                               None if Y is None else linalg.from_coords(Y))
+
+    if E == 0:
+        # the dual-norm pairing is attained by the spectral sign of each block
+        F = rho[:, None] * linalg.map_eigenvalues(c, np.sign)
+        value = float(np.vdot(F, c))
+        return package(value, F, value, None, 0)
+
+    half = B + E
+
+    def A(v):
+        """The constraint images ``(A_k(v))_k`` of coordinates v."""
+        images = np.concatenate([v, program.forward(v)])
+        return np.concatenate([images, -images])
+
+    def A_adj(Z):
+        """``sum_k A_k*(Z_k)``, the adjoint of :func:`A`."""
+        signed = Z[:half] - Z[half:]
+        return signed[:B] + program.adjoint(signed[B:])
+
+    identity = linalg.to_coords(np.eye(math.isqrt(c.shape[-1])))
+    R = np.tile(np.concatenate([rho, r]), 2)[:, None] * identity
+
+    def certify(x, X):
+        """Both bounds, rounded outward, with their witnesses F and Y; none for a
+        non-finite iterate."""
+        if not (np.isfinite(x).all() and np.isfinite(X).all()):
+            return -np.inf, None, np.inf, None
+        F = x / _feasibility_scale(x, program.forward(x), rho, r)
+        Y = X[B:half] - X[half + B:]
+        lower = float(np.vdot(F, c)) - EPS2 * float(np.abs(F * c).sum())
+        return lower, F, _upper_bound(program, Y) * (1.0 + EPS2), Y
 
     def fail(reason, steps):
         raise ConvergenceError(
@@ -154,7 +299,7 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
             package(*best, steps))
 
     x = np.zeros(c.shape)
-    X = np.broadcast_to(np.eye(A.shape[-1], dtype=complex), R.shape).copy()
+    X = np.tile(identity, (R.shape[0], 1))
     best = list(certify(x, X))   # lower, its F, upper, its Y
     steps = stalled = 0
     while not within_tolerance(best[0], best[2], options.tolerance):
@@ -163,7 +308,7 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         steps += 1
         try:
             with np.errstate(all="ignore"):
-                x, X = _newton_step(A, rows, R, c, x, X)
+                x, X = _newton_step(program, A, A_adj, R, c, x, X)
         except np.linalg.LinAlgError:
             fail(f"Newton step {steps} broke down", steps)
         lower, F, upper, Y = certify(x, X)

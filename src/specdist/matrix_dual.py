@@ -10,9 +10,13 @@ over Hermitian test functions sampled on the grid.  Operator-norm constraints
 between adjacent points imply all pairwise ones on a line (the gaps
 telescope), which keeps the constraint count linear in the grid size.
 
-Solved by the projection solver in :mod:`specdist.pdhg`; the returned
-certificate is exactly feasible and re-checkable without rerunning the
-solver (feasibility by operator norms, value by the trace pairing).
+Each bound is a pair of linear matrix inequalities, so at n >= 2 the
+program is one block semidefinite program, solved by the interior-point
+method of :mod:`specdist.ipm` with its block-tridiagonal Schur complement;
+``iterations`` counts its Newton steps.  The returned certificate is exactly
+feasible and re-checkable without rerunning the solver (feasibility by
+operator norms, value by the trace pairing).  It carries no flow, so the
+gap audit's transport primal keeps its diagonal start at n >= 2.
 
 At n = 1 the program is the scalar flat metric's chain program, and
 ``solve_dual`` certifies it exactly without iterating: one call of
@@ -26,14 +30,14 @@ carries both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .measures import Grid, MatrixMeasure, _check_compatible, _readonly
-from .pdhg import (BallProgram, ConvergenceError, DualCertificate, SolverOptions,
-                   _residual, solve_ball_program, within_tolerance)
+from .ipm import BallProgram, _residual, solve_ball_program
+from .pdhg import ConvergenceError, DualCertificate, SolverOptions, within_tolerance
 from .scalar_metrics import w1_kappa_chain
 
 __all__ = [
@@ -47,9 +51,6 @@ __all__ = [
     "dw1_kappa",
     "check_certificate",
 ]
-
-DIFFERENCE_MAP_NORM = 2.0
-
 
 @dataclass(frozen=True)
 class DualProblem:
@@ -95,13 +96,14 @@ def assemble_dual(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> DualP
 
 def ball_program(problem: DualProblem) -> BallProgram:
     """The dual program as a ball program for :func:`solve_ball_program`."""
+    K = problem.grid.size
     return BallProgram(
         objective=linalg.to_coords(problem.deltas),
-        ball_radii=np.full(problem.grid.size, problem.kappa),
-        forward=_forward,
-        adjoint=_adjoint,
+        ball_radii=np.full(K, problem.kappa),
+        maps=np.eye(problem.dim ** 2)[None],
+        blocks=np.arange(K - 1),
         image_radii=problem.gaps,
-        map_norm=DIFFERENCE_MAP_NORM,
+        differences=True,   # F_k - F_{k+1}
     )
 
 
@@ -118,7 +120,7 @@ def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> Du
     options = options or SolverOptions()
     if problem.dim == 1 and problem.grid.size >= 2:
         return _chain_certificate(problem, options)
-    return solve_ball_program(ball_program(problem), options)
+    return replace(solve_ball_program(ball_program(problem), options), flow=None)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

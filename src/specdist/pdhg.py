@@ -1,43 +1,23 @@
-"""First-order primal-dual solver with certified stopping.
+"""Certified solves: their options and results, and the PDHG driver.
 
-The dual metric programs in this package all share one shape:
+Every solve in this package is certified from both sides without trusting
+the iteration: each iterate gives a lower and an upper bound on the optimum
+(for the ball programs of :mod:`specdist.ipm`, a test function scaled into
+the feasible set and a dual variable Y priced by weak duality), and a solve
+stops when the best bounds' own relative gap (:func:`relative_gap`) reaches
+the requested tolerance.  That makes the reported value trustworthy
+independent of step sizes and iteration counts.  A ball program's result
+is a :class:`DualCertificate`: the feasible test function with the best
+lower bound, its value and the best upper bound.
 
-    maximize   sum_b tr(C_b F_b)
-    subject to ||F_b||      <= rho_b          (operator norm, per block)
-               ||(L F)_e||  <= r_e            (operator norm, per image block)
-
-over stacked Hermitian blocks ``F``, where ``L`` is a linear map into
-Hermitian blocks (adjacent differences for the Wasserstein dual, commutators
-for the spectral distance).  Both constraint families admit exact projections
-by eigenvalue clipping, so a primal-dual hybrid-gradient (PDHG) iteration
-applies directly; the spectral distance's program, with its one ball block,
-goes to the interior-point method of :mod:`specdist.ipm` instead.  A
-:class:`BallProgram` is stated in the real coordinates of
-:mod:`specdist.linalg` (``C``, ``F`` and ``Y`` are ``(..., n^2)`` stacks);
-only the reported test function is converted back to matrices.
-
-Every solve is certified from both sides without trusting the iteration:
-
-* any iterate, scaled into the feasible set, gives a lower bound through the
-  objective pairing;
-* any dual variable Y gives the upper bound
-  ``sum_b rho_b ||(C - L* Y)_b||_* + sum_e r_e ||Y_e||_*``
-  by weak duality (Hoelder on each block).
-
-The iteration stops when the best bounds' own relative gap
-(:func:`relative_gap`) reaches the requested tolerance, which makes the
-reported value trustworthy independent of step sizes and iteration
-counts.  A ball program's result is a :class:`DualCertificate`: the feasible
-iterate with the best lower bound, its value and the best upper bound.
-
-:func:`pdhg` is the one PDHG driver of the package; the Wasserstein dual's
-ball program here and the transport program of :mod:`specdist.matrix_primal`
-supply their linear map, a ``certify`` hook that turns any primal-dual pair
-into certified bounds and a builder of their proximal maps at given steps.  The driver
-builds the prox maps once per step size, at the start and at each restart
-that moves ``omega``, so step constants such as ``tau C`` are formed there
-and not in every iteration.  The driver follows PDLP (Applegate
-et al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):
+:func:`pdhg` is the first-order primal-dual hybrid-gradient (PDHG) driver
+of the transport program of :mod:`specdist.matrix_primal`, which supplies
+its linear map, a ``certify`` hook that turns any primal-dual pair into
+certified bounds and a builder of its proximal maps at given steps.  The
+driver builds the prox maps once per step size, at the start and at each
+restart that moves ``omega``, so step constants such as ``tau C`` are formed
+there and not in every iteration.  The driver follows PDLP (Applegate et
+al., NeurIPS 2021; Applegate, Hinder, Lu and Lubin, Math. Prog. 2023):
 
 * steps ``tau = 0.999 omega / ||L||`` and ``sigma = 0.999 / (omega ||L||)``,
   so ``tau sigma ||L||^2 < 1`` for every primal weight ``omega``;
@@ -56,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -73,10 +52,10 @@ class SolverOptions:
     """Iteration controls shared by all certified solves.
 
     ``tolerance`` is the certified relative duality gap at which a solve is
-    declared converged, and ``max_iterations`` its budget (Newton steps for
-    the interior-point solve of :mod:`specdist.ipm`).  Step sizes are not
-    options: the driver derives them from ``||L||`` and its adaptive primal
-    weight (see the module docstring).
+    declared converged, and ``max_iterations`` its budget: Newton steps for
+    the ball programs of :mod:`specdist.ipm`, PDHG iterations for the
+    transport program.  Step sizes are not options: each solver derives its
+    own (see the module docstrings).
     """
 
     max_iterations: int = 200_000
@@ -114,27 +93,16 @@ class Certified:
 
 
 @dataclass(frozen=True)
-class BallProgram:
-    """Data of one ball-constrained linear maximization (see module docstring)."""
-
-    objective: np.ndarray          # (B, n^2) coordinates of the blocks C
-    ball_radii: np.ndarray         # (B,) operator-norm radii for F
-    forward: Callable[[np.ndarray], np.ndarray]   # F (B,n^2) -> (E,n^2)
-    adjoint: Callable[[np.ndarray], np.ndarray]   # Y (E,n^2) -> (B,n^2)
-    image_radii: np.ndarray        # (E,) operator-norm radii for L F
-    map_norm: float                # upper bound on ||L||
-
-
-@dataclass(frozen=True)
 class DualCertificate(Certified):
     """Feasible test function witnessing a lower bound on the supremum.
 
     The result of every ball program: ``test_function`` (stacked Hermitian
     blocks) satisfies the constraints up to ``feasibility_residual``,
-    ``value`` is its pairing with the objective and ``upper_bound`` a
-    certified bound on the supremum.  ``flow``, when known, is the dual
-    variable Y whose cost (see the module docstring) is ``upper_bound``.  An
-    unbounded supremum (a divergent Connes distance) has ``value =
+    ``value`` is its pairing with the objective (an interior-point solve
+    rounds it down) and ``upper_bound`` a certified bound on the supremum.
+    ``flow``, when known, is the dual variable Y whose cost
+    (:mod:`specdist.ipm`), rounded up, is ``upper_bound``.  An unbounded
+    supremum (a divergent Connes distance) has ``value =
     upper_bound = math.inf`` and carries no witness: ``test_function`` is None.
     """
 
@@ -248,59 +216,7 @@ def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
 
 def _feasibility_scale(F, LF, ball_radii, image_radii) -> float:
     """Smallest s >= 1 such that F / s satisfies every ball constraint."""
-    s = max((linalg.op_norms(F) / ball_radii).max(initial=0.0),
-            (linalg.op_norms(LF) / image_radii).max(initial=0.0))
+    radii = np.concatenate([np.broadcast_to(ball_radii, F.shape[:-1]),
+                            np.broadcast_to(image_radii, LF.shape[:-1])])
+    s = (linalg.op_norms(np.concatenate([F, LF])) / radii).max(initial=0.0)
     return max(1.0, float(s))
-
-
-def _upper_bound(program: BallProgram, Y: np.ndarray) -> float:
-    slack = program.objective - program.adjoint(Y)
-    return float((program.ball_radii * linalg.nuclear_norms(slack)).sum()
-                 + (program.image_radii * linalg.nuclear_norms(Y)).sum())
-
-
-def _residual(F, LF, ball_radii, image_radii) -> float:
-    return max(0.0, float((linalg.op_norms(F) - ball_radii).max(initial=0.0)),
-               float((linalg.op_norms(LF) - image_radii).max(initial=0.0)))
-
-
-def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCertificate:
-    C = np.asarray(program.objective, dtype=float)
-    rho = np.asarray(program.ball_radii, dtype=float)
-    r = np.asarray(program.image_radii, dtype=float)
-    E = r.shape[0]
-
-    def package(lower, witness, upper, _, iterations) -> DualCertificate:
-        res = _residual(witness, program.forward(witness), rho, r)
-        return DualCertificate(linalg.from_coords(witness), float(np.vdot(witness, C)), res,
-                               iterations, upper)
-
-    if E == 0:
-        # no image constraints: the dual-norm pairing is attained in closed
-        # form by the spectral sign of each objective block
-        F = rho[:, None] * linalg.map_eigenvalues(C, np.sign)
-        value = float(np.vdot(F, C))
-        return package(value, F, value, None, 0)
-
-    def certify(F, Y):
-        scale = _feasibility_scale(F, program.forward(F), rho, r)
-        return float(np.vdot(F, C)) / scale, F / scale, _upper_bound(program, Y), None
-
-    neg_rho, neg_r = -rho, -r
-
-    def prox_maps(tau, sigma):
-        tau_C = tau * C
-        return (lambda V: linalg.clip(V + tau_C, neg_rho, rho),
-                lambda W: W - sigma * linalg.clip(W / sigma, neg_r, r))
-
-    return pdhg(
-        np.zeros_like(C),
-        np.zeros((E, C.shape[1])),
-        program.forward,
-        program.adjoint,
-        prox_maps,
-        program.map_norm,
-        certify,
-        package,
-        options,
-    )

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from specdist import Grid, scalar_measure
+from specdist import Grid, linalg, scalar_measure
+from specdist.ipm import _residual, _upper_bound
 from specdist.measures import MatrixMeasure
+from specdist.pdhg import DualCertificate, _feasibility_scale, pdhg
 from specdist.simplex import LpProblem, lp_simplex
 
 
@@ -142,3 +144,40 @@ def w1_kappa_scalar_all_pairs(mu1, mu2, kappa):
     delta = mu1.scalar_values() - mu2.scalar_values()
     value, _ = lp_simplex(w1_kappa_lp(mu1.grid.points, delta, kappa, all_pairs=True))
     return value
+
+
+def _map_norm(program):
+    """A bound on ``||L||``: the images of block b read it through the maps of
+    the images with ``b_e = b``, side by side, and a difference image reads two
+    blocks."""
+    maps = np.broadcast_to(program.maps, (program.blocks.size,) + program.maps.shape[1:])
+    one_side = max(np.linalg.norm(np.concatenate(maps[program.blocks == b], axis=1), 2)
+                   for b in np.unique(program.blocks))
+    return (2.0 if program.differences else 1.0) * one_side
+
+
+def pdhg_ball_program(program, options):
+    """The first-order solve of a ball program by ``pdhg.pdhg``: the oracle that
+    the interior-point solver's brackets are checked against.  Steps come from
+    the bound on ``||L||`` above; the lower bound is the iterate scaled
+    feasible, the upper bound the cost of the dual iterate Y."""
+    C = np.asarray(program.objective, dtype=float)
+    rho = np.asarray(program.ball_radii, dtype=float)
+    r = np.asarray(program.image_radii, dtype=float)
+
+    def package(lower, witness, upper, _, iterations):
+        res = _residual(witness, program.forward(witness), rho, r)
+        return DualCertificate(linalg.from_coords(witness), float(np.vdot(witness, C)), res,
+                               iterations, upper)
+
+    def certify(F, Y):
+        scale = _feasibility_scale(F, program.forward(F), rho, r)
+        return float(np.vdot(F, C)) / scale, F / scale, _upper_bound(program, Y), None
+
+    def prox_maps(tau, sigma):
+        tau_C = tau * C
+        return (lambda V: linalg.clip(V + tau_C, -rho, rho),
+                lambda W: W - sigma * linalg.clip(W / sigma, -r, r))
+
+    return pdhg(np.zeros_like(C), np.zeros((r.size, C.shape[1])), program.forward,
+                program.adjoint, prox_maps, _map_norm(program), certify, package, options)

@@ -12,9 +12,11 @@ from specdist import (
     scalar_measure,
     w1_kappa_scalar,
 )
-from specdist import benchmark_measure, connes, ipm, make_uniform_grid, pdhg
+from specdist import benchmark_measure, connes, ipm, make_uniform_grid
 from specdist.connes import sufficient_kappa
 from specdist.measures import Grid
+
+from conftest import pdhg_ball_program
 
 
 SIGMA_X = DiracSet(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -471,25 +473,20 @@ class TestInteriorPoint:
             upper = radius * nuclear(slack) + sum(nuclear(Ye) for Ye in Y)
             assert upper == pytest.approx(cert.upper_bound, rel=1e-12)
 
-    def test_schur_eigendecomposition_fallback(self, rng, monkeypatch):
-        # a Schur complement that fails its Cholesky factorization is solved by
-        # an eigendecomposition with floored eigenvalues, and the solve certifies
-        ones = np.ones((1, 2, 1, 1))   # M = [[1, 1], [1, 1]], singular
-        np.testing.assert_allclose(ipm._schur_solver(ones, ones)(np.array([2.0, 2.0])), [1.0, 1.0])
+    def test_schur_eigendecomposition_fallback(self, rng):
+        # every Schur pivot is inverted through its eigendecomposition with
+        # floored eigenvalues, so a singular one is no breakdown: M = [[1, 1], [1, 1]]
+        ones = np.ones((1, 2, 2))
+        solve = ipm._block_solver(ones, np.zeros((1, 2, 2)))
+        np.testing.assert_allclose(solve(np.array([[2.0, 2.0]])), [[1.0, 1.0]])
         rho1, rho2 = _random_state(rng, 3), _random_state(rng, 3)
         ops = DiracSet(np.array([_hermitian(rng, 3) for _ in range(2)]))
-        expected = connes_distance(rho1, rho2, ops, 1.0)
-        cholesky = np.linalg.cholesky
-
-        def no_schur_cholesky(a, *args, **kwargs):
-            if np.ndim(a) == 2:   # the Schur matrices; the step lengths factor stacks
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", no_schur_cholesky)
         cert = connes_distance(rho1, rho2, ops, 1.0)
         assert cert.gap <= 1e-6 * cert.upper_bound
-        assert max(cert.value, expected.value) <= min(cert.upper_bound, expected.upper_bound)
+        oracle = pdhg_ball_program(connes._commutator_program(
+            rho1.matrix - rho2.matrix, ops, connes._commutators(ops.operators), 1.0),
+            SolverOptions())
+        assert max(cert.value, oracle.value) <= min(cert.upper_bound, oracle.upper_bound)
 
     def test_brackets_overlap_with_the_first_order_solver(self, rng):
         # the program as the first-order solver sees it, solved by both
@@ -498,7 +495,7 @@ class TestInteriorPoint:
             ops = DiracSet(np.array([_hermitian(rng, n) for _ in range(m)]))
             A = connes._commutators(ops.operators)
             program = connes._commutator_program(rho1.matrix - rho2.matrix, ops, A, kappa)
-            first_order = pdhg.solve_ball_program(program, SolverOptions())
+            first_order = pdhg_ball_program(program, SolverOptions())
             newton = ipm.solve_ball_program(program, SolverOptions())
             assert newton.iterations < 30 < first_order.iterations
             assert max(newton.value, first_order.value) <= min(newton.upper_bound,

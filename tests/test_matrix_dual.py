@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +17,16 @@ from specdist import (
     tv_matrix,
     w1_kappa_scalar,
 )
+from specdist import benchmark_measure, ipm, make_uniform_grid
+from specdist.ipm import solve_ball_program
 from specdist.matrix_dual import ball_program
 from specdist.measures import Grid
-from specdist.pdhg import relative_gap, solve_ball_program
+from specdist.pdhg import relative_gap
 from specdist.scalar_metrics import w1_kappa_chain
 
-from conftest import (cancellation_pair, flow_cost, random_grid, random_matrix_measure,
-                      random_psd, random_scalar_measure, short_gap_pair)
+from conftest import (cancellation_pair, flow_cost, pdhg_ball_program, random_grid,
+                      random_matrix_measure, random_psd, random_scalar_measure,
+                      short_gap_pair)
 
 TIGHT = SolverOptions(tolerance=1e-7)
 DEFAULT = SolverOptions(tolerance=1e-6)
@@ -253,10 +257,10 @@ class TestChainCertificate:
 
     @pytest.mark.parametrize("kappa", [0.3, 1.0])
     def test_overlaps_the_pdhg_bracket(self, kappa):
-        # the ball program's PDHG solve stays the oracle for the exact path
+        # the ball program's first-order solve is the oracle for the exact path
         problem = self._problem(7, 48, kappa)
         cert = solve_dual(problem, DEFAULT)
-        oracle = solve_ball_program(ball_program(problem), DEFAULT)
+        oracle = pdhg_ball_program(ball_program(problem), DEFAULT)
         assert oracle.iterations > 0
         slack = 1e-12 * cert.upper_bound
         assert oracle.value <= cert.upper_bound + slack
@@ -387,7 +391,7 @@ def paper_certificates():
 
 class TestScalarOracle:
     """At n = 1 the dual program is the chain program solved exactly; the
-    ball program's PDHG bracket contains its value."""
+    ball program's interior-point bracket contains its value."""
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
     def test_bracket_contains_chain_value(self, kappa):
@@ -402,12 +406,13 @@ class TestScalarOracle:
 
 
 class TestIterationCounts:
-    """Deterministic iterations to the certified gap (the driver's restarts)."""
+    """Deterministic Newton steps to the certified gap, and the first-order
+    oracle's iterations (its driver's restarts)."""
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
     def test_paper_pairs_certify_at_1e6(self, paper_certificates, pair):
         cert = paper_certificates[pair]
-        assert cert.iterations <= 10_000
+        assert cert.iterations <= 16
         assert cert.gap <= 1e-6 * cert.upper_bound
 
     def test_f1_f2_value(self, paper_certificates):
@@ -428,7 +433,115 @@ class TestIterationCounts:
         rng = np.random.default_rng(0)
         grid = random_grid(rng, 64)
         mu1, mu2 = random_scalar_measure(rng, grid), random_scalar_measure(rng, grid)
-        cert = solve_ball_program(ball_program(assemble_dual(mu1, mu2, 1.0)), DEFAULT)
+        cert = pdhg_ball_program(ball_program(assemble_dual(mu1, mu2, 1.0)), DEFAULT)
         assert cert.iterations <= 4_000
         exact = w1_kappa_scalar(mu1, mu2, 1.0)
         assert cert.value - 1e-9 <= exact <= cert.upper_bound + 1e-9
+
+
+def _overlap(a, b):
+    """Two certified brackets of one value overlap (up to the roundoff of 1e-12)."""
+    return max(a.value, b.value) <= min(a.upper_bound, b.upper_bound) * (1 + 1e-12)
+
+
+class TestInteriorPoint:
+    """At n >= 2 the dual is one block semidefinite program, solved by the
+    interior-point method on its block-tridiagonal Schur complement."""
+
+    @pytest.mark.parametrize("n, K, kappa", [(2, 6, 1.0), (2, 12, 0.3), (3, 5, 1.0),
+                                             (3, 8, 0.5)])
+    def test_brackets_overlap_with_the_first_order_oracle(self, n, K, kappa):
+        rng = np.random.default_rng([23, n, K])
+        grid = random_grid(rng, K)
+        problem = assemble_dual(random_matrix_measure(rng, grid, n),
+                                random_matrix_measure(rng, grid, n), kappa)
+        newton = solve_dual(problem, DEFAULT)
+        oracle = pdhg_ball_program(ball_program(problem), DEFAULT)
+        assert newton.iterations < 20 < oracle.iterations
+        assert _overlap(newton, oracle)
+
+    def test_forward_and_adjoint_are_adjoint(self, rng):
+        # <L F, Y> = <F, L* Y> for the chain's differences and for one-block maps
+        grid = random_grid(rng, 5)
+        problem = assemble_dual(random_matrix_measure(rng, grid, 2),
+                                random_matrix_measure(rng, grid, 2), 1.0)
+        one_block = ipm.BallProgram(np.zeros((2, 4)), np.ones(2), rng.normal(size=(3, 4, 4)),
+                                    np.array([0, 1, 1]), np.ones(3))
+        for program in (ball_program(problem), one_block):
+            F = rng.normal(size=program.objective.shape)
+            Y = rng.normal(size=(program.image_radii.size, 4))
+            assert np.vdot(program.forward(F), Y) == pytest.approx(
+                np.vdot(F, program.adjoint(Y)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unitary_invariance(self, n):
+        # W(U mu U*, U nu U*) = W(mu, nu), as overlapping certified brackets
+        rng = np.random.default_rng([29, n])
+        grid = random_grid(rng, 7)
+        mu1, mu2 = random_matrix_measure(rng, grid, n), random_matrix_measure(rng, grid, n)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        turned = [MatrixMeasure(grid, U @ mu.masses @ U.conj().T) for mu in (mu1, mu2)]
+        a = solve_dual(assemble_dual(mu1, mu2, 1.0), DEFAULT)
+        b = solve_dual(assemble_dual(*turned, 1.0), DEFAULT)
+        assert a.gap <= 1e-6 * a.upper_bound and b.gap <= 1e-6 * b.upper_bound
+        assert _overlap(a, b)
+
+    def test_block_diagonal_additivity(self):
+        # W(mu + mu', nu + nu') = W(mu, nu) + W(mu', nu') for block-diagonal sums
+        rng = np.random.default_rng(31)
+        grid = random_grid(rng, 6)
+        parts = [(random_matrix_measure(rng, grid, n), random_matrix_measure(rng, grid, n))
+                 for n in (2, 1)]
+
+        def direct_sum(a, b):
+            masses = np.zeros((grid.size, 3, 3), dtype=complex)
+            masses[:, :2, :2], masses[:, 2:, 2:] = a.masses, b.masses
+            return MatrixMeasure(grid, masses)
+
+        whole = solve_dual(assemble_dual(direct_sum(parts[0][0], parts[1][0]),
+                                         direct_sum(parts[0][1], parts[1][1]), 1.0), DEFAULT)
+        pieces = [solve_dual(assemble_dual(a, b, 1.0), DEFAULT) for a, b in parts]
+        summed = DualCertificate(None, sum(p.value for p in pieces), 0.0, 0,
+                                 sum(p.upper_bound for p in pieces))
+        assert _overlap(whole, summed)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+    def test_paper_pairs_at_576_points_certify(self, pair):
+        # the first-order solver needed 60,000 / 59,500 / 24,600 iterations here
+        grid = make_uniform_grid(576, 0.0, math.pi)
+        problem = assemble_dual(benchmark_measure(pair[0], grid),
+                                benchmark_measure(pair[1], grid), 1.0)
+        cert = solve_dual(problem, SolverOptions(max_iterations=30))
+        assert cert.iterations < 30
+        assert cert.gap <= 1e-6 * cert.upper_bound
+
+    def test_gap_far_below_kappa_ends_in_few_newton_steps(self):
+        # value 3e-12 against kappa ||Delta||_TV = 6: the first-order solver ran
+        # its whole budget; a few Newton steps certify it or end the solve
+        h = 1e-12
+        try:
+            cert = solve_dual(assemble_dual(*short_gap_pair(h), 1.0),
+                              SolverOptions(max_iterations=1000))
+        except ConvergenceError as err:
+            cert = err.solution
+        assert cert.iterations <= 30
+        assert cert.value <= 3 * h <= cert.upper_bound
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 8, 13])
+    def test_block_solver_matches_a_dense_solve(self, B):
+        # block cyclic reduction against numpy's dense solve, odd and even block counts
+        rng = np.random.default_rng(B)
+        m = 4
+        lower = np.zeros((B * m, B * m))
+        for k in range(B):
+            lower[k * m:(k + 1) * m, k * m:(k + 1) * m] = rng.normal(size=(m, m)) + 3 * np.eye(m)
+            if k:
+                lower[k * m:(k + 1) * m, (k - 1) * m:k * m] = rng.normal(size=(m, m))
+        M = lower @ lower.T
+        diag = np.array([M[k * m:(k + 1) * m, k * m:(k + 1) * m] for k in range(B)])
+        upper = np.zeros_like(diag)   # the last superdiagonal block is 0
+        for k in range(B - 1):
+            upper[k] = M[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m]
+        b = rng.normal(size=(B, m))
+        x = ipm._block_solver(diag, upper)(b)
+        np.testing.assert_allclose(x.ravel(), np.linalg.solve(M, b.ravel()), rtol=1e-9, atol=1e-12)

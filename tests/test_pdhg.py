@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from specdist import SolverOptions, linalg
-from specdist.pdhg import BallProgram, relative_gap, solve_ball_program, within_tolerance
+from specdist.ipm import BallProgram, solve_ball_program
+from specdist.pdhg import relative_gap, within_tolerance
 
 from conftest import random_hermitian
 
 
 def _no_constraints_program(C, radii):
     # ball programs are stated in the coordinates of linalg
+    m = C.shape[-1] ** 2
     return BallProgram(
         objective=linalg.to_coords(C),
         ball_radii=radii,
-        forward=lambda F: np.zeros((0,) + F.shape[1:], dtype=F.dtype),
-        adjoint=lambda Y: np.zeros((C.shape[0], C.shape[-1] ** 2)),
+        maps=np.zeros((0, m, m)),
+        blocks=np.zeros(0, dtype=int),
         image_radii=np.zeros(0),
-        map_norm=0.0,
     )
 
 
@@ -77,23 +78,13 @@ def test_certified_bounds_sandwich_the_value(rng):
     # adjacent-difference constraints on a 3-block chain, in coordinates
     C = linalg.to_coords([random_hermitian(rng, 2) for _ in range(3)])
     gaps = np.array([0.5, 0.8])
-
-    def forward(F):
-        return F[:-1] - F[1:]
-
-    def adjoint(Y):
-        out = np.zeros((3, 4))
-        out[:-1] += Y
-        out[1:] -= Y
-        return out
-
     program = BallProgram(
         objective=C,
         ball_radii=np.ones(3),
-        forward=forward,
-        adjoint=adjoint,
+        maps=np.eye(4)[None],
+        blocks=np.arange(2),
         image_radii=gaps,
-        map_norm=2.0,
+        differences=True,   # F_k - F_{k+1}
     )
     solution = solve_ball_program(program, SolverOptions(tolerance=1e-8))
     assert solution.value <= solution.upper_bound + 1e-12
