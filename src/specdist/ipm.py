@@ -12,7 +12,10 @@ r_k I - A_k(x) >= 0`` over ``2 (B + E)`` blocks k (balls and images, each
 with both signs), whose dual minimizes ``sum_k r_k tr X_k`` over ``X_k >=
 0`` with ``sum_k A_k*(X_k) = c``.
 
-From ``x = 0``, ``S = r I``, ``X = I`` each Newton step takes the
+From ``x = 0``, ``S = r I`` and ``X = t I``, t the power of two nearest
+``sum_b rho_b ||C_b||_* / (n sum_b rho_b)`` (1 for C = 0), so that masses
+times 2^k scale t, X, the Schur complement and both bounds by 2^k exactly
+and leave x, S and the steps as they are, each Newton step takes the
 Helmberg-Rendl-Vanderbei-Wolkowicz direction (SIAM J. Optim. 1996) with
 Mehrotra's predictor-corrector (``sigma = (mu_aff / mu)^3``, SIAM J. Optim.
 1992) and steps of 0.95 of the distance to the boundary.  Its Schur
@@ -30,8 +33,8 @@ lower bound, ``Y_e = X_e+ - X_e-`` of the image blocks the upper bound
 ``sum_b rho_b ||C_b - (L* Y)_b||_* + sum_e r_e ||Y_e||_*`` (weak duality),
 each rounded outward by two units of roundoff of its terms.  A bound that
 would invert the bracket is not taken; three Newton steps in a row that
-improve neither bound (roundoff), like the budget, end the solve with
-``ConvergenceError``.
+improve neither bound nor halve ``<X, S>`` (roundoff), like the budget, end
+the solve with ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .pdhg import (ConvergenceError, DualCertificate, SolverOptions, _feasibilit
 
 STEP_TO_BOUNDARY = 0.95   # share of the distance to the boundary of the cone a step takes
 EIGEN_FLOOR = 1e-14       # floor of scaled pivot eigenvalues, and reduced pivots' ridge, relative
-STALL_STEPS = 3           # Newton steps in a row that improve neither bound end the solve
+STALL_STEPS = 3           # Newton steps in a row that improve neither bound nor halve <X, S>
 EPS2 = 2.0 * np.finfo(float).eps   # outward rounding of both bounds, per unit of their terms
 WEIGHT_CHUNK = 1 << 15    # bytes of Schur weights formed at a time
 
@@ -279,8 +282,12 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         signed = Z[:half] - Z[half:]
         return signed[:B] + program.adjoint(signed[B:])
 
-    identity = linalg.to_coords(np.eye(math.isqrt(c.shape[-1])))
+    n = math.isqrt(c.shape[-1])
+    identity = linalg.to_coords(np.eye(n))
     R = np.tile(np.concatenate([rho, r]), 2)[:, None] * identity
+    with np.errstate(all="ignore"):   # 0 or not finite for c = 0 or rho = 0
+        scale = rho @ linalg.nuclear_norms(c) / (n * rho.sum())
+    t = 2.0 ** min(round(math.log2(scale)), 1023) if 0 < scale < math.inf else 1.0
 
     def certify(x, X):
         """Both bounds, rounded outward, with their witnesses F and Y; none for a
@@ -299,8 +306,9 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
             package(*best, steps))
 
     x = np.zeros(c.shape)
-    X = np.tile(identity, (R.shape[0], 1))
+    X = np.tile(t * identity, (R.shape[0], 1))
     best = list(certify(x, X))   # lower, its F, upper, its Y
+    complementarity = float(np.vdot(X, R))   # <X, S>
     steps = stalled = 0
     while not within_tolerance(best[0], best[2], options.tolerance):
         if steps == options.max_iterations:
@@ -309,15 +317,16 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         try:
             with np.errstate(all="ignore"):
                 x, X = _newton_step(program, A, A_adj, R, c, x, X)
+                complementarity, last = float(np.vdot(X, R - A(x))), complementarity
         except np.linalg.LinAlgError:
             fail(f"Newton step {steps} broke down", steps)
         lower, F, upper, Y = certify(x, X)
-        stalled += 1
+        stalled = 0 if 2 * complementarity < last else stalled + 1
         if best[0] < lower <= best[2]:
             best[0:2], stalled = (lower, F), 0
         if best[0] <= upper < best[2]:
             best[2:4], stalled = (upper, Y), 0
         if stalled == STALL_STEPS:
-            fail(f"Newton steps {steps - STALL_STEPS + 1} to {steps} improved neither bound",
-                 steps)
+            fail(f"Newton steps {steps - STALL_STEPS + 1} to {steps} improved neither bound "
+                 "nor halved <X, S>", steps)
     return package(*best, steps)

@@ -527,6 +527,39 @@ class TestInteriorPoint:
         assert cert.iterations <= 30
         assert cert.value <= 3 * h <= cert.upper_bound
 
+    @pytest.mark.parametrize("pair", ["f0f1", (2, 12), (3, 10), (2, 36)],
+                             ids=["f0f1", "n2-K12", "n3-K10", "n2-K36"])
+    def test_mass_scale_changes_no_newton_step(self, pair):
+        # masses times 2^k scale the start X = t I, the Schur weights and both
+        # bounds by 2^k exactly: the same steps and exactly scaled values
+        if pair == "f0f1":
+            mu1, mu2 = benchmark_measure(0), benchmark_measure(1)
+        else:
+            rng = np.random.default_rng(5)
+            grid = random_grid(rng, pair[1])
+            mu1, mu2 = (random_matrix_measure(rng, grid, pair[0]) for _ in range(2))
+        certs = {k: solve_dual(assemble_dual(MatrixMeasure(mu1.grid, mu1.masses * 2.0 ** k),
+                                             MatrixMeasure(mu2.grid, mu2.masses * 2.0 ** k),
+                                             1.0), DEFAULT)
+                 for k in (-200, -60, 0, 60, 200)}
+        for k, cert in certs.items():
+            assert cert.iterations == certs[0].iterations
+            assert cert.value == certs[0].value * 2.0 ** k
+            assert cert.upper_bound == certs[0].upper_bound * 2.0 ** k
+
+    def test_falling_barrier_is_not_a_stall(self):
+        # steps 2 to 4 improve neither bound while <X, S> still halves; the
+        # solve certifies in 12 steps
+        rng = np.random.default_rng(11)
+        grid = Grid(np.linspace(0.0, 1e3, 16), np.ones(16))
+        measures = []
+        for _ in range(2):
+            A = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+            measures.append(MatrixMeasure(grid, A @ A.conj().transpose(0, 2, 1)))
+        cert = solve_dual(assemble_dual(*measures, 1e-6), DEFAULT)
+        assert cert.iterations <= 15
+        assert cert.gap <= 1e-6 * cert.upper_bound
+
     @pytest.mark.parametrize("B", [1, 2, 5, 8, 13])
     def test_block_solver_matches_a_dense_solve(self, B):
         # block cyclic reduction against numpy's dense solve, odd and even block counts
