@@ -17,7 +17,7 @@ from specdist import (
     tv_matrix,
     w1_kappa_scalar,
 )
-from specdist import benchmark_measure, ipm, make_uniform_grid
+from specdist import benchmark_measure, ipm, linalg, make_uniform_grid
 from specdist.ipm import solve_ball_program
 from specdist.matrix_dual import ball_program
 from specdist.measures import Grid
@@ -578,3 +578,46 @@ class TestInteriorPoint:
         b = rng.normal(size=(B, m))
         x = ipm._block_solver(diag, upper)(b)
         np.testing.assert_allclose(x.ravel(), np.linalg.solve(M, b.ravel()), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_real_forms_multiply_as_the_blocks(self, n):
+        # R(A) R(B) = R(AB), and the table back reads the coordinates of the
+        # product's Hermitian part
+        rng = np.random.default_rng([37, n])
+        a, b = rng.normal(size=(2, 5, n * n))
+        np.testing.assert_allclose(ipm._co(ipm._real(a)), a, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            ipm._co(ipm._real(a) @ ipm._real(b)),
+            linalg.to_coords(linalg.from_coords(a) @ linalg.from_coords(b)), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_weights_match_the_complex_products(self, n):
+        # W_k = Re tr(E_a X_k E_b Q_k), summed over the stacks' halves, against
+        # complex products; each half spans two WEIGHT_CHUNKs of products (32 m^2
+        # bytes per block) and part of a third
+        rng = np.random.default_rng([41, n])
+        m = n * n
+        half = 2 * (ipm.WEIGHT_CHUNK // (32 * m * m)) + 3
+        X, Q = rng.normal(size=(2, 2 * half, m))
+        E = linalg.from_coords(np.eye(m))
+        W = np.einsum("aij,kjl,blm,kmi->kab", E, linalg.from_coords(X), E,
+                      linalg.from_coords(Q)).real
+        np.testing.assert_allclose(ipm._weights(ipm._real(X), ipm._real(Q)),
+                                   W[:half] + W[half:], rtol=0, atol=1e-12)
+
+    def test_zero_complementarity_is_a_breakdown(self, monkeypatch):
+        # sigma = (mu_aff / mu)^3 divides by mu = <X, S> / (J n): a step from
+        # X = 0 (its Schur systems, singular there, solved as 0) ends the solve
+        # as a breakdown carrying the best bracket, not with ZeroDivisionError
+        rng = np.random.default_rng(43)
+        grid = random_grid(rng, 4)
+        program = ball_program(assemble_dual(random_matrix_measure(rng, grid, 2),
+                                             random_matrix_measure(rng, grid, 2), 1.0))
+        step = ipm._newton_step
+        monkeypatch.setattr(ipm, "_block_solver", lambda diag, upper: np.zeros_like)
+        monkeypatch.setattr(ipm, "_newton_step",
+                            lambda *args: (step(*args)[0], np.zeros_like(args[-1])))
+        with pytest.raises(ConvergenceError, match="Newton step 2 broke down") as err:
+            solve_ball_program(program, DEFAULT)
+        assert err.value.solution.iterations == 2
+        assert err.value.solution.value <= err.value.solution.upper_bound
