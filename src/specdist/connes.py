@@ -123,7 +123,6 @@ def _commutator_program(sigma: np.ndarray, diracs: DiracSet, A: np.ndarray,
         objective=linalg.to_coords(sigma)[None],
         ball_radii=np.full(1, kappa),
         maps=A.reshape(m, count, m).swapaxes(0, 1),   # every image reads the one block
-        blocks=np.zeros(count, dtype=int),
         image_radii=np.ones(count),
     )
 

@@ -3,9 +3,9 @@
 A ball program maximizes ``sum_b tr(C_b F_b)`` over stacked Hermitian blocks
 F subject to ``||F_b|| <= rho_b`` and ``||(L F)_e|| <= r_e`` (operator
 norms), in the real coordinates x of :mod:`specdist.linalg`.  Image e maps
-one block, ``(L x)_e = x_{b_e} G_e`` (the commutators of the Connes
-distance, all of its one block), or the difference of two adjacent ones,
-``(x_{b_e} - x_{b_e + 1}) G_e`` (the chain of the W1,kappa dual).
+the only block, ``(L x)_e = x G_e`` (the commutators of the Connes
+distance), or the difference of two adjacent ones, ``(x_e - x_{e + 1})
+G_e`` (the chain of the W1,kappa dual).
 ``||G|| <= r`` is the pair of linear matrix inequalities ``r I -+ G >= 0``,
 so the program is the semidefinite program ``max c.x`` subject to ``S_k =
 r_k I - A_k(x) >= 0`` over ``2 (B + E)`` blocks k (balls and images, each
@@ -22,7 +22,8 @@ Mehrotra's predictor-corrector (``sigma = (mu_aff / mu)^3``, SIAM J. Optim.
 complement ``sum_k J_k^T W_k J_k``, with ``W_k[a, b] = Re tr(E_a X_k E_b
 S_k^-1)`` and J_k the constraint's Jacobian, is block tridiagonal in the
 blocks of x (one dense block for Connes), and block cyclic reduction
-(Heller, SIAM J. Numer. Anal. 1976) solves it in log2 B batched levels.
+(Heller, SIAM J. Numer. Anal. 1976), its pivots factored by Cholesky where
+their condition allows, solves it in log2 B batched levels.
 S is the exact slack of x, so x stays strictly feasible; the Schur solve
 loses accuracy as ``mu`` falls, so the step's ``dX`` is corrected by ``X A(v)
 X``, inside X's range, to meet the equality constraints.  Inverse square
@@ -71,22 +72,27 @@ class BallProgram:
     objective: np.ndarray     # (B, n^2) coordinates of the blocks C
     ball_radii: np.ndarray    # (B,) operator-norm radii for F
     maps: np.ndarray          # (E, n^2, n^2), or (1, ...) for every image: G_e
-    blocks: np.ndarray        # (E,) b_e, the block image e reads
     image_radii: np.ndarray   # (E,) operator-norm radii for L F
-    differences: bool = False   # image e reads x_{b_e} - x_{b_e + 1}
+    differences: bool = False   # image e reads x_e - x_{e + 1}, else the only block
+
+    def __post_init__(self):
+        if not self.differences and len(self.image_radii) and len(self.objective) > 1:
+            raise ValueError("images without differences read the only block, but B > 1")
 
     def forward(self, F: np.ndarray) -> np.ndarray:
         """``L F``, ``(E, n^2)``."""
-        read = F[self.blocks] - F[1:][self.blocks] if self.differences else F[self.blocks]
+        read = F[:-1] - F[1:] if self.differences else F[np.zeros(len(self.image_radii), int)]
         return (read[:, None] @ self.maps)[:, 0]
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         """``L* Y``, ``(B, n^2)``."""
         out = np.zeros(self.objective.shape)
         Z = (Y[:, None] @ _t(self.maps))[:, 0]
-        np.add.at(out, self.blocks, Z)
-        if self.differences:   # out[1:] at b_e is block b_e + 1, without index arithmetic
-            np.add.at(out[1:], self.blocks, -Z)
+        if self.differences:
+            out[:-1] += Z
+            out[1:] -= Z
+        else:
+            out[0] = Z.sum(axis=0)
         return out
 
 
@@ -145,23 +151,34 @@ def _normal_blocks(program: BallProgram, W: np.ndarray) -> tuple[np.ndarray, np.
     superdiagonal block is 0."""
     B = program.ball_radii.size
     diag, images = W[:B].copy(), program.maps @ W[B:] @ _t(program.maps)
-    np.add.at(diag, program.blocks, images)
     upper = np.zeros_like(diag)   # upper[B - 1] = 0: no block after the last
     if program.differences:
-        np.add.at(diag[1:], program.blocks, images)
-        np.add.at(upper, program.blocks, images)
-        np.negative(upper, out=upper)
+        diag[:-1] += images
+        diag[1:] += images
+        upper[:-1] = -images
+    else:
+        diag[0] += images.sum(axis=0)
     return diag, upper
 
 
-def _floored_factor(M: np.ndarray) -> np.ndarray:
-    """A real ``(2m, m)`` factor H with ``M^-1 = H^T H`` for symmetric positive
-    semidefinite blocks ``M = s V w V* s`` (``s = diag(M)^1/2``, which keeps
-    graded blocks' eigenvalues accurate): the real and imaginary parts of
-    ``w^-1/2 V* / s``, w floored at ``EIGEN_FLOOR`` of its largest.  Complex
-    ``eigh`` is the LAPACK routine the spectral kernels already load."""
+def _pivot_factor(M: np.ndarray) -> np.ndarray:
+    """A real factor H, ``(m, m)`` or ``(2m, m)``, with ``M^-1 = H^T H`` for
+    symmetric positive semidefinite blocks ``M = s P s`` (``s = diag(M)^1/2``,
+    which keeps graded blocks' eigenvalues accurate): ``L^-1 / s`` from the
+    Cholesky factor ``P = L L^T``, or else the real and imaginary parts of
+    ``w^-1/2 V* / s`` from ``P = V w V*``, w floored at ``EIGEN_FLOOR`` of its
+    largest.  The batch takes the first unless some ``m EIGEN_FLOOR ||L^-1||_F^2
+    > 1`` (or is not finite): below that bound the floor cannot bind, as
+    ``lambda_min(P) >= ||L^-1||_F^-2`` and ``lambda_max(P) <= tr P = m``."""
     s = np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None]
-    w, V = np.linalg.eigh((M / s / s.mT).astype(complex))
+    P = M / s / s.mT
+    try:
+        H = np.linalg.inv(np.linalg.cholesky(P))
+        if M.shape[-1] * EIGEN_FLOOR * np.square(H).sum(axis=(-2, -1)).max() <= 1.0:
+            return H / s.mT
+    except np.linalg.LinAlgError:
+        pass
+    w, V = np.linalg.eigh(P.astype(complex))
     H = V.mT.conj() * np.maximum(w, EIGEN_FLOOR * w[..., -1:])[..., None] ** -0.5 / s.mT
     return np.concatenate([H.real, H.imag], axis=-2)
 
@@ -181,7 +198,7 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray):
     while len(diag) > 1:
         odd, even = len(diag) // 2, (len(diag) + 1) // 2
         left, right = upper[0::2][:odd], upper[1::2]   # M[j - 1, j] and M[j, j + 1]
-        H = _floored_factor(diag[1::2])
+        H = _pivot_factor(diag[1::2])
         to_left, to_right = H @ _t(left), H @ right
         left_t = _t(to_left)
         diag = diag[0::2] * (1.0 + EIGEN_FLOOR * eye)
@@ -190,7 +207,7 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray):
         upper = np.zeros_like(diag)
         upper[:even - 1] = -(left_t @ to_right)[:even - 1]
         levels.append((H, left, right))
-    last = _floored_factor(diag)
+    last = _pivot_factor(diag)
 
     def solve(b: np.ndarray) -> np.ndarray:
         # vectors are columns (..., m, 1); a transposed matrix times a vector is

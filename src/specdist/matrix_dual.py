@@ -101,7 +101,6 @@ def ball_program(problem: DualProblem) -> BallProgram:
         objective=linalg.to_coords(problem.deltas),
         ball_radii=np.full(K, problem.kappa),
         maps=np.eye(problem.dim ** 2)[None],
-        blocks=np.arange(K - 1),
         image_radii=problem.gaps,
         differences=True,   # F_k - F_{k+1}
     )

@@ -33,8 +33,9 @@ is optimal and the solve certifies without iterating.  The iteration holds
 the plan (3, K, n^2) and its duals (2, 2, K, n^2) in the real coordinates of
 :mod:`specdist.linalg`.  The TV and PSD duals share one spectral pass: the
 dual prox maps the stacked (2, 2, K, n^2) pairs through one
-:func:`specdist.linalg.map_eigenvalues` call, soft-thresholding the
-eigenvalues of the TV pair and clipping those of the PSD pair.
+:func:`specdist.linalg.clip` call (Moreau's identity): the eigenvalues of
+the TV pair, shifted by ``sigma M``, are clipped to ``[-kappa, kappa]`` and
+those of the PSD pair to ``(-inf, 0]``.
 
 The denoised marginals are PSD-cone constrained (they stand for measures);
 without the cone the minimizer can settle on indefinite marginals whose PSD
@@ -179,24 +180,16 @@ def solve_unbalanced_primal(
         return TransportSolution(linalg.from_coords(plan), hats, cost, tv_pen,
                                  cost + kappa * tv_pen, lower, iterations)
 
-    def prox_maps(tau, sigma):
-        tau_costs, threshold = tau * costs, kappa / sigma
+    lo, hi = np.array([-kappa, -np.inf])[:, None, None], np.array([kappa, 0.0])[:, None, None]
 
-        def spectral(lam):
-            out = np.empty_like(lam)
-            out[:, 0] = np.sign(lam[:, 0]) * np.maximum(np.abs(lam[:, 0]) - threshold, 0.0)
-            out[:, 1] = np.maximum(lam[:, 1], 0.0)
-            return out
+    def prox_maps(tau, sigma):
+        tau_costs, shift = tau * costs, np.stack([sigma * M, np.zeros_like(M)])
 
         def prox_dual(W):
-            # W[0]: (rows, cols) duals of the TV penalties, soft-thresholded,
-            # W[1]: of the PSD cones, whose conjugate prox subtracts the
-            # positive part; one spectral pass maps both pairs
-            V = W.copy()
-            V[0] = M - W[0] / sigma
-            V = linalg.map_eigenvalues(V, spectral)
-            V[0] = sigma * (M - V[0])
-            return W - V
+            # Moreau: the TV pair W[0] of (rows, cols) duals goes to the kappa
+            # operator-norm ball, the PSD pair W[1] to the negative semidefinite
+            # cone; one eigenvalue clip maps both
+            return linalg.clip(W - shift, lo, hi)
 
         return lambda G: linalg.soft_threshold(G, tau_costs), prox_dual
 

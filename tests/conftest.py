@@ -147,13 +147,12 @@ def w1_kappa_scalar_all_pairs(mu1, mu2, kappa):
 
 
 def _map_norm(program):
-    """A bound on ``||L||``: the images of block b read it through the maps of
-    the images with ``b_e = b``, side by side, and a difference image reads two
-    blocks."""
-    maps = np.broadcast_to(program.maps, (program.blocks.size,) + program.maps.shape[1:])
-    one_side = max(np.linalg.norm(np.concatenate(maps[program.blocks == b], axis=1), 2)
-                   for b in np.unique(program.blocks))
-    return (2.0 if program.differences else 1.0) * one_side
+    """A bound on ``||L||``: a difference image reads two blocks through its
+    map, and the images of the only block read it through their maps side by
+    side."""
+    if program.differences:
+        return 2.0 * max(np.linalg.norm(G, 2) for G in program.maps)
+    return np.linalg.norm(np.concatenate(program.maps, axis=1), 2)
 
 
 def pdhg_ball_program(program, options):

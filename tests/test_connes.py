@@ -474,8 +474,9 @@ class TestInteriorPoint:
             assert upper == pytest.approx(cert.upper_bound, rel=1e-12)
 
     def test_schur_eigendecomposition_fallback(self, rng):
-        # every Schur pivot is inverted through its eigendecomposition with
-        # floored eigenvalues, so a singular one is no breakdown: M = [[1, 1], [1, 1]]
+        # a singular Schur pivot fails Cholesky and is inverted through its
+        # eigendecomposition with floored eigenvalues, so it is no breakdown:
+        # M = [[1, 1], [1, 1]]
         ones = np.ones((1, 2, 2))
         solve = ipm._block_solver(ones, np.zeros((1, 2, 2)))
         np.testing.assert_allclose(solve(np.array([[2.0, 2.0]])), [[1.0, 1.0]])

@@ -461,17 +461,24 @@ class TestInteriorPoint:
         assert _overlap(newton, oracle)
 
     def test_forward_and_adjoint_are_adjoint(self, rng):
-        # <L F, Y> = <F, L* Y> for the chain's differences and for one-block maps
+        # <L F, Y> = <F, L* Y> for the chain's differences and for maps of the only block
         grid = random_grid(rng, 5)
         problem = assemble_dual(random_matrix_measure(rng, grid, 2),
                                 random_matrix_measure(rng, grid, 2), 1.0)
-        one_block = ipm.BallProgram(np.zeros((2, 4)), np.ones(2), rng.normal(size=(3, 4, 4)),
-                                    np.array([0, 1, 1]), np.ones(3))
+        one_block = ipm.BallProgram(np.zeros((1, 4)), np.ones(1), rng.normal(size=(3, 4, 4)),
+                                    np.ones(3))
         for program in (ball_program(problem), one_block):
             F = rng.normal(size=program.objective.shape)
             Y = rng.normal(size=(program.image_radii.size, 4))
             assert np.vdot(program.forward(F), Y) == pytest.approx(
                 np.vdot(F, program.adjoint(Y)), rel=1e-12)
+
+    def test_images_of_several_blocks_must_be_differences(self):
+        # an image reads the only block, or the difference of two adjacent ones
+        with pytest.raises(ValueError, match="only block"):
+            ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.eye(4)[None], np.ones(1))
+        ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.eye(4)[None], np.ones(1), True)
+        ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.zeros((0, 4, 4)), np.zeros(0))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unitary_invariance(self, n):
@@ -578,6 +585,56 @@ class TestInteriorPoint:
         b = rng.normal(size=(B, m))
         x = ipm._block_solver(diag, upper)(b)
         np.testing.assert_allclose(x.ravel(), np.linalg.solve(M, b.ravel()), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("path", ["cholesky", "floored"])
+    @pytest.mark.parametrize("m", [1, 4, 9, 16])
+    def test_pivot_factor_inverts_graded_pivots(self, m, path, monkeypatch):
+        # H^T H = M^-1 for M = D A D, A well-conditioned and D grading the
+        # diagonal from 1e-6 to 1e6; a Cholesky that raises sends the batch down
+        # the floored eigendecomposition
+        rng = np.random.default_rng([43, m])
+        G = rng.normal(size=(5, m, m))
+        A = G @ G.mT / m + np.eye(m)
+        d = rng.permuted(np.broadcast_to(np.logspace(-3, 3, m), (5, m)), axis=1)
+        if path == "floored":
+            def cholesky(_):
+                raise np.linalg.LinAlgError("forced")
+            monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        H = ipm._pivot_factor(d[..., None] * A * d[:, None])
+        assert H.shape[-2] == (m if path == "cholesky" else 2 * m)
+        # D (H^T H) D = A^-1, whose entries are of order 1
+        np.testing.assert_allclose(d[..., None] * (H.mT @ H) * d[:, None], np.linalg.inv(A),
+                                   rtol=0, atol=1e-12)
+
+    def test_pivot_factor_floors_where_the_floor_binds(self):
+        # P = [[1, 1 - u], [1 - u, 1]] + I, u = 2^-53: eigenvalues u, 2 - u, 1, 1.
+        # Cholesky succeeds (its last pivot is 2^-52 exactly), but u is below
+        # EIGEN_FLOOR of the largest, so the batch takes the floored path
+        u = 2.0 ** -53
+        P = np.eye(4)
+        P[0, 1] = P[1, 0] = 1.0 - u
+        M = np.stack([P, 4.0 * np.eye(4)]) * np.array([1.0, 9.0])[:, None, None]
+        assert np.isfinite(np.linalg.cholesky(M)).all()
+        H = ipm._pivot_factor(M)
+        assert H.shape == (2, 8, 4)
+        w, V = np.linalg.eigh(M)
+        floored = np.maximum(w, ipm.EIGEN_FLOOR * w[:, -1:])
+        reference = (V / floored[:, None]) @ V.mT
+        np.testing.assert_allclose(H.mT @ H, reference, rtol=1e-8,
+                                   atol=1e-8 * np.abs(reference).max())
+
+    def test_well_conditioned_pivots_need_no_eigendecomposition(self, monkeypatch):
+        # the n = 2 Schur pivots of a benign dual factor by Cholesky alone
+        rng = np.random.default_rng(47)
+        grid = random_grid(rng, 8)
+        problem = assemble_dual(random_matrix_measure(rng, grid, 2),
+                                random_matrix_measure(rng, grid, 2), 1.0)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        cert = solve_dual(problem, DEFAULT)
+        assert cert.gap <= 1e-6 * cert.upper_bound
+        assert not calls
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_real_forms_multiply_as_the_blocks(self, n):

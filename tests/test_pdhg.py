@@ -18,7 +18,6 @@ def _no_constraints_program(C, radii):
         objective=linalg.to_coords(C),
         ball_radii=radii,
         maps=np.zeros((0, m, m)),
-        blocks=np.zeros(0, dtype=int),
         image_radii=np.zeros(0),
     )
 
@@ -82,7 +81,6 @@ def test_certified_bounds_sandwich_the_value(rng):
         objective=C,
         ball_radii=np.ones(3),
         maps=np.eye(4)[None],
-        blocks=np.arange(2),
         image_radii=gaps,
         differences=True,   # F_k - F_{k+1}
     )
