@@ -2,10 +2,10 @@
 
 Scalar and matrix-valued measures on an interval, classical scalar metrics
 (total variation, Kolmogorov, 1-Wasserstein), an unbalanced Wasserstein-like
-metric for matrix-valued measures solved by a certified first-order method,
-its transport (primal) counterpart, a spectral distance for density matrices
-with Dirac operators, and the benchmark spectra reproducing the comparison
-study.
+metric for matrix-valued measures, certified exactly by the scalar chain at
+n = 1 and by an interior-point method at n >= 2, its transport (primal)
+counterpart, a spectral distance for density matrices with Dirac operators,
+and the benchmark spectra reproducing the comparison study.
 """
 
 __version__ = "0.1.0"

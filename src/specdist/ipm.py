@@ -2,10 +2,11 @@
 
 A ball program maximizes ``sum_b tr(C_b F_b)`` over stacked Hermitian blocks
 F subject to ``||F_b|| <= rho_b`` and ``||(L F)_e|| <= r_e`` (operator
-norms), in the real coordinates x of :mod:`specdist.linalg`.  Image e maps
-the only block, ``(L x)_e = x G_e`` (the commutators of the Connes
-distance), or the difference of two adjacent ones, ``(x_e - x_{e + 1})
-G_e`` (the chain of the W1,kappa dual).
+norms), in the real coordinates x of :mod:`specdist.linalg`.  Image e is
+the difference of two adjacent blocks, ``(L x)_e = x_e - x_{e + 1}`` (the
+chain of the W1,kappa dual), or the only block through a map, ``x G_e``
+(the commutators of the Connes distance).  :class:`BallProgram` holds the
+images, their adjoint and the feasibility of a test function.
 ``||G|| <= r`` is the pair of linear matrix inequalities ``r I -+ G >= 0``,
 so the program is the semidefinite program ``max c.x`` subject to ``S_k =
 r_k I - A_k(x) >= 0`` over ``2 (B + E)`` blocks k (balls and images, each
@@ -26,7 +27,9 @@ blocks of x (one dense block for Connes), and block cyclic reduction
 their condition allows, solves it in log2 B batched levels.
 S is the exact slack of x, so x stays strictly feasible; the Schur solve
 loses accuracy as ``mu`` falls, so the step's ``dX`` is corrected by ``X A(v)
-X``, inside X's range, to meet the equality constraints.  Inverse square
+X``, inside X's range, to meet the equality constraints; its Gram system is
+built on X / t, exactly, whose weights start at order 1 where those of X,
+of order t^2, would under- or overflow for masses far from 1.  Inverse square
 roots and step lengths come from the spectral kernels of :mod:`specdist.linalg`,
 block products from the real forms ``R(M) = [[Re M, -Im M], [Im M, Re M]]``
 (``R(A) R(B) = R(AB)``, as in SDPT3), which numpy multiplies several times faster.
@@ -49,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .pdhg import (ConvergenceError, DualCertificate, SolverOptions, _feasibility_scale,
-                   relative_gap, within_tolerance)
+from .pdhg import DualCertificate, SolverOptions, no_certificate, within_tolerance
 
 STEP_TO_BOUNDARY = 0.95   # share of the distance to the boundary of the cone a step takes
 EIGEN_FLOOR = 1e-14       # floor of scaled pivot eigenvalues, and reduced pivots' ridge, relative
@@ -67,44 +69,66 @@ def _t(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BallProgram:
-    """Data of one ball-constrained linear maximization (see module docstring)."""
+    """Data of one ball-constrained linear maximization (see module docstring):
+    the images of the chain, ``x_e - x_{e + 1}``, without ``maps``, or else
+    ``x G_e`` of the only block."""
 
     objective: np.ndarray     # (B, n^2) coordinates of the blocks C
     ball_radii: np.ndarray    # (B,) operator-norm radii for F
-    maps: np.ndarray          # (E, n^2, n^2), or (1, ...) for every image: G_e
     image_radii: np.ndarray   # (E,) operator-norm radii for L F
-    differences: bool = False   # image e reads x_e - x_{e + 1}, else the only block
+    maps: np.ndarray | None = None   # (E, n^2, n^2): G_e
 
     def __post_init__(self):
-        if not self.differences and len(self.image_radii) and len(self.objective) > 1:
-            raise ValueError("images without differences read the only block, but B > 1")
+        if self.maps is not None and len(self.image_radii) and len(self.objective) > 1:
+            raise ValueError("images through maps read the only block, but B > 1")
 
     def forward(self, F: np.ndarray) -> np.ndarray:
         """``L F``, ``(E, n^2)``."""
-        read = F[:-1] - F[1:] if self.differences else F[np.zeros(len(self.image_radii), int)]
-        return (read[:, None] @ self.maps)[:, 0]
+        if self.maps is None:
+            return F[:-1] - F[1:]
+        return F[0] @ self.maps
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         """``L* Y``, ``(B, n^2)``."""
         out = np.zeros(self.objective.shape)
-        Z = (Y[:, None] @ _t(self.maps))[:, 0]
-        if self.differences:
-            out[:-1] += Z
-            out[1:] -= Z
+        if self.maps is None:
+            out[:-1] += Y
+            out[1:] -= Y
         else:
-            out[0] = Z.sum(axis=0)
+            out[0] = (Y[:, None] @ _t(self.maps))[:, 0].sum(axis=0)
         return out
 
+    def constraints(self, v: np.ndarray) -> np.ndarray:
+        """The constraint images ``(A_k(v))_k`` of coordinates v, both signs."""
+        images = np.concatenate([v, self.forward(v)])
+        return np.concatenate([images, -images])
 
-def _upper_bound(program: BallProgram, Y: np.ndarray) -> float:
-    slack = program.objective - program.adjoint(Y)
-    radii = np.concatenate([program.ball_radii, program.image_radii])
-    return float(radii @ linalg.nuclear_norms(np.concatenate([slack, Y])))
+    def constraints_adjoint(self, Z: np.ndarray) -> np.ndarray:
+        """``sum_k A_k*(Z_k)``, the adjoint of :meth:`constraints`."""
+        half, B = len(Z) // 2, len(self.ball_radii)
+        signed = Z[:half] - Z[half:]
+        return signed[:B] + self.adjoint(signed[B:])
 
+    def _norms(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Operator norms of F's blocks and images, and their radii."""
+        return (linalg.op_norms(np.concatenate([F, self.forward(F)])),
+                np.concatenate([self.ball_radii, self.image_radii]))
 
-def _residual(F, LF, ball_radii, image_radii) -> float:
-    return max(0.0, float((linalg.op_norms(F) - ball_radii).max(initial=0.0)),
-               float((linalg.op_norms(LF) - image_radii).max(initial=0.0)))
+    def feasibility_scale(self, F: np.ndarray) -> float:
+        """Smallest s >= 1 such that F / s satisfies every constraint."""
+        norms, radii = self._norms(F)
+        return max(1.0, float((norms / radii).max(initial=0.0)))
+
+    def residual(self, F: np.ndarray) -> float:
+        """F's largest constraint violation, 0 when feasible."""
+        norms, radii = self._norms(F)
+        return max(0.0, float((norms - radii).max(initial=0.0)))
+
+    def upper_bound(self, Y: np.ndarray) -> float:
+        """The cost of Y, which bounds the supremum by weak duality (see module docstring)."""
+        slack = self.objective - self.adjoint(Y)
+        radii = np.concatenate([self.ball_radii, self.image_radii])
+        return float(radii @ linalg.nuclear_norms(np.concatenate([slack, Y])))
 
 
 @functools.cache
@@ -150,14 +174,14 @@ def _normal_blocks(program: BallProgram, W: np.ndarray) -> tuple[np.ndarray, np.
     J_k``, from the sign-summed weights of the balls and images; the last
     superdiagonal block is 0."""
     B = program.ball_radii.size
-    diag, images = W[:B].copy(), program.maps @ W[B:] @ _t(program.maps)
+    diag, images = W[:B].copy(), W[B:]
     upper = np.zeros_like(diag)   # upper[B - 1] = 0: no block after the last
-    if program.differences:
+    if program.maps is None:
         diag[:-1] += images
         diag[1:] += images
         upper[:-1] = -images
     else:
-        diag[0] += images.sum(axis=0)
+        diag[0] += (program.maps @ images @ _t(program.maps)).sum(axis=0)
     return diag, upper
 
 
@@ -234,8 +258,10 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray):
     return solve
 
 
-def _newton_step(program, A, A_adj, R, c, x, X):
-    """One predictor-corrector step from ``(x, X)``, the iterates in coordinates."""
+def _newton_step(program, R, c, t, x, X):
+    """One predictor-corrector step from ``(x, X)``, the iterates in coordinates;
+    t is the start's power of two, ``X_0 = t I``."""
+    A, A_adj = program.constraints, program.constraints_adjoint
     J, n = X.shape[0], math.isqrt(X.shape[-1])
     S = R - A(x)
     root = _real(linalg.map_eigenvalues(np.concatenate([X, S]), lambda lam: lam ** -0.5))
@@ -267,9 +293,11 @@ def _newton_step(program, A, A_adj, R, c, x, X):
     target = sigma * mu * np.eye(2 * n) - _real(dX) @ _real(dS)
     dx, dS, dX = direction(_co(target @ S_inv))                 # corrector
     del solve   # one factorization at a time
-    # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k
-    v = _block_solver(*_normal_blocks(program, _weights(Xr, Xr)))(c - A_adj(X + dX))
-    dX += _co(Xr @ _real(A(v)) @ Xr)
+    # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k, built
+    # on X / t (exact) so that the weights, of order t^2, neither under- nor overflow
+    Xt = Xr / t
+    v = _block_solver(*_normal_blocks(program, _weights(Xt, Xt)))(c - A_adj(X + dX))
+    dX += _co(Xt @ _real(A(v)) @ Xt)
     a_x, a_s = steps(dX, dS)
     return x + a_s * dx, X + a_x * dX
 
@@ -287,8 +315,7 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
     B, E = rho.size, r.size
 
     def package(lower, F, upper, Y, steps) -> DualCertificate:
-        return DualCertificate(linalg.from_coords(F), lower,
-                               _residual(F, program.forward(F), rho, r), steps, upper,
+        return DualCertificate(linalg.from_coords(F), lower, program.residual(F), steps, upper,
                                None if Y is None else linalg.from_coords(Y))
 
     if E == 0:
@@ -298,17 +325,6 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         return package(value, F, value, None, 0)
 
     half = B + E
-
-    def A(v):
-        """The constraint images ``(A_k(v))_k`` of coordinates v."""
-        images = np.concatenate([v, program.forward(v)])
-        return np.concatenate([images, -images])
-
-    def A_adj(Z):
-        """``sum_k A_k*(Z_k)``, the adjoint of :func:`A`."""
-        signed = Z[:half] - Z[half:]
-        return signed[:B] + program.adjoint(signed[B:])
-
     n = math.isqrt(c.shape[-1])
     identity = linalg.to_coords(np.eye(n))
     R = np.tile(np.concatenate([rho, r]), 2)[:, None] * identity
@@ -321,16 +337,13 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         non-finite iterate."""
         if not (np.isfinite(x).all() and np.isfinite(X).all()):
             return -np.inf, None, np.inf, None
-        F = x / _feasibility_scale(x, program.forward(x), rho, r)
+        F = x / program.feasibility_scale(x)
         Y = X[B:half] - X[half + B:]
         lower = float(np.vdot(F, c)) - EPS2 * float(np.abs(F * c).sum())
-        return lower, F, _upper_bound(program, Y) * (1.0 + EPS2), Y
+        return lower, F, program.upper_bound(Y) * (1.0 + EPS2), Y
 
     def fail(reason, steps):
-        raise ConvergenceError(
-            f"no certificate at relative gap {options.tolerance:.1e}: {reason} (bounds "
-            f"[{best[0]:.6g}, {best[2]:.6g}], reached {relative_gap(best[0], best[2]):.2e})",
-            package(*best, steps))
+        raise no_certificate(options.tolerance, reason, best[0], best[2], package(*best, steps))
 
     x = np.zeros(c.shape)
     X = np.tile(t * identity, (R.shape[0], 1))
@@ -343,8 +356,9 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         steps += 1
         try:
             with np.errstate(all="ignore"):
-                x, X = _newton_step(program, A, A_adj, R, c, x, X)
-                complementarity, last = float(np.vdot(X, R - A(x))), complementarity
+                x, X = _newton_step(program, R, c, t, x, X)
+                complementarity, last = (float(np.vdot(X, R - program.constraints(x))),
+                                         complementarity)
         except (np.linalg.LinAlgError, ZeroDivisionError):   # the latter: sigma at <X, S> = 0
             fail(f"Newton step {steps} broke down", steps)
         lower, F, upper, Y = certify(x, X)

@@ -36,8 +36,9 @@ import numpy as np
 
 from . import linalg
 from .measures import Grid, MatrixMeasure, _check_compatible, _readonly
-from .ipm import BallProgram, _residual, solve_ball_program
-from .pdhg import ConvergenceError, DualCertificate, SolverOptions, within_tolerance
+from .ipm import EPS2, BallProgram, solve_ball_program
+from .pdhg import (ConvergenceError, DualCertificate, SolverOptions, no_certificate,
+                   within_tolerance)
 from .scalar_metrics import w1_kappa_chain
 
 __all__ = [
@@ -77,17 +78,6 @@ class DualProblem:
         return self.grid.spacings
 
 
-def _forward(F: np.ndarray) -> np.ndarray:
-    return F[:-1] - F[1:]
-
-
-def _adjoint(Y: np.ndarray) -> np.ndarray:
-    out = np.zeros((Y.shape[0] + 1,) + Y.shape[1:], dtype=Y.dtype)
-    out[:-1] += Y
-    out[1:] -= Y
-    return out
-
-
 def assemble_dual(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> DualProblem:
     """Set up the dual program for a pair of measures on a shared grid."""
     _check_compatible(mu1, mu2)
@@ -95,15 +85,10 @@ def assemble_dual(mu1: MatrixMeasure, mu2: MatrixMeasure, kappa: float) -> DualP
 
 
 def ball_program(problem: DualProblem) -> BallProgram:
-    """The dual program as a ball program for :func:`solve_ball_program`."""
-    K = problem.grid.size
-    return BallProgram(
-        objective=linalg.to_coords(problem.deltas),
-        ball_radii=np.full(K, problem.kappa),
-        maps=np.eye(problem.dim ** 2)[None],
-        image_radii=problem.gaps,
-        differences=True,   # F_k - F_{k+1}
-    )
+    """The dual program as a ball program for :func:`solve_ball_program`: the
+    chain, whose images are ``F_k - F_{k+1}``."""
+    return BallProgram(linalg.to_coords(problem.deltas), np.full(problem.grid.size, problem.kappa),
+                       problem.gaps)
 
 
 def solve_dual(problem: DualProblem, options: SolverOptions | None = None) -> DualCertificate:
@@ -141,17 +126,15 @@ def _chain_certificate(problem: DualProblem, options: SolverOptions) -> DualCert
     s, e2 = _two_sum(s1, np.insert(phi, 0, 0.0))
     cost = math.fsum(np.concatenate([kappa * np.abs(r) for r in (s, e1, e2)]
                                     + [gaps * np.abs(phi)]))
-    eps2 = 2.0 * np.finfo(float).eps
-    upper = cost + float(eps2 * cost + (eps2 * np.abs(delta)) @ np.abs(f)
-                         + (eps2 * np.abs(phi)) @ np.abs(f[:-1]))
+    upper = cost + float(EPS2 * cost + (EPS2 * np.abs(delta)) @ np.abs(f)
+                         + (EPS2 * np.abs(phi)) @ np.abs(f[:-1]))
     F = f[:, None]     # the coordinates of 1x1 blocks are their entries
-    residual = _residual(F, _forward(F), np.full(delta.size, kappa), gaps)
-    cert = DualCertificate(F[..., None].astype(complex), value, residual, 0, upper,
+    cert = DualCertificate(F[..., None].astype(complex), value,
+                           ball_program(problem).residual(F), 0, upper,
                            phi[:, None, None].astype(complex))
     if not within_tolerance(value, upper, options.tolerance):
-        raise ConvergenceError(
-            f"the exact chain certificate misses relative gap {options.tolerance:.1e} "
-            f"by roundoff (bounds [{value:.6g}, {upper:.6g}])", cert)
+        raise no_certificate(options.tolerance, "the exact chain certificate misses it by "
+                             "roundoff", value, upper, cert)
     return cert
 
 

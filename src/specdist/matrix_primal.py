@@ -55,9 +55,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .measures import MatrixMeasure, _check_compatible
-from .matrix_dual import DualCertificate, _adjoint, _forward, assemble_dual, solve_dual
-from .pdhg import Certified, ConvergenceError, SolverOptions, _feasibility_scale, pdhg, relative_gap
+from .measures import MatrixMeasure
+from .matrix_dual import DualCertificate, assemble_dual, ball_program, solve_dual
+from .pdhg import Certified, ConvergenceError, SolverOptions, pdhg, relative_gap
 
 __all__ = [
     "TransportSolution",
@@ -131,9 +131,7 @@ def solve_unbalanced_primal(
     :class:`ConvergenceError` carrying the best solution if the iteration
     budget runs out first.
     """
-    _check_compatible(mu1, mu2)
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    program = ball_program(assemble_dual(mu1, mu2, kappa))   # checks the pair and kappa
     options = options or SolverOptions()
     if np.array_equal(mu1.masses, mu2.masses):
         # the diagonal plan is optimal; a solve would face a roundoff-level
@@ -143,14 +141,13 @@ def solve_unbalanced_primal(
         return TransportSolution(plan, (mu1, mu2), 0.0, 0.0, 0.0, 0.0, 0)
     M = linalg.to_coords(np.stack([mu1.masses, mu2.masses]))
     K = M.shape[1]
-    gaps = mu1.grid.spacings
     costs = np.zeros((3, K))           # diagonal blocks travel for free
-    costs[1:, :-1] = gaps
-    delta = M[0] - M[1]
+    costs[1:, :-1] = program.image_radii
+    delta = program.objective
     start, duals = np.zeros((3,) + M.shape[1:]), np.zeros((2,) + M.shape)
     if certificate is not None and certificate.flow is not None:
         start[1, :-1] = linalg.to_coords(certificate.flow)
-        Z = delta - _adjoint(start[1, :-1])
+        Z = delta - program.adjoint(start[1, :-1])
         start[0] = M[0] - linalg.clip(Z, 0.0, np.inf) - start[1]
         start = _psd_repair(start)
         F = linalg.to_coords(certificate.test_function)
@@ -170,7 +167,7 @@ def solve_unbalanced_primal(
         cost, tv_pen = decompose(repaired)
         S = Y.sum(axis=0)
         F = 0.5 * (S[1] - S[0])
-        F = F / _feasibility_scale(F, _forward(F), kappa, gaps)
+        F = F / program.feasibility_scale(F)
         return max(hint, float(np.vdot(F, delta))), None, cost + kappa * tv_pen, repaired
 
     def package(lower, _, upper, plan, iterations) -> TransportSolution:

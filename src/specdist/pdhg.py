@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-
 CHECK_EVERY = 50            # iterations between certifications (the only restart points)
 RESTART_SUFFICIENT = 0.2    # restart once the gap falls to this share of its last-restart value
 RESTART_ARTIFICIAL = 0.36   # ... or once the current run is this share of all iterations
@@ -131,6 +129,14 @@ def within_tolerance(lower: float, upper: float, tolerance: float) -> bool:
     return relative_gap(lower, upper) <= tolerance
 
 
+def no_certificate(tolerance: float, reason: str, lower: float, upper: float,
+                   solution) -> ConvergenceError:
+    """The error of a solve that stops uncertified, with its best bracket."""
+    return ConvergenceError(
+        f"no certificate at relative gap {tolerance:.1e}: {reason} (bounds "
+        f"[{lower:.6g}, {upper:.6g}], reached {relative_gap(lower, upper):.2e})", solution)
+
+
 def _move(new: np.ndarray, old: np.ndarray) -> float:
     """Norm of ``new - old``; 0 when negligible against the iterates themselves."""
     moved = float(np.linalg.norm(new - old))
@@ -206,17 +212,5 @@ def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package,
         x_sum[...] = 0.0
         y_sum[...] = 0.0
 
-    raise ConvergenceError(
-        f"no certificate at relative gap {options.tolerance:.1e} within "
-        f"{options.max_iterations} iterations (bounds [{best[0]:.6g}, {best[2]:.6g}], "
-        f"reached {relative_gap(best[0], best[2]):.2e})",
-        package(*best, options.max_iterations),
-    )
-
-
-def _feasibility_scale(F, LF, ball_radii, image_radii) -> float:
-    """Smallest s >= 1 such that F / s satisfies every ball constraint."""
-    radii = np.concatenate([np.broadcast_to(ball_radii, F.shape[:-1]),
-                            np.broadcast_to(image_radii, LF.shape[:-1])])
-    s = (linalg.op_norms(np.concatenate([F, LF])) / radii).max(initial=0.0)
-    return max(1.0, float(s))
+    raise no_certificate(options.tolerance, f"budget of {options.max_iterations} iterations "
+                         "spent", best[0], best[2], package(*best, options.max_iterations))

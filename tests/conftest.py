@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from specdist import Grid, linalg, scalar_measure
-from specdist.ipm import _residual, _upper_bound
 from specdist.measures import MatrixMeasure
-from specdist.pdhg import DualCertificate, _feasibility_scale, pdhg
+from specdist.pdhg import DualCertificate, pdhg
 from specdist.simplex import LpProblem, lp_simplex
 
 
@@ -147,11 +146,10 @@ def w1_kappa_scalar_all_pairs(mu1, mu2, kappa):
 
 
 def _map_norm(program):
-    """A bound on ``||L||``: a difference image reads two blocks through its
-    map, and the images of the only block read it through their maps side by
-    side."""
-    if program.differences:
-        return 2.0 * max(np.linalg.norm(G, 2) for G in program.maps)
+    """A bound on ``||L||``: a chain image is the difference of two blocks, and
+    the images of the only block read it through their maps side by side."""
+    if program.maps is None:
+        return 2.0
     return np.linalg.norm(np.concatenate(program.maps, axis=1), 2)
 
 
@@ -165,13 +163,12 @@ def pdhg_ball_program(program, options):
     r = np.asarray(program.image_radii, dtype=float)
 
     def package(lower, witness, upper, _, iterations):
-        res = _residual(witness, program.forward(witness), rho, r)
-        return DualCertificate(linalg.from_coords(witness), float(np.vdot(witness, C)), res,
-                               iterations, upper)
+        return DualCertificate(linalg.from_coords(witness), float(np.vdot(witness, C)),
+                               program.residual(witness), iterations, upper)
 
     def certify(F, Y):
-        scale = _feasibility_scale(F, program.forward(F), rho, r)
-        return float(np.vdot(F, C)) / scale, F / scale, _upper_bound(program, Y), None
+        scale = program.feasibility_scale(F)
+        return float(np.vdot(F, C)) / scale, F / scale, program.upper_bound(Y), None
 
     def prox_maps(tau, sigma):
         tau_C = tau * C

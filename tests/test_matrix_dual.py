@@ -17,7 +17,7 @@ from specdist import (
     tv_matrix,
     w1_kappa_scalar,
 )
-from specdist import benchmark_measure, ipm, linalg, make_uniform_grid
+from specdist import benchmark_measure, connes, ipm, linalg, make_uniform_grid
 from specdist.ipm import solve_ball_program
 from specdist.matrix_dual import ball_program
 from specdist.measures import Grid
@@ -25,8 +25,8 @@ from specdist.pdhg import relative_gap
 from specdist.scalar_metrics import w1_kappa_chain
 
 from conftest import (cancellation_pair, flow_cost, pdhg_ball_program, random_grid,
-                      random_matrix_measure, random_psd, random_scalar_measure,
-                      short_gap_pair)
+                      random_hermitian, random_matrix_measure, random_psd,
+                      random_scalar_measure, short_gap_pair)
 
 TIGHT = SolverOptions(tolerance=1e-7)
 DEFAULT = SolverOptions(tolerance=1e-6)
@@ -465,20 +465,41 @@ class TestInteriorPoint:
         grid = random_grid(rng, 5)
         problem = assemble_dual(random_matrix_measure(rng, grid, 2),
                                 random_matrix_measure(rng, grid, 2), 1.0)
-        one_block = ipm.BallProgram(np.zeros((1, 4)), np.ones(1), rng.normal(size=(3, 4, 4)),
-                                    np.ones(3))
+        one_block = ipm.BallProgram(np.zeros((1, 4)), np.ones(1), np.ones(3),
+                                    rng.normal(size=(3, 4, 4)))
         for program in (ball_program(problem), one_block):
             F = rng.normal(size=program.objective.shape)
             Y = rng.normal(size=(program.image_radii.size, 4))
             assert np.vdot(program.forward(F), Y) == pytest.approx(
                 np.vdot(F, program.adjoint(Y)), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["chain", "connes"])
+    def test_feasibility_scale_makes_a_test_function_feasible(self, kind, rng):
+        # F / feasibility_scale(F) violates no constraint beyond roundoff, and
+        # a feasible F keeps its scale
+        if kind == "chain":
+            grid = random_grid(rng, 6)
+            program = ball_program(assemble_dual(random_matrix_measure(rng, grid, 3),
+                                                 random_matrix_measure(rng, grid, 3), 0.5))
+        else:
+            ops = np.array([random_hermitian(rng, 3) for _ in range(2)])
+            program = connes._commutator_program(random_hermitian(rng, 3), connes.DiracSet(ops),
+                                                 connes._commutators(ops), 0.5)
+        F = 10.0 * rng.normal(size=program.objective.shape)
+        scale = program.feasibility_scale(F)
+        assert scale > 1.0 and program.residual(F) > 0.0
+        radius = max(program.ball_radii.max(), program.image_radii.max())
+        assert program.residual(F / scale) <= 1e-14 * radius
+        assert program.feasibility_scale(F / (2.0 * scale)) == 1.0
+        assert program.residual(F / (2.0 * scale)) == 0.0
+
     def test_images_of_several_blocks_must_be_differences(self):
-        # an image reads the only block, or the difference of two adjacent ones
+        # an image reads the only block through its map, or else is the
+        # difference of two adjacent ones
         with pytest.raises(ValueError, match="only block"):
-            ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.eye(4)[None], np.ones(1))
-        ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.eye(4)[None], np.ones(1), True)
-        ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.zeros((0, 4, 4)), np.zeros(0))
+            ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.ones(1), np.eye(4)[None])
+        assert ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.ones(1)).maps is None
+        ipm.BallProgram(np.zeros((2, 4)), np.ones(2), np.zeros(0), np.zeros((0, 4, 4)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unitary_invariance(self, n):
@@ -553,6 +574,27 @@ class TestInteriorPoint:
             assert cert.iterations == certs[0].iterations
             assert cert.value == certs[0].value * 2.0 ** k
             assert cert.upper_bound == certs[0].upper_bound * 2.0 ** k
+
+    def test_gram_system_keeps_far_mass_scales(self):
+        # the dX correction's Gram weights are of order t^2, t = 2^k at masses
+        # times 2^k; built on X / t they stay finite at k = +-600, where the
+        # weights of X itself under- or overflow at Newton step 1
+        rng = np.random.default_rng(3)
+        grid = make_uniform_grid(8, 0.0, 1.0)
+        masses = []
+        for _ in range(2):
+            A = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+            masses.append(A @ A.conj().transpose(0, 2, 1))
+        certs = {k: solve_dual(assemble_dual(*(MatrixMeasure(grid, m * 2.0 ** k)
+                                               for m in masses), 1.0), DEFAULT)
+                 for k in (-600, -300, 0, 300, 600)}
+        for k, cert in certs.items():
+            assert cert.iterations == certs[0].iterations == 10
+            bounds = np.array([cert.value, cert.upper_bound]) / 2.0 ** k
+            expected = [certs[0].value, certs[0].upper_bound]
+            if abs(k) == 300:
+                assert list(bounds) == expected
+            np.testing.assert_allclose(bounds, expected, rtol=1e-14, atol=0)
 
     def test_falling_barrier_is_not_a_stall(self):
         # steps 2 to 4 improve neither bound while <X, S> still halves; the

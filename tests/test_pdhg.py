@@ -77,13 +77,7 @@ def test_certified_bounds_sandwich_the_value(rng):
     # adjacent-difference constraints on a 3-block chain, in coordinates
     C = linalg.to_coords([random_hermitian(rng, 2) for _ in range(3)])
     gaps = np.array([0.5, 0.8])
-    program = BallProgram(
-        objective=C,
-        ball_radii=np.ones(3),
-        maps=np.eye(4)[None],
-        image_radii=gaps,
-        differences=True,   # F_k - F_{k+1}
-    )
+    program = BallProgram(objective=C, ball_radii=np.ones(3), image_radii=gaps)   # F_k - F_{k+1}
     solution = solve_ball_program(program, SolverOptions(tolerance=1e-8))
     assert solution.value <= solution.upper_bound + 1e-12
     assert solution.gap <= 1e-7 * max(1.0, solution.upper_bound)
