@@ -46,6 +46,10 @@ CLOSED_FORMS = {"tv": tv_matrix, "kolmogorov": kolmogorov, "w1": w1_balanced,
                 "matrix-tv": tv_matrix,
                 "is": lambda mu1, mu2: itakura_saito(mu1, mu2, weighted=True)}
 
+TOL_HELP = "relative gap (upper - lower) / max(|lower|, |upper|) at which a certified solve stops"
+BUDGET_HELP = ("one budget per solve: Newton steps for the interior-point solves, PDHG "
+               "iterations for the gap audit's transport primal")
+
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
@@ -240,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--metric", choices=ALL_METRICS, default="matrix-w1k")
     dist.add_argument("--kappa", type=float, default=1.0,
                       help="bound on test functions (0 means unbounded, connes only)")
-    dist.add_argument("--tol", type=float, default=1e-6)
-    dist.add_argument("--max-iter", type=int, default=200_000)
+    dist.add_argument("--tol", type=float, default=1e-6, help=TOL_HELP)
+    dist.add_argument("--max-iter", type=int, default=200_000, help=BUDGET_HELP)
     dist.add_argument("--gap-audit", action="store_true",
                       help="also solve the transport side and report the duality gap")
     dist.add_argument("--dirac", default=None, help="JSON file with Dirac operators")
@@ -252,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table1", help="benchmark distance table and plot data")
     table.add_argument("--kappa", type=float, default=1.0)
-    table.add_argument("--tol", type=float, default=1e-3)
-    table.add_argument("--max-iter", type=int, default=400_000)
+    table.add_argument("--tol", type=float, default=1e-3, help=TOL_HELP)
+    table.add_argument("--max-iter", type=int, default=400_000, help=BUDGET_HELP)
     table.add_argument("--no-gap-audit", dest="gap_audit", action="store_false")
     table.add_argument("--grid-points", type=int, default=None)
     table.add_argument("--format", choices=("human-table", "csv", "structured"),

@@ -13,26 +13,24 @@ r_k I - A_k(x) >= 0`` over ``2 (B + E)`` blocks k (balls and images, each
 with both signs), whose dual minimizes ``sum_k r_k tr X_k`` over ``X_k >=
 0`` with ``sum_k A_k*(X_k) = c``.
 
-From ``x = 0``, ``S = r I`` and ``X = t I``, t the power of two nearest
-``sum_b rho_b ||C_b||_* / (n sum_b rho_b)`` (1 for C = 0), so that masses
-times 2^k scale t, X, the Schur complement and both bounds by 2^k exactly
-and leave x, S and the steps as they are, each Newton step takes the
-Helmberg-Rendl-Vanderbei-Wolkowicz direction (SIAM J. Optim. 1996) with
-Mehrotra's predictor-corrector (``sigma = (mu_aff / mu)^3``, SIAM J. Optim.
-1992) and steps of 0.95 of the distance to the boundary.  Its Schur
-complement ``sum_k J_k^T W_k J_k``, with ``W_k[a, b] = Re tr(E_a X_k E_b
-S_k^-1)`` and J_k the constraint's Jacobian, is block tridiagonal in the
-blocks of x (one dense block for Connes), and block cyclic reduction
-(Heller, SIAM J. Numer. Anal. 1976), its pivots factored by Cholesky where
-their condition allows, solves it in log2 B batched levels.
-S is the exact slack of x, so x stays strictly feasible; the Schur solve
-loses accuracy as ``mu`` falls, so the step's ``dX`` is corrected by ``X A(v)
-X``, inside X's range, to meet the equality constraints; its Gram system is
-built on X / t, exactly, whose weights start at order 1 where those of X,
-of order t^2, would under- or overflow for masses far from 1.  Inverse square
-roots and step lengths come from the spectral kernels of :mod:`specdist.linalg`,
-block products from the real forms ``R(M) = [[Re M, -Im M], [Im M, Re M]]``
-(``R(A) R(B) = R(AB)``, as in SDPT3), which numpy multiplies several times faster.
+The solve divides the objective by t, the power of two nearest ``sum_b rho_b
+||C_b||_* / (n sum_b rho_b)`` (1 for C = 0), and multiplies both bounds and Y
+by t on exit, so that no iterate depends on the masses' units and masses times
+2^k scale the certificate by 2^k exactly.  From ``x = 0``, ``S = r I`` and
+``X = I``, each Newton step takes the Helmberg-Rendl-Vanderbei-Wolkowicz
+direction (SIAM J. Optim. 1996) with Mehrotra's predictor-corrector (``sigma =
+(mu_aff / mu)^3``, SIAM J. Optim. 1992) and steps of 0.95 of the distance to
+the boundary.  Its Schur complement ``sum_k J_k^T W_k J_k``, with ``W_k[a, b]
+= Re tr(E_a X_k E_b S_k^-1)`` and J_k the constraint's Jacobian, is block
+tridiagonal in the blocks of x (one dense block for Connes), and block cyclic
+reduction (Heller, SIAM J. Numer. Anal. 1976), its pivots factored by Cholesky
+where their condition allows, solves it in log2 B batched levels.  S is the
+exact slack of x, so x stays strictly feasible; the Schur solve loses accuracy
+as ``mu`` falls, so the step's ``dX`` is corrected by ``X A(v) X``, inside X's
+range, to meet the equality constraints.  Inverse square roots and step
+lengths come from the spectral kernels of :mod:`specdist.linalg`, block
+products from the real forms ``R(M) = [[Re M, -Im M], [Im M, Re M]]`` (``R(A)
+R(B) = R(AB)``, as in SDPT3), which numpy multiplies several times faster.
 
 Certification is the package's: x scaled into the feasible set gives the
 lower bound, ``Y_e = X_e+ - X_e-`` of the image blocks the upper bound
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,9 +256,8 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray):
     return solve
 
 
-def _newton_step(program, R, c, t, x, X):
-    """One predictor-corrector step from ``(x, X)``, the iterates in coordinates;
-    t is the start's power of two, ``X_0 = t I``."""
+def _newton_step(program, R, c, x, X):
+    """One predictor-corrector step from ``(x, X)``, the iterates in coordinates."""
     A, A_adj = program.constraints, program.constraints_adjoint
     J, n = X.shape[0], math.isqrt(X.shape[-1])
     S = R - A(x)
@@ -293,11 +290,9 @@ def _newton_step(program, R, c, t, x, X):
     target = sigma * mu * np.eye(2 * n) - _real(dX) @ _real(dS)
     dx, dS, dX = direction(_co(target @ S_inv))                 # corrector
     del solve   # one factorization at a time
-    # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k, built
-    # on X / t (exact) so that the weights, of order t^2, neither under- nor overflow
-    Xt = Xr / t
-    v = _block_solver(*_normal_blocks(program, _weights(Xt, Xt)))(c - A_adj(X + dX))
-    dX += _co(Xt @ _real(A(v)) @ Xt)
+    # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k
+    v = _block_solver(*_normal_blocks(program, _weights(Xr, Xr)))(c - A_adj(X + dX))
+    dX += _co(Xr @ _real(A(v)) @ Xr)
     a_x, a_s = steps(dX, dS)
     return x + a_s * dx, X + a_x * dX
 
@@ -309,14 +304,21 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
     counts Newton steps, capped by ``options.max_iterations``.  Without
     images the supremum is attained in closed form, without a step.
     """
-    c = np.asarray(program.objective, dtype=float)
     rho = np.asarray(program.ball_radii, dtype=float)
     r = np.asarray(program.image_radii, dtype=float)
     B, E = rho.size, r.size
+    c = np.asarray(program.objective, dtype=float)
+    n = math.isqrt(c.shape[-1])
+    # the nuclear norms of C over a power of two near max |C|, whose squares stay finite
+    unit = linalg.power_of_two(float(np.abs(c).max(initial=0.0)))
+    with np.errstate(all="ignore"):   # 0 or not finite for c = 0 or rho = 0
+        t = linalg.power_of_two(unit * (rho @ linalg.nuclear_norms(c / unit)) / (n * rho.sum()))
+    c = c / t
+    program = replace(program, objective=c)
 
     def package(lower, F, upper, Y, steps) -> DualCertificate:
-        return DualCertificate(linalg.from_coords(F), lower, program.residual(F), steps, upper,
-                               None if Y is None else linalg.from_coords(Y))
+        return DualCertificate(linalg.from_coords(F), t * lower, program.residual(F), steps,
+                               t * upper, None if Y is None else linalg.from_coords(t * Y))
 
     if E == 0:
         # the dual-norm pairing is attained by the spectral sign of each block
@@ -325,12 +327,8 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         return package(value, F, value, None, 0)
 
     half = B + E
-    n = math.isqrt(c.shape[-1])
     identity = linalg.to_coords(np.eye(n))
     R = np.tile(np.concatenate([rho, r]), 2)[:, None] * identity
-    with np.errstate(all="ignore"):   # 0 or not finite for c = 0 or rho = 0
-        scale = rho @ linalg.nuclear_norms(c) / (n * rho.sum())
-    t = 2.0 ** min(round(math.log2(scale)), 1023) if 0 < scale < math.inf else 1.0
 
     def certify(x, X):
         """Both bounds, rounded outward, with their witnesses F and Y; none for a
@@ -346,7 +344,7 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         raise no_certificate(options.tolerance, reason, best[0], best[2], package(*best, steps))
 
     x = np.zeros(c.shape)
-    X = np.tile(t * identity, (R.shape[0], 1))
+    X = np.tile(identity, (R.shape[0], 1))
     best = list(certify(x, X))   # lower, its F, upper, its Y
     complementarity = float(np.vdot(X, R))   # <X, S>
     steps = stalled = 0
@@ -356,7 +354,7 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
         steps += 1
         try:
             with np.errstate(all="ignore"):
-                x, X = _newton_step(program, R, c, t, x, X)
+                x, X = _newton_step(program, R, c, x, X)
                 complementarity, last = (float(np.vdot(X, R - program.constraints(x))),
                                          complementarity)
         except (np.linalg.LinAlgError, ZeroDivisionError):   # the latter: sigma at <X, S> = 0

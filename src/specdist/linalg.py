@@ -60,6 +60,13 @@ def from_coords(c) -> np.ndarray:
     return (c @ _tables(n)[1]).view(complex).reshape(c.shape[:-1] + (n, n))
 
 
+def power_of_two(x: float) -> float:
+    """``2^round(log2 x)``, at most 2^1023 (2^k times as large for x times 2^k,
+    so scaling by it is exact); 1 for x = 0 or a non-finite x."""
+    m, e = math.frexp(x)   # x = m 2^e, 1/2 <= m < 1
+    return math.ldexp(1.0, min(e - (m < _R2), 1023)) if 0 < x < math.inf else 1.0
+
+
 def eigenvalues(c: np.ndarray) -> np.ndarray:
     """Eigenvalues ``(n, ...)`` of coordinate stacks, ascending along the
     leading axis (so reductions over it are elementwise)."""

@@ -558,8 +558,9 @@ class TestInteriorPoint:
     @pytest.mark.parametrize("pair", ["f0f1", (2, 12), (3, 10), (2, 36)],
                              ids=["f0f1", "n2-K12", "n3-K10", "n2-K36"])
     def test_mass_scale_changes_no_newton_step(self, pair):
-        # masses times 2^k scale the start X = t I, the Schur weights and both
-        # bounds by 2^k exactly: the same steps and exactly scaled values
+        # masses times 2^k scale t by 2^k, and the solve runs on the objective
+        # over t: the same steps and exactly scaled values, also where the n = 2
+        # closed form's squares of the unscaled objective would underflow
         if pair == "f0f1":
             mu1, mu2 = benchmark_measure(0), benchmark_measure(1)
         else:
@@ -569,16 +570,16 @@ class TestInteriorPoint:
         certs = {k: solve_dual(assemble_dual(MatrixMeasure(mu1.grid, mu1.masses * 2.0 ** k),
                                              MatrixMeasure(mu2.grid, mu2.masses * 2.0 ** k),
                                              1.0), DEFAULT)
-                 for k in (-200, -60, 0, 60, 200)}
+                 for k in (-1000, -600, -300, -200, -60, 0, 60, 200, 300)}
         for k, cert in certs.items():
             assert cert.iterations == certs[0].iterations
             assert cert.value == certs[0].value * 2.0 ** k
             assert cert.upper_bound == certs[0].upper_bound * 2.0 ** k
 
     def test_gram_system_keeps_far_mass_scales(self):
-        # the dX correction's Gram weights are of order t^2, t = 2^k at masses
-        # times 2^k; built on X / t they stay finite at k = +-600, where the
-        # weights of X itself under- or overflow at Newton step 1
+        # the solve divides the objective by t = 2^k at masses times 2^k, so
+        # no iterate, Gram weight or Schur weight leaves the unit pair's range:
+        # the same steps and exactly scaled bounds out to k = +-1000
         rng = np.random.default_rng(3)
         grid = make_uniform_grid(8, 0.0, 1.0)
         masses = []
@@ -587,14 +588,43 @@ class TestInteriorPoint:
             masses.append(A @ A.conj().transpose(0, 2, 1))
         certs = {k: solve_dual(assemble_dual(*(MatrixMeasure(grid, m * 2.0 ** k)
                                                for m in masses), 1.0), DEFAULT)
-                 for k in (-600, -300, 0, 300, 600)}
+                 for k in (-1000, -600, -300, 0, 300, 600, 1000)}
         for k, cert in certs.items():
             assert cert.iterations == certs[0].iterations == 10
-            bounds = np.array([cert.value, cert.upper_bound]) / 2.0 ** k
-            expected = [certs[0].value, certs[0].upper_bound]
-            if abs(k) == 300:
-                assert list(bounds) == expected
-            np.testing.assert_allclose(bounds, expected, rtol=1e-14, atol=0)
+            assert cert.value == certs[0].value * 2.0 ** k
+            assert cert.upper_bound == certs[0].upper_bound * 2.0 ** k
+
+    def test_tiny_decimal_masses_keep_the_certificate(self):
+        # (f0, f1) times 1e-190 (not a power of two) at 1e-3: the bracket
+        # contains the true value, so it meets 1e-190 times the unit bracket
+        mu1, mu2 = benchmark_measure(0), benchmark_measure(1)
+        options = SolverOptions(tolerance=1e-3)
+        unit = solve_dual(assemble_dual(mu1, mu2, 1.0), options)
+        tiny = solve_dual(assemble_dual(MatrixMeasure(mu1.grid, mu1.masses * 1e-190),
+                                        MatrixMeasure(mu2.grid, mu2.masses * 1e-190), 1.0),
+                          options)
+        assert tiny.gap <= 1e-3 * tiny.upper_bound
+        assert tiny.value <= 1e-190 * unit.upper_bound
+        assert 1e-190 * unit.value <= tiny.upper_bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="n{}".format)
+    @pytest.mark.parametrize("seed", [1, 2], ids="seed{}".format)
+    def test_mass_scale_sweep(self, seed, n):
+        # A A* masses times 2^k on random grids: equal steps and bounds exactly
+        # 2^k times the unit ones; n = 2 stops at 2^500, below its input limit
+        # near 1e154, where the closed form's squares overflow
+        scales = (-1000, -500, 500) if n == 2 else (-1000, -500, 500, 1000)
+        for K in (2, 3, 16):
+            rng = np.random.default_rng([seed, n, K])
+            grid = random_grid(rng, K)
+            mu1, mu2 = (random_matrix_measure(rng, grid, n) for _ in range(2))
+            unit = solve_dual(assemble_dual(mu1, mu2, 1.0), DEFAULT)
+            for k in scales:
+                cert = solve_dual(assemble_dual(MatrixMeasure(grid, mu1.masses * 2.0 ** k),
+                                                MatrixMeasure(grid, mu2.masses * 2.0 ** k), 1.0),
+                                  DEFAULT)
+                assert (cert.iterations, cert.value, cert.upper_bound) == (
+                    unit.iterations, unit.value * 2.0 ** k, unit.upper_bound * 2.0 ** k), (K, k)
 
     def test_falling_barrier_is_not_a_stall(self):
         # steps 2 to 4 improve neither bound while <X, S> still halves; the

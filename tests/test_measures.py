@@ -170,6 +170,15 @@ class TestTvMatrix:
         mu1 = benchmark_measure(1)
         assert tv_matrix(mu0, mu1) == pytest.approx(1.95, rel=0.10)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1e-170], ids=["2^-600", "1e-170"])
+    def test_tiny_masses_keep_the_value(self, scale):
+        # at n = 2 the eigenvalues' squares would underflow below about 1e-154;
+        # the difference is scaled up by a power of two first
+        mu0, mu1 = benchmark_measure(0), benchmark_measure(1)
+        tiny = tv_matrix(MatrixMeasure(mu0.grid, scale * mu0.masses),
+                         MatrixMeasure(mu1.grid, scale * mu1.masses))
+        assert tiny == pytest.approx(scale * tv_matrix(mu0, mu1), rel=1e-14, abs=0)
+
     def test_matches_scalar_tv_on_diagonal_embedding(self, rng):
         grid = random_grid(rng, 6)
         v1 = rng.uniform(0, 1, size=6)
