@@ -47,8 +47,8 @@ CLOSED_FORMS = {"tv": tv_matrix, "kolmogorov": kolmogorov, "w1": w1_balanced,
                 "is": lambda mu1, mu2: itakura_saito(mu1, mu2, weighted=True)}
 
 TOL_HELP = "relative gap (upper - lower) / max(|lower|, |upper|) at which a certified solve stops"
-BUDGET_HELP = ("one budget per solve: Newton steps for the interior-point solves, PDHG "
-               "iterations for the gap audit's transport primal")
+BUDGET_HELP = ("Newton steps per solve, for every interior-point solve including the gap "
+               "audit's transport primal")
 
 
 def _solver_options(args) -> SolverOptions:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table1", help="benchmark distance table and plot data")
     table.add_argument("--kappa", type=float, default=1.0)
     table.add_argument("--tol", type=float, default=1e-3, help=TOL_HELP)
-    table.add_argument("--max-iter", type=int, default=400_000, help=BUDGET_HELP)
+    table.add_argument("--max-iter", type=int, default=200_000, help=BUDGET_HELP)
     table.add_argument("--no-gap-audit", dest="gap_audit", action="store_false")
     table.add_argument("--grid-points", type=int, default=None)
     table.add_argument("--format", choices=("human-table", "csv", "structured"),

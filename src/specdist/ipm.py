@@ -1,4 +1,4 @@
-"""Ball programs and their primal-dual interior-point solver.
+"""Ball programs and the primal-dual interior-point solver of every program.
 
 A ball program maximizes ``sum_b tr(C_b F_b)`` over stacked Hermitian blocks
 F subject to ``||F_b|| <= rho_b`` and ``||(L F)_e|| <= r_e`` (operator
@@ -39,6 +39,10 @@ each rounded outward by two units of roundoff of its terms.  A bound that
 would invert the bracket is not taken; three Newton steps in a row that
 improve neither bound nor halve ``<X, S>`` (roundoff), like the budget, end
 the solve with ``ConvergenceError``.
+
+:func:`interior_point` runs these steps for any program with the hooks of
+:class:`BallProgram`, from the caller's start and with its bounds; the
+transport program of :mod:`specdist.matrix_primal` is the other one.
 """
 
 from __future__ import annotations
@@ -107,6 +111,37 @@ class BallProgram:
         signed = Z[:half] - Z[half:]
         return signed[:B] + self.adjoint(signed[B:])
 
+    def radii(self) -> np.ndarray:
+        """``r_k I`` of every constraint block k, both signs, ``(J, n^2)``: S at x = 0."""
+        identity = linalg.to_coords(np.eye(math.isqrt(self.objective.shape[-1])))
+        return np.tile(np.concatenate([self.ball_radii, self.image_radii]), 2)[:, None] * identity
+
+    def normal_blocks(self, X: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and superdiagonal blocks ``(B, n^2, n^2)`` of ``sum_k J_k^T
+        W_k J_k`` at the real forms X and Q of every block (:func:`_weights`),
+        each sign pair's weights summed; the last superdiagonal block is 0."""
+        W = _weights(*(P.reshape((2, -1) + P.shape[1:]) for P in (X, Q)))
+        B = self.ball_radii.size
+        diag, images = W[:B].copy(), W[B:]
+        upper = np.zeros_like(diag)   # upper[B - 1] = 0: no block after the last
+        if self.maps is None:
+            diag[:-1] += images
+            diag[1:] += images
+            upper[:-1] = -images
+        else:
+            diag[0] += (self.maps @ images @ _t(self.maps)).sum(axis=0)
+        return diag, upper
+
+    def unit(self) -> float:
+        """t, the objective's unit (module docstring)."""
+        c, rho = (np.asarray(a, dtype=float) for a in (self.objective, self.ball_radii))
+        n = math.isqrt(c.shape[-1])
+        # the nuclear norms of C over a power of two near max |C|, whose squares stay finite
+        unit = linalg.power_of_two(float(np.abs(c).max(initial=0.0)))
+        with np.errstate(all="ignore"):   # 0 or not finite for c = 0 or rho = 0
+            return linalg.power_of_two(unit * (rho @ linalg.nuclear_norms(c / unit))
+                                       / (n * rho.sum()))
+
     def _norms(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Operator norms of F's blocks and images, and their radii."""
         return (linalg.op_norms(np.concatenate([F, self.forward(F)])),
@@ -153,34 +188,19 @@ def _co(R: np.ndarray) -> np.ndarray:
 
 def _weights(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """``W_k[a, b] = Re tr(E_a X_k E_b Q_k)``, coordinate a of ``X_k E_b Q_k``,
-    summed over each constraint's two signs (the stacks' halves), ``(J / 2, n^2,
-    n^2)``, from real forms X and Q, ``WEIGHT_CHUNK`` bytes of products at a time."""
-    half, E = X.shape[0] // 2, _real_tables(X.shape[-1] // 2)[0]
-    W = np.empty((half, len(E), len(E)))
+    summed over the leading axis s of real-form stacks ``(s, J, 2n, 2n)`` (a
+    constraint's two signs, whose products are summed before the table back),
+    ``(J, n^2, n^2)``, ``WEIGHT_CHUNK`` bytes of products at a time."""
+    J, E = X.shape[1], _real_tables(X.shape[-1] // 2)[0]
+    W = np.empty((J, len(E), len(E)))
     step = max(1, WEIGHT_CHUNK // E.nbytes)
-    for k in range(0, half, step):
-        end = min(k + step, half)
-        plus, minus = slice(k, end), slice(half + k, half + end)
-        products = X[plus, None] @ E @ Q[plus, None]
-        products += X[minus, None] @ E @ Q[minus, None]
-        W[plus] = _co(products)
+    for k in range(0, J, step):
+        part = slice(k, min(k + step, J))
+        products = X[0, part, None] @ E @ Q[0, part, None]
+        for Xs, Qs in zip(X[1:], Q[1:]):
+            products += Xs[part, None] @ E @ Qs[part, None]
+        W[part] = _co(products)
     return W
-
-
-def _normal_blocks(program: BallProgram, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and superdiagonal blocks ``(B, m, m)`` of ``sum_k J_k^T W_k
-    J_k``, from the sign-summed weights of the balls and images; the last
-    superdiagonal block is 0."""
-    B = program.ball_radii.size
-    diag, images = W[:B].copy(), W[B:]
-    upper = np.zeros_like(diag)   # upper[B - 1] = 0: no block after the last
-    if program.maps is None:
-        diag[:-1] += images
-        diag[1:] += images
-        upper[:-1] = -images
-    else:
-        diag[0] += (program.maps @ images @ _t(program.maps)).sum(axis=0)
-    return diag, upper
 
 
 def _pivot_factor(M: np.ndarray) -> np.ndarray:
@@ -205,7 +225,7 @@ def _pivot_factor(M: np.ndarray) -> np.ndarray:
     return np.concatenate([H.real, H.imag], axis=-2)
 
 
-def _block_solver(diag: np.ndarray, upper: np.ndarray):
+def _block_solver(diag: np.ndarray, upper: np.ndarray, coupled: int | None = None):
     """``b -> M^-1 b`` for the symmetric block-tridiagonal M with these blocks
     (``upper[b] = M[b, b + 1]``, the last 0), by block cyclic reduction: each
     level eliminates the odd-numbered blocks j, leaving a block-tridiagonal
@@ -214,7 +234,22 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray):
     M[j, i]`` (explicit pivot inverses lose the solve's accuracy once M is
     ill-conditioned).  A reduced pivot is raised by ``EIGEN_FLOOR`` of its
     diagonal first: what it resolves only below that (the common part of
-    blocks tied by a gap far below kappa, lost to cancellation) is left alone."""
+    blocks tied by a gap far below kappa, lost to cancellation) is left alone.
+    When the superdiagonal blocks touch only the first ``coupled`` coordinates
+    of each block, the others are eliminated block by block first, in the same
+    way, and the reduction runs on the Schur complement of the first."""
+    if coupled is not None:
+        H = _pivot_factor(diag[:, coupled:, coupled:])
+        T = H @ diag[:, coupled:, :coupled]
+        solve_coupled = _block_solver(diag[:, :coupled, :coupled] - _t(T) @ T,
+                                      upper[:, :coupled, :coupled])
+
+        def eliminated(b: np.ndarray) -> np.ndarray:
+            y = H @ b[:, coupled:, None]
+            x = solve_coupled(b[:, :coupled] - (_t(T) @ y)[..., 0])
+            return np.concatenate([x, (_t(H) @ (y - T @ x[..., None]))[..., 0]], axis=1)
+
+        return eliminated
     eye = np.eye(diag.shape[-1])
     levels = []
     while len(diag) > 1:
@@ -264,7 +299,7 @@ def _newton_step(program, R, c, x, X):
     root = _real(linalg.map_eigenvalues(np.concatenate([X, S]), lambda lam: lam ** -0.5))
     S_inv = root[J:] @ root[J:]
     Xr = _real(X)
-    solve = _block_solver(*_normal_blocks(program, _weights(Xr, S_inv)))
+    solve = _block_solver(*program.normal_blocks(Xr, S_inv))
 
     def direction(Z):
         """``(dx, dS, dX)`` toward ``X S = Z S``."""
@@ -291,62 +326,35 @@ def _newton_step(program, R, c, x, X):
     dx, dS, dX = direction(_co(target @ S_inv))                 # corrector
     del solve   # one factorization at a time
     # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k
-    v = _block_solver(*_normal_blocks(program, _weights(Xr, Xr)))(c - A_adj(X + dX))
+    v = _block_solver(*program.normal_blocks(Xr, Xr))(c - A_adj(X + dX))
     dX += _co(Xr @ _real(A(v)) @ Xr)
     a_x, a_s = steps(dX, dS)
     return x + a_s * dx, X + a_x * dX
 
 
-def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCertificate:
-    """Certify the supremum of a ball program.
+def interior_point(program, x: np.ndarray, X: np.ndarray, certify, package,
+                   options: SolverOptions):
+    """Newton steps from the strictly feasible ``(x, X)`` until the best bracket
+    meets the tolerance.  ``program`` has the hooks of :class:`BallProgram`
+    (``normal_blocks`` returns the arguments of :func:`_block_solver`);
+    ``certify(x, X)`` returns ``(lower, its witness, upper, its witness)`` of a
+    finite iterate, and ``package(lower, witness, upper, witness, steps)`` the
+    result, also carried by the ``ConvergenceError`` of the budget, a
+    breakdown or a stall (module docstring)."""
+    R, c = program.radii(), program.objective
 
-    The certificate's ``flow`` is the Y of its upper bound; ``iterations``
-    counts Newton steps, capped by ``options.max_iterations``.  Without
-    images the supremum is attained in closed form, without a step.
-    """
-    rho = np.asarray(program.ball_radii, dtype=float)
-    r = np.asarray(program.image_radii, dtype=float)
-    B, E = rho.size, r.size
-    c = np.asarray(program.objective, dtype=float)
-    n = math.isqrt(c.shape[-1])
-    # the nuclear norms of C over a power of two near max |C|, whose squares stay finite
-    unit = linalg.power_of_two(float(np.abs(c).max(initial=0.0)))
-    with np.errstate(all="ignore"):   # 0 or not finite for c = 0 or rho = 0
-        t = linalg.power_of_two(unit * (rho @ linalg.nuclear_norms(c / unit)) / (n * rho.sum()))
-    c = c / t
-    program = replace(program, objective=c)
-
-    def package(lower, F, upper, Y, steps) -> DualCertificate:
-        return DualCertificate(linalg.from_coords(F), t * lower, program.residual(F), steps,
-                               t * upper, None if Y is None else linalg.from_coords(t * Y))
-
-    if E == 0:
-        # the dual-norm pairing is attained by the spectral sign of each block
-        F = rho[:, None] * linalg.map_eigenvalues(c, np.sign)
-        value = float(np.vdot(F, c))
-        return package(value, F, value, None, 0)
-
-    half = B + E
-    identity = linalg.to_coords(np.eye(n))
-    R = np.tile(np.concatenate([rho, r]), 2)[:, None] * identity
-
-    def certify(x, X):
-        """Both bounds, rounded outward, with their witnesses F and Y; none for a
-        non-finite iterate."""
+    def checked(x, X):   # no bound from a non-finite iterate
         if not (np.isfinite(x).all() and np.isfinite(X).all()):
             return -np.inf, None, np.inf, None
-        F = x / program.feasibility_scale(x)
-        Y = X[B:half] - X[half + B:]
-        lower = float(np.vdot(F, c)) - EPS2 * float(np.abs(F * c).sum())
-        return lower, F, program.upper_bound(Y) * (1.0 + EPS2), Y
+        return certify(x, X)
 
-    def fail(reason, steps):
-        raise no_certificate(options.tolerance, reason, best[0], best[2], package(*best, steps))
+    def fail(reason, steps):   # the bracket in the caller's units, as packaged
+        solution = package(*best, steps)
+        raise no_certificate(options.tolerance, reason, solution.lower_bound,
+                             solution.upper_bound, solution)
 
-    x = np.zeros(c.shape)
-    X = np.tile(identity, (R.shape[0], 1))
-    best = list(certify(x, X))   # lower, its F, upper, its Y
-    complementarity = float(np.vdot(X, R))   # <X, S>
+    best = list(checked(x, X))   # lower, its witness, upper, its witness
+    complementarity = float(np.vdot(X, R - program.constraints(x)))   # <X, S>
     steps = stalled = 0
     while not within_tolerance(best[0], best[2], options.tolerance):
         if steps == options.max_iterations:
@@ -359,7 +367,7 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
                                          complementarity)
         except (np.linalg.LinAlgError, ZeroDivisionError):   # the latter: sigma at <X, S> = 0
             fail(f"Newton step {steps} broke down", steps)
-        lower, F, upper, Y = certify(x, X)
+        lower, F, upper, Y = checked(x, X)
         stalled = 0 if 2 * complementarity < last else stalled + 1
         if best[0] < lower <= best[2]:
             best[0:2], stalled = (lower, F), 0
@@ -369,3 +377,36 @@ def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCert
             fail(f"Newton steps {steps - STALL_STEPS + 1} to {steps} improved neither bound "
                  "nor halved <X, S>", steps)
     return package(*best, steps)
+
+
+def solve_ball_program(program: BallProgram, options: SolverOptions) -> DualCertificate:
+    """Certify the supremum of a ball program.
+
+    The certificate's ``flow`` is the Y of its upper bound; ``iterations``
+    counts Newton steps, capped by ``options.max_iterations``.  Without
+    images the supremum is attained in closed form, without a step.
+    """
+    t = program.unit()
+    program = replace(program, objective=np.asarray(program.objective, dtype=float) / t)
+    c, rho = program.objective, program.ball_radii
+    B, half = rho.size, rho.size + program.image_radii.size
+
+    def package(lower, F, upper, Y, steps) -> DualCertificate:
+        return DualCertificate(linalg.from_coords(F), t * lower, program.residual(F), steps,
+                               t * upper, None if Y is None else linalg.from_coords(t * Y))
+
+    if half == B:
+        # the dual-norm pairing is attained by the spectral sign of each block
+        F = rho[:, None] * linalg.map_eigenvalues(c, np.sign)
+        value = float(np.vdot(F, c))
+        return package(value, F, value, None, 0)
+
+    def certify(x, X):
+        """Both bounds, rounded outward, with their witnesses F and Y."""
+        F = x / program.feasibility_scale(x)
+        Y = X[B:half] - X[half + B:]
+        lower = float(np.vdot(F, c)) - EPS2 * float(np.abs(F * c).sum())
+        return lower, F, program.upper_bound(Y) * (1.0 + EPS2), Y
+
+    X = np.tile(linalg.to_coords(np.eye(math.isqrt(c.shape[-1]))), (2 * half, 1))
+    return interior_point(program, np.zeros(c.shape), X, certify, package, options)

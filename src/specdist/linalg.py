@@ -110,7 +110,8 @@ def clip(c: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def soft_threshold(c: np.ndarray, tau) -> np.ndarray:
-    """Eigenvalue soft-threshold, the nuclear norm's prox (``tau`` as the batch)."""
+    """Eigenvalue soft-threshold, the nuclear norm's prox (``tau`` as the batch);
+    no solver calls it, only :func:`soft_threshold_eigenvalues` below."""
     return map_eigenvalues(c, lambda lam: np.sign(lam) * np.maximum(np.abs(lam) - tau, 0.0))
 
 

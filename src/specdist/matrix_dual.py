@@ -16,7 +16,7 @@ method of :mod:`specdist.ipm` with its block-tridiagonal Schur complement;
 ``iterations`` counts its Newton steps.  The returned certificate is exactly
 feasible and re-checkable without rerunning the solver (feasibility by
 operator norms, value by the trace pairing).  It carries no flow, so the
-gap audit's transport primal keeps its diagonal start at n >= 2.
+gap audit's transport primal prices the diagonal plan first at n >= 2.
 
 At n = 1 the program is the scalar flat metric's chain program, and
 ``solve_dual`` certifies it exactly without iterating: one call of

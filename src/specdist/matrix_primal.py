@@ -5,8 +5,9 @@
     sum_ij |theta_i - theta_j| ||m_ij||_*
       + kappa ( ||mu1 - rows(m)||_TV + ||mu2 - cols(m)||_TV )
 
-which is the transport form of the dual program in
-:mod:`specdist.matrix_dual`; at the optimum the two values coincide, and
+with PSD marginals (the denoised measures): the transport side (Ning,
+Georgiou and Tannenbaum, IEEE TAC 2015) of the dual program in
+:mod:`specdist.matrix_dual`.  At the optimum the two values coincide, and
 ``duality_gap`` cross-certifies the pair of solvers on any instance.
 
 Plan blocks are Hermitian by construction: replacing a complex feasible plan
@@ -19,32 +20,31 @@ i < j can instead move over every edge (k, k+1) with i <= k < j and be
 subtracted from the diagonal blocks strictly between i and j (Hermitian, no
 sign constraint); both marginals stay the same and so does the cost, since
 the gaps telescope to |theta_i - theta_j| ||m_ij||_*.  This is the flux
-(Beckmann) form of the transport program and the primal side of the
-adjacent-point constraints in :mod:`specdist.matrix_dual`.  The plan is
-one (3, K) stack of blocks: ``P[0][k] = m_kk``, ``P[1][k] = m_k,k+1`` and
-``P[2][k] = m_k+1,k``; slot K-1 of ``P[1]`` and ``P[2]`` has no edge behind
-it and stays zero.  The solve starts from the diagonal plan
-``P[0] = (M1 + M2) / 2``, or from a dual certificate that carries its flow Y:
-the plan moves Y over the edges (``P[1] = Y``) and leaves the residuals
-``Z = Delta - L* Y`` to the TV terms (rows ``M1 - Z+``, columns ``M2 - Z-``),
-so before the PSD repair below its objective is the certificate's upper
-bound, and the TV duals start at the test function F.  At n = 1 that start
-is optimal and the solve certifies without iterating.  The iteration holds
-the plan (3, K, n^2) and its duals (2, 2, K, n^2) in the real coordinates of
-:mod:`specdist.linalg`.  The TV and PSD duals share one spectral pass: the
-dual prox maps the stacked (2, 2, K, n^2) pairs through one
-:func:`specdist.linalg.clip` call (Moreau's identity): the eigenvalues of
-the TV pair, shifted by ``sigma M``, are clipped to ``[-kappa, kappa]`` and
-those of the PSD pair to ``(-inf, 0]``.
+(Beckmann) form of the transport program.  The plan is one (3, K) stack of
+blocks: ``P[0][k] = m_kk``, ``P[1][k] = m_k,k+1`` and ``P[2][k] =
+m_k+1,k``; slot K-1 of ``P[1]`` and ``P[2]`` stays zero.  Every plan is
+priced exactly, after its marginals are repaired onto the PSD cone through
+the cost-free diagonal: a true upper bound.
 
-The denoised marginals are PSD-cone constrained (they stand for measures);
-without the cone the minimizer can settle on indefinite marginals whose PSD
-repair costs a visible objective increase.  The cone enters the splitting as
-two extra projection blocks and leaves the optimal value unchanged, which the
-duality-gap certification checks on every solve: the reported objective is
-evaluated on an exactly feasible plan (marginals repaired onto the PSD cone
-through the cost-free diagonal), a true upper bound, while the concurrently
-maintained test function gives a true lower bound through the dual program.
+The solve first prices the diagonal plan ``P[0] = (M1 + M2) / 2``, or, from a
+dual certificate with a flow Y, the plan ``P[1] = Y`` that leaves ``Z = Delta
+- L* Y`` to the TV terms (rows ``M1 - Z+``), whose objective is the
+certificate's upper bound (optimal at n = 1).  Otherwise it runs the
+interior-point method of :mod:`specdist.ipm` on the transport program's dual
+
+    maximize sum_k tr(F_k Delta_k) - tr(U_k M1_k) - tr(V_k M2_k)
+    s.t.     ||F_k - U_k|| <= kappa, ||F_k + V_k|| <= kappa, U_k, V_k >= 0,
+             ||F_k - F_{k+1}|| <= theta_{k+1} - theta_k,
+
+whose value is the dual program's, the masses being PSD: ``F - U <= F <= F
++ V`` gives ``||F|| <= kappa`` and ``tr(F Delta)`` at least the objective.
+So the lower bound is the best of the certificate's value and F scaled
+feasible, rounded down.  The multiplier of ``U_k >= 0`` is the row marginal
+and ``X_e+ - X_e-`` of the edges the flow Y, so each Newton step gives the
+plan ``(rows - Y, Y, 0)``.  The steps start from a quarter of the
+certificate's F, ``U = V = kappa I / 2`` and ``X = I``, plus the masses in
+the multipliers of ``U, V >= 0``, all on masses / t, t the dual program's
+power-of-two unit, so that no plan's nuclear norm depends on the units.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ import numpy as np
 from . import linalg
 from .measures import MatrixMeasure
 from .matrix_dual import DualCertificate, assemble_dual, ball_program, solve_dual
-from .pdhg import Certified, ConvergenceError, SolverOptions, pdhg, relative_gap
+from .ipm import EPS2, _weights, interior_point
+from .pdhg import Certified, ConvergenceError, SolverOptions, relative_gap, within_tolerance
 
 __all__ = [
     "TransportSolution",
@@ -88,19 +89,67 @@ class TransportSolution(Certified):
         return self.objective
 
 
+@dataclass(frozen=True)
+class _TransportDual:
+    """The conic dual of the transport program (module docstring) as linear
+    matrix inequalities for :func:`specdist.ipm.interior_point`: x holds
+    ``(F_k, U_k, V_k)`` per point, ``(K, 3 n^2)``, and the blocks are the sign
+    pairs (+, -) of ``[F - U, F + V, F_k - F_{k+1}]``, then U and V."""
+
+    objective: np.ndarray   # (K, 3 n^2): (Delta_k, -M1_k, -M2_k)
+    kappa: float
+    gaps: np.ndarray        # (K - 1,)
+
+    def radii(self) -> np.ndarray:
+        K = len(self.objective)
+        identity = linalg.to_coords(np.eye(math.isqrt(self.objective.shape[-1] // 3)))
+        signed = np.concatenate([np.full(2 * K, self.kappa), self.gaps])
+        return np.concatenate([signed, signed, np.zeros(2 * K)])[:, None] * identity
+
+    def constraints(self, v: np.ndarray) -> np.ndarray:
+        F, U, V = v.reshape(len(v), 3, -1).transpose(1, 0, 2)
+        plus = np.concatenate([F - U, F + V, F[:-1] - F[1:]])
+        return np.concatenate([plus, -plus, -U, -V])
+
+    def constraints_adjoint(self, Z: np.ndarray) -> np.ndarray:
+        K, half = len(self.objective), 3 * len(self.objective) - 1
+        signed = Z[:half] - Z[half:2 * half]
+        ball_u, ball_v, Y = signed[:K], signed[K:2 * K], signed[2 * K:]
+        F = ball_u + ball_v
+        F[:-1] += Y
+        F[1:] -= Y
+        U, V = -ball_u - Z[2 * half:2 * half + K], ball_v - Z[2 * half + K:]
+        return np.stack([F, U, V], axis=1).reshape(K, -1)
+
+    def normal_blocks(self, X: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """The Schur complement's blocks ``(K, 3 n^2, 3 n^2)`` and the n^2 (F)
+        that couple points: a point's weights W enter as ``a a^T (x) W`` for
+        their map a of (F, U, V), (1, -1, 0), (1, 0, 1), (0, -1, 0), (0, 0, -1)."""
+        K, half = len(self.objective), 3 * len(self.objective) - 1
+        pairs = _weights(*(P[:2 * half].reshape((2, half) + P.shape[1:]) for P in (X, Q)))
+        singles = _weights(X[None, 2 * half:], Q[None, 2 * half:])
+        ball_u, ball_v, edges = pairs[:K], pairs[K:2 * K], pairs[2 * K:]
+        m = pairs.shape[-1]
+        f, u, v = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
+        diag = np.zeros((K, 3 * m, 3 * m))
+        diag[:, f, f] = ball_u + ball_v
+        diag[:-1, f, f] += edges
+        diag[1:, f, f] += edges
+        diag[:, u, u] = ball_u + singles[:K]
+        diag[:, v, v] = ball_v + singles[K:]
+        diag[:, f, u] = diag[:, u, f] = -ball_u
+        diag[:, f, v] = diag[:, v, f] = ball_v
+        upper = np.zeros_like(diag)
+        upper[:-1, f, f] = -edges
+        return diag, upper, m   # U and V are local to their point
+
+
 def _plan_marginals(P: np.ndarray) -> np.ndarray:
     """(rows, cols) of a banded plan: point k sums m_k,k-1, m_kk and m_k,k+1."""
     out = np.empty((2,) + P.shape[1:], dtype=P.dtype)
     out[:] = P[0]
     out[:, :-1] += P[1:, :-1]      # rows gain m_k,k+1, cols gain m_k+1,k
     out[:, 1:] += P[:0:-1, :-1]    # rows gain m_k,k-1, cols gain m_k-1,k
-    return out
-
-
-def _marginal_adjoint(Y: np.ndarray) -> np.ndarray:
-    out = np.zeros((3,) + Y.shape[1:], dtype=Y.dtype)
-    out[0] = Y[0] + Y[1]
-    out[1:, :-1] = Y[:, :-1] + Y[::-1, 1:]
     return out
 
 
@@ -124,12 +173,13 @@ def solve_unbalanced_primal(
     """Minimize transport cost plus ``kappa`` times the TV denoising penalty.
 
     Returns a feasible plan whose objective is certified to be within the
-    options' tolerance of the optimum.  ``certificate`` may carry a certified
-    solve of the same instance's dual (:func:`solve_dual`); its value tightens
-    the stopping test but is never reported beyond ``lower_bound``, and its
-    flow, when it has one, is the start (see the module docstring).  Raises
-    :class:`ConvergenceError` carrying the best solution if the iteration
-    budget runs out first.
+    options' tolerance of the optimum; ``iterations`` counts Newton steps,
+    capped by ``options.max_iterations``.  ``certificate`` may carry a
+    certified solve of the same instance's dual (:func:`solve_dual`); its
+    value joins the lower bound but is never reported beyond ``lower_bound``,
+    and its flow, when it has one, is the start plan (see the module
+    docstring).  Raises :class:`ConvergenceError` carrying the best solution
+    if the solve stops uncertified.
     """
     program = ball_program(assemble_dual(mu1, mu2, kappa))   # checks the pair and kappa
     options = options or SolverOptions()
@@ -139,70 +189,70 @@ def solve_unbalanced_primal(
         plan = np.zeros((3,) + mu1.masses.shape, dtype=complex)
         plan[0] = mu1.masses
         return TransportSolution(plan, (mu1, mu2), 0.0, 0.0, 0.0, 0.0, 0)
-    M = linalg.to_coords(np.stack([mu1.masses, mu2.masses]))
-    K = M.shape[1]
+    t = program.unit()
+    M = linalg.to_coords(np.stack([mu1.masses, mu2.masses])) / t
+    delta = program.objective / t
+    K, m = M.shape[1:]
     costs = np.zeros((3, K))           # diagonal blocks travel for free
     costs[1:, :-1] = program.image_radii
-    delta = program.objective
-    start, duals = np.zeros((3,) + M.shape[1:]), np.zeros((2,) + M.shape)
-    if certificate is not None and certificate.flow is not None:
-        start[1, :-1] = linalg.to_coords(certificate.flow)
-        Z = delta - program.adjoint(start[1, :-1])
-        start[0] = M[0] - linalg.clip(Z, 0.0, np.inf) - start[1]
-        start = _psd_repair(start)
-        F = linalg.to_coords(certificate.test_function)
-        duals[0] = -F, F
-    else:
-        start[0] = 0.5 * (M[0] + M[1])
-    hint = certificate.value if certificate is not None else 0.0
 
     def decompose(P) -> tuple[float, float]:
         cost = float((costs * linalg.nuclear_norms(P)).sum())
         return cost, float(linalg.nuclear_norms(M - _plan_marginals(P)).sum())
 
-    def certify(P, Y):
-        # the hint joins every point's lower bound, so with a near-optimal
-        # hint the driver's restarts judge points by their objective alone
+    def price(P) -> tuple[float, np.ndarray]:
+        """The objective of P repaired, and the repaired plan."""
         repaired = _psd_repair(P)
         cost, tv_pen = decompose(repaired)
-        S = Y.sum(axis=0)
-        F = 0.5 * (S[1] - S[0])
-        F = F / program.feasibility_scale(F)
-        return max(hint, float(np.vdot(F, delta))), None, cost + kappa * tv_pen, repaired
+        return cost + kappa * tv_pen, repaired
 
-    def package(lower, _, upper, plan, iterations) -> TransportSolution:
-        cost, tv_pen = decompose(plan)
+    def pairing(F) -> float:
+        """The lower bound of test function F scaled feasible, rounded down."""
+        F = F / program.feasibility_scale(F)
+        return float(np.vdot(F, delta)) - EPS2 * float(np.abs(F * delta).sum())
+
+    def package(lower, _, upper, plan, steps) -> TransportSolution:
+        cost, tv_pen = (t * v for v in decompose(plan))
+        plan = t * plan
         hats = tuple(MatrixMeasure(mu.grid, linalg.from_coords(m))
                      for mu, m in zip((mu1, mu2), _plan_marginals(plan)))
         return TransportSolution(linalg.from_coords(plan), hats, cost, tv_pen,
-                                 cost + kappa * tv_pen, lower, iterations)
+                                 cost + kappa * tv_pen, t * lower, steps)
 
-    lo, hi = np.array([-kappa, -np.inf])[:, None, None], np.array([kappa, 0.0])[:, None, None]
+    floor = certificate.value / t if certificate is not None else 0.0
+    start = np.zeros((3, K, m))
+    if certificate is not None and certificate.flow is not None:
+        start[1, :-1] = linalg.to_coords(certificate.flow) / t
+        Z = delta - program.adjoint(start[1, :-1])
+        start[0] = M[0] - linalg.clip(Z, 0.0, np.inf) - start[1]
+        floor = max(floor, pairing(linalg.to_coords(certificate.test_function)))
+    else:
+        start[0] = 0.5 * (M[0] + M[1])
+    upper, start = price(start)
+    if within_tolerance(floor, upper, options.tolerance):
+        return package(floor, None, upper, start, 0)
 
-    def prox_maps(tau, sigma):
-        tau_costs, shift = tau * costs, np.stack([sigma * M, np.zeros_like(M)])
+    half = 3 * K - 1
+    dual = _TransportDual(np.stack([delta, -M[0], -M[1]], axis=1).reshape(K, -1), kappa,
+                          program.image_radii)
 
-        def prox_dual(W):
-            # Moreau: the TV pair W[0] of (rows, cols) duals goes to the kappa
-            # operator-norm ball, the PSD pair W[1] to the negative semidefinite
-            # cone; one eigenvalue clip maps both
-            return linalg.clip(W - shift, lo, hi)
+    def certify(x, X):
+        plan = np.zeros((3, K, m))
+        plan[1, :-1] = X[2 * K:half] - X[half + 2 * K:2 * half]       # Y
+        plan[0] = X[2 * half:2 * half + K] - plan[1]                   # rows - Y
+        upper, plan = price(plan)
+        return max(floor, pairing(x.reshape(K, 3, m)[:, 0])), None, upper, plan
 
-        return lambda G: linalg.soft_threshold(G, tau_costs), prox_dual
-
-    # each block enters one row and one column, and each marginal sums at most
-    # three blocks, so ||(rows, cols)||^2 <= 6; both dual pairs see that image
-    return pdhg(
-        start,
-        duals,
-        _plan_marginals,
-        lambda Y: _marginal_adjoint(Y[0] + Y[1]),
-        prox_maps,
-        math.sqrt(12.0),
-        certify,
-        package,
-        options,
-    )
+    # the start (module docstring); the certificate's F is scaled feasible first
+    identity = linalg.to_coords(np.eye(math.isqrt(m)))
+    x = np.zeros((K, 3, m))
+    x[:, 1:] = 0.5 * kappa * identity
+    if certificate is not None:
+        F = linalg.to_coords(certificate.test_function)
+        x[:, 0] = 0.25 * F / program.feasibility_scale(F)
+    X = np.tile(identity, (2 * half + 2 * K, 1))
+    X[2 * half:] += M.reshape(2 * K, m)
+    return interior_point(dual, x.reshape(K, -1), X, certify, package, options)
 
 
 @dataclass(frozen=True)
@@ -227,10 +277,10 @@ def duality_gap(
 
     Each side solves to half the requested tolerance so their combined
     (cross) gap meets it; the dual certificate feeds the primal stopping
-    test as a known lower bound and, with its flow, the primal's start.
+    test as a known lower bound and the primal's start.
     ``gap = primal - dual`` is nonnegative up to roundoff on every instance
     (weak duality) and within the tolerance at convergence (strong
-    duality).  When the primal runs out of iterations the
+    duality).  When the primal stops uncertified the
     :class:`ConvergenceError` carries the dual certificate, whose bracket is
     already within half the tolerance.
     """

@@ -101,8 +101,10 @@ class MatrixMeasure:
             )
         masses, lam = linalg.hermitian_spectrum(masses)
         min_eigs = lam[0]
-        floors = -PSD_TOL * np.maximum(1.0, np.maximum(-min_eigs, lam[-1]))   # op norms
-        bad = np.nonzero(min_eigs < floors)[0]
+        # the floor scales with the measure's largest operator norm, so that
+        # masses in any unit are accepted or rejected alike
+        floor = -PSD_TOL * float(np.maximum(-min_eigs, lam[-1]).max())
+        bad = np.nonzero(min_eigs < floor)[0]
         if bad.size:
             k = int(bad[0])
             raise ValueError(

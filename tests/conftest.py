@@ -1,11 +1,13 @@
 """Shared randomized-instance builders and independent test oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from specdist import Grid, linalg, scalar_measure
 from specdist.measures import MatrixMeasure
-from specdist.pdhg import DualCertificate, pdhg
+from specdist.pdhg import DualCertificate, no_certificate, relative_gap, within_tolerance
 from specdist.simplex import LpProblem, lp_simplex
 
 
@@ -145,6 +147,97 @@ def w1_kappa_scalar_all_pairs(mu1, mu2, kappa):
     return value
 
 
+CHECK_EVERY = 50            # iterations between certifications (the only restart points)
+RESTART_SUFFICIENT = 0.2    # restart once the gap falls to this share of its last-restart value
+RESTART_ARTIFICIAL = 0.36   # ... or once the current run is this share of all iterations
+WEIGHT_SMOOTHING = 0.5      # weight of the newest move ratio in log(omega)
+
+
+def _move(new, old):
+    """Norm of ``new - old``; 0 when negligible against the iterates themselves."""
+    moved = float(np.linalg.norm(new - old))
+    return moved if moved > 1e-10 * max(np.linalg.norm(new), np.linalg.norm(old)) else 0.0
+
+
+def pdhg(x, y, forward, adjoint, prox_maps, map_norm, certify, package, options):
+    """Run the primal-dual hybrid gradient (PDHG) from ``(x, y)`` until the best
+    certified bounds meet the tolerance: the first-order oracle's driver.
+
+    It follows PDLP (Applegate et al., NeurIPS 2021; Applegate, Hinder, Lu and
+    Lubin, Math. Prog. 2023): steps ``tau = 0.999 omega / ||L||`` and ``sigma =
+    0.999 / (omega ||L||)``; every ``CHECK_EVERY`` iterations both the iterate
+    and the running average since the last restart are certified; the
+    iteration restarts from the one with the smaller relative gap once that
+    gap falls to ``RESTART_SUFFICIENT`` times its value at the last restart,
+    or once the run reaches ``RESTART_ARTIFICIAL`` times all iterations; at
+    each restart ``omega`` moves halfway, in the log, toward the ratio of the
+    primal to the dual move, unless either move is negligible.
+
+    ``prox_maps(tau, sigma)`` returns ``(prox_primal, prox_dual)`` at those
+    steps.  One iteration is ``y <- prox_dual(y + sigma L xbar)``, ``x <-
+    prox_primal(x - tau L* y)``, ``xbar <- 2 x_new - x_old``.  ``certify(x,
+    y)`` returns ``(lower, lower_witness, upper, upper_witness)``; the driver
+    keeps the best of each.  ``package(lower, lower_witness, upper,
+    upper_witness, iterations)`` builds the result, returned on certification
+    and carried by ``ConvergenceError`` otherwise.
+    """
+    best = list(certify(x, y))   # (lower, its witness, upper, its witness) so far
+
+    def check(xp, yp) -> float:
+        lower, lower_witness, upper, upper_witness = certify(xp, yp)
+        if lower > best[0]:
+            best[0:2] = lower, lower_witness
+        if upper < best[2]:
+            best[2:4] = upper, upper_witness
+        return relative_gap(lower, upper)
+
+    def certified() -> bool:
+        return within_tolerance(best[0], best[2], options.tolerance)
+
+    if certified():
+        return package(*best, 0)
+    restart_gap = relative_gap(best[0], best[2])
+
+    def steps(omega):
+        tau, sigma = 0.999 * omega / map_norm, 0.999 / (omega * map_norm)
+        return (tau, sigma, *prox_maps(tau, sigma))
+
+    omega = 1.0
+    tau, sigma, prox_primal, prox_dual = steps(omega)
+    x_sum, y_sum = np.zeros_like(x), np.zeros_like(y)
+    x_start, y_start, xbar, run = x, y, x, 0
+    for it in range(1, options.max_iterations + 1):
+        y = prox_dual(y + sigma * forward(xbar))
+        x_new = prox_primal(x - tau * adjoint(y))
+        xbar = 2.0 * x_new - x
+        x = x_new
+        x_sum += x
+        y_sum += y
+        run += 1
+        if it % CHECK_EVERY and it < options.max_iterations:
+            continue
+        gap = check(x, y)
+        x_avg, y_avg = x_sum / run, y_sum / run
+        gap_avg = check(x_avg, y_avg)
+        if certified():
+            return package(*best, it)
+        if min(gap, gap_avg) > RESTART_SUFFICIENT * restart_gap and run < RESTART_ARTIFICIAL * it:
+            continue
+        if gap_avg < gap:
+            x, y, gap = x_avg, y_avg, gap_avg
+        moved_x, moved_y = _move(x, x_start), _move(y, y_start)
+        if moved_x > 0 and moved_y > 0 and math.isfinite(moved_x / moved_y):
+            omega = math.exp(WEIGHT_SMOOTHING * math.log(moved_x / moved_y)
+                             + (1 - WEIGHT_SMOOTHING) * math.log(omega))
+            tau, sigma, prox_primal, prox_dual = steps(omega)
+        x_start, y_start, xbar, run, restart_gap = x, y, x, 0, gap
+        x_sum[...] = 0.0
+        y_sum[...] = 0.0
+
+    raise no_certificate(options.tolerance, f"budget of {options.max_iterations} iterations "
+                         "spent", best[0], best[2], package(*best, options.max_iterations))
+
+
 def _map_norm(program):
     """A bound on ``||L||``: a chain image is the difference of two blocks, and
     the images of the only block read it through their maps side by side."""
@@ -154,7 +247,7 @@ def _map_norm(program):
 
 
 def pdhg_ball_program(program, options):
-    """The first-order solve of a ball program by ``pdhg.pdhg``: the oracle that
+    """The first-order solve of a ball program by :func:`pdhg`: the oracle that
     the interior-point solver's brackets are checked against.  Steps come from
     the bound on ``||L||`` above; the lower bound is the iterate scaled
     feasible, the upper bound the cost of the dual iterate Y."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist import load_measure, save_measure
+from specdist import MatrixMeasure, load_measure, save_measure
 from specdist.cli import main
 from specdist.spectra import TableCell
 
@@ -298,10 +298,11 @@ class TestDist:
         assert "by roundoff" in doc["error"] and "Traceback" not in err
 
     def test_stalled_gap_audit_exits_3_with_partial(self, tmp_path, capsys):
-        # a budget that certifies both dual solves but not the transport primal
+        # a budget that certifies both dual solves but not the transport primal:
+        # (f1,f2) at K = 8 takes 6 dual and 7 primal Newton steps
         from specdist import SolverOptions, assemble_dual, solve_dual
 
-        assert main(["gen-spectra", "--out", str(tmp_path), "--grid-points", "6"]) == 0
+        assert main(["gen-spectra", "--out", str(tmp_path), "--grid-points", "8"]) == 0
         mu1, mu2 = load_measure(tmp_path / "f1.json"), load_measure(tmp_path / "f2.json")
         halved = SolverOptions(tolerance=5e-4)
         budget = solve_dual(assemble_dual(mu1, mu2, 1.0), halved).iterations
@@ -317,6 +318,30 @@ class TestDist:
         assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
         # the bracket is the audit's dual certificate, certified to half the gap
         assert doc["upper_bound"] - doc["lower_bound"] <= 5e-4 * doc["upper_bound"]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e15, 2.0 ** -600], ids=["1e-6", "1e15", "2^-600"])
+    @pytest.mark.parametrize("pair", ["f0 f1", "f1 f2", "f0 f2"])
+    def test_gap_audit_at_every_representable_scale(self, spectra_dir, tmp_path, capsys, pair,
+                                                    scale):
+        # the transport primal runs on masses / t, t the dual's power-of-two
+        # unit: unscaled, it ran out of budget at 1e-6 and 1e15 (exit 3), and at
+        # 2^-600 the n = 2 nuclear norms of its plan underflowed, putting the
+        # primal below the dual.  A power of two scales both sides exactly.
+        def audit(factor):
+            paths = []
+            for name in pair.split():
+                mu = load_measure(spectra_dir / f"{name}.json")
+                paths.append(str(tmp_path / f"{name}_{factor!r}.json"))
+                save_measure(MatrixMeasure(mu.grid, mu.masses * factor), paths[-1])
+            code = main(["dist", "--metric", "matrix-w1k", "--tol", "1e-3", "--gap-audit",
+                         "--format", "structured", *paths])
+            assert code == 0
+            return json.loads(capsys.readouterr().out)["gap_audit"]["relative_gap"]
+
+        relative_gap = audit(scale)
+        assert 0.0 <= relative_gap <= 1e-3
+        if math.frexp(scale)[0] == 0.5:
+            assert relative_gap == audit(1.0)
 
     def test_gap_audit_solves_the_dual_once(self, tmp_path, capsys, monkeypatch):
         from specdist import cli, matrix_primal

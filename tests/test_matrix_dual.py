@@ -658,6 +658,27 @@ class TestInteriorPoint:
         x = ipm._block_solver(diag, upper)(b)
         np.testing.assert_allclose(x.ravel(), np.linalg.solve(M, b.ravel()), rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("B", [1, 2, 5, 8])
+    def test_block_solver_eliminates_the_uncoupled_coordinates(self, B):
+        # blocks of 12 whose superdiagonal touches only their first 4 coordinates
+        # (F of the transport program): eliminating the other 8 block by block
+        # first, then reducing the rest, gives numpy's dense solve
+        rng = np.random.default_rng([53, B])
+        m, coupled = 12, 4
+        diag = rng.normal(size=(B, m, m))
+        diag = diag @ diag.mT + m * np.eye(m)
+        upper = np.zeros_like(diag)
+        upper[:-1, :coupled, :coupled] = rng.normal(size=(B - 1, coupled, coupled))
+        M = np.zeros((B * m, B * m))
+        for k in range(B):
+            M[k * m:(k + 1) * m, k * m:(k + 1) * m] = diag[k]
+            if k + 1 < B:
+                M[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = upper[k]
+                M[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] = upper[k].T
+        b = rng.normal(size=(B, m))
+        x = ipm._block_solver(diag, upper, coupled)(b)
+        np.testing.assert_allclose(x.ravel(), np.linalg.solve(M, b.ravel()), rtol=1e-9, atol=1e-12)
+
     @pytest.mark.parametrize("path", ["cholesky", "floored"])
     @pytest.mark.parametrize("m", [1, 4, 9, 16])
     def test_pivot_factor_inverts_graded_pivots(self, m, path, monkeypatch):
@@ -721,7 +742,7 @@ class TestInteriorPoint:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_weights_match_the_complex_products(self, n):
-        # W_k = Re tr(E_a X_k E_b Q_k), summed over the stacks' halves, against
+        # W_k = Re tr(E_a X_k E_b Q_k), summed over the stacked (2, J) form, against
         # complex products; each half spans two WEIGHT_CHUNKs of products (32 m^2
         # bytes per block) and part of a third
         rng = np.random.default_rng([41, n])
@@ -731,8 +752,8 @@ class TestInteriorPoint:
         E = linalg.from_coords(np.eye(m))
         W = np.einsum("aij,kjl,blm,kmi->kab", E, linalg.from_coords(X), E,
                       linalg.from_coords(Q)).real
-        np.testing.assert_allclose(ipm._weights(ipm._real(X), ipm._real(Q)),
-                                   W[:half] + W[half:], rtol=0, atol=1e-12)
+        stacked = (ipm._real(P.reshape(2, half, m)) for P in (X, Q))
+        np.testing.assert_allclose(ipm._weights(*stacked), W[:half] + W[half:], rtol=0, atol=1e-12)
 
     def test_zero_complementarity_is_a_breakdown(self, monkeypatch):
         # sigma = (mu_aff / mu)^3 divides by mu = <X, S> / (J n): a step from

@@ -14,8 +14,8 @@ from specdist import (
     w1_kappa_chain,
     w1_kappa_scalar,
 )
-from specdist import linalg
-from specdist.matrix_primal import _plan_marginals
+from specdist import ipm, linalg
+from specdist.matrix_primal import _TransportDual, _plan_marginals
 from specdist.measures import Grid
 
 from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
@@ -173,6 +173,60 @@ def test_plan_marginals_are_those_of_the_stacked_diagonal(rng, n):
     assert np.array_equal(_plan_marginals(P), old)
 
 
+class TestTransportDual:
+    """The conic dual of the transport program, as the interior-point method reads it."""
+
+    @pytest.mark.parametrize("n, K", [(1, 1), (1, 4), (2, 3), (3, 2)])
+    def test_adjoint_and_schur_blocks(self, n, K):
+        rng = np.random.default_rng([59, n, K])
+        m, J = n * n, 8 * K - 2   # 6 LMIs per point, 2 per edge
+        dual = _TransportDual(rng.normal(size=(K, 3 * m)), 0.7, rng.uniform(0.1, 1.0, K - 1))
+        v, Z = rng.normal(size=(K, 3 * m)), rng.normal(size=(J, m))
+        assert np.vdot(dual.constraints(v), Z) == pytest.approx(
+            np.vdot(v, dual.constraints_adjoint(Z)), rel=1e-12)
+        # the Schur complement sum_k J_k^T W_k J_k, column by column, with
+        # W_k[a, b] = Re tr(E_a X_k E_b Q_k) from complex products
+        A = rng.normal(size=(2, J, n, n)) + 1j * rng.normal(size=(2, J, n, n))
+        X, Q = linalg.to_coords(A @ A.conj().swapaxes(-1, -2))
+        E = linalg.from_coords(np.eye(m))
+        W = np.einsum("aij,kjl,blm,kmi->kab", E, linalg.from_coords(X), E,
+                      linalg.from_coords(Q)).real
+        dense = np.array([dual.constraints_adjoint(np.einsum(
+            "kab,kb->ka", W, dual.constraints(e.reshape(K, -1)))).ravel()
+            for e in np.eye(3 * m * K)]).T
+        diag, upper, coupled = dual.normal_blocks(ipm._real(X), ipm._real(Q))
+        assembled = np.zeros_like(dense)
+        b = 3 * m
+        for k in range(K):
+            assembled[k * b:(k + 1) * b, k * b:(k + 1) * b] = diag[k]
+            if k + 1 < K:
+                assembled[k * b:(k + 1) * b, (k + 1) * b:(k + 2) * b] = upper[k]
+                assembled[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = upper[k].T
+        np.testing.assert_allclose(assembled, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+        # only F (the first n^2 coordinates of each point) couples points
+        assert coupled == m and not upper[:, coupled:].any() and not upper[:, :, coupled:].any()
+
+    def test_plan_from_the_multipliers_needs_no_repair(self, monkeypatch):
+        # the multiplier of U >= 0 is the row marginal, so the plans the Newton
+        # steps read off have PSD marginals before the repair, to roundoff
+        from specdist import benchmark_measure, make_uniform_grid, matrix_primal
+
+        grid = make_uniform_grid(12, 0.0, np.pi)
+        mu1, mu2 = benchmark_measure(0, grid), benchmark_measure(1, grid)
+        worst = []
+
+        def repair(P):
+            marginals = _plan_marginals(P)
+            worst.append(-linalg.eigenvalues(marginals)[0].min() / np.abs(marginals).max())
+            return original(P)
+
+        original = matrix_primal._psd_repair
+        monkeypatch.setattr(matrix_primal, "_psd_repair", repair)
+        sol = solve_unbalanced_primal(mu1, mu2, 1.0, GAP_OPTS)
+        assert sol.iterations > 0 and len(worst) == sol.iterations + 2
+        assert max(worst) <= 1e-12
+
+
 class TestHermitianRestriction:
     """Hermitian-part symmetrization of complex plans loses nothing."""
 
@@ -240,7 +294,8 @@ class TestDualityGap:
         from specdist import (ConvergenceError, assemble_dual, benchmark_measure,
                               make_uniform_grid, solve_dual)
 
-        grid = make_uniform_grid(6, 0.0, np.pi)
+        # (f1,f2) at K = 8 takes 6 dual and 7 primal Newton steps
+        grid = make_uniform_grid(8, 0.0, np.pi)
         mu1, mu2 = benchmark_measure(1, grid), benchmark_measure(2, grid)
         halved = SolverOptions(tolerance=5e-4)
         budget = solve_dual(assemble_dual(mu1, mu2, 1.0), halved).iterations
@@ -250,6 +305,24 @@ class TestDualityGap:
         assert cert.iterations == budget
         assert cert.lower_bound == cert.value
         assert cert.upper_bound - cert.lower_bound <= 5e-4 * cert.upper_bound
+
+    @pytest.mark.parametrize("side", ["dual", "primal"])
+    def test_stop_message_gives_the_bracket_in_the_callers_units(self, side):
+        # both solves run on masses / t (t = 2^19 here): the error's bracket is
+        # the one its solution carries, not the iterates' scaled one
+        from specdist import ConvergenceError, benchmark_measure
+
+        mu1, mu2 = (MatrixMeasure(mu.grid, 1e6 * mu.masses)
+                    for mu in (benchmark_measure(0), benchmark_measure(1)))
+        options = SolverOptions(tolerance=1e-3, max_iterations=2)
+        with pytest.raises(ConvergenceError) as err:
+            if side == "dual":
+                solve_dual(assemble_dual(mu1, mu2, 1.0), options)
+            else:
+                solve_unbalanced_primal(mu1, mu2, 1.0, options)
+        solution = err.value.solution
+        assert solution.iterations == 2
+        assert f"[{solution.lower_bound:.6g}, {solution.upper_bound:.6g}]" in str(err.value)
 
     def test_primal_floor_is_set_by_the_known_value(self):
         # A moves over a 1e-3 gap: the diagonal start's objective, kappa ||Delta||_TV,
@@ -339,16 +412,16 @@ class TestStartFromTheDualCertificate:
         assert sol.lower_bound == pytest.approx(value, rel=1e-12)
         assert sol.objective == pytest.approx(value, rel=1e-12)
 
-    # the ids keep the first-order dual's iterations (350, 650, 300) they were
-    # first pinned with; the dual now takes Newton steps, and its closer value,
-    # the primal's hint, lets the first case certify 50 iterations sooner
+    # the ids keep the first-order iterations (dual 350, 650, 300; primal 350,
+    # 150, 300) they were first pinned with; both sides now take Newton steps
     @pytest.mark.parametrize("n, K, kappa, dual_iterations, primal_iterations", [
-        pytest.param(2, 8, 1.0, 7, 300, id="2-8-1.0-350-350"),
-        pytest.param(3, 6, 0.5, 7, 150, id="3-6-0.5-650-150"),
-        pytest.param(2, 12, 0.3, 7, 300, id="2-12-0.3-300-300")])
+        pytest.param(2, 8, 1.0, 7, 7, id="2-8-1.0-350-350"),
+        pytest.param(3, 6, 0.5, 7, 7, id="3-6-0.5-650-150"),
+        pytest.param(2, 12, 0.3, 7, 7, id="2-12-0.3-300-300")])
     def test_ball_program_certificate_keeps_the_diagonal_start(
             self, n, K, kappa, dual_iterations, primal_iterations):
-        # the pinned primal iteration counts are those of the diagonal start
+        # the start plan is the diagonal one, which does not certify, so the
+        # primal takes Newton steps from the certificate's test function
         rng = np.random.default_rng([2016, n, K])
         grid = random_grid(rng, K)
         mu1, mu2 = random_matrix_measure(rng, grid, n), random_matrix_measure(rng, grid, n)

@@ -77,6 +77,15 @@ class TestMatrixMeasure:
         with pytest.raises(ValueError, match="not PSD"):
             MatrixMeasure(grid, masses)
 
+    def test_rejects_non_psd_mass_in_any_unit(self):
+        # the floor scales with the measure's largest operator norm; an absolute
+        # floor of 1e-10 accepted this pair from 10^-10 on
+        grid = make_uniform_grid(2, 0.0, 1.0)
+        masses = np.array([np.diag([1.0, -0.5]), np.eye(2)], dtype=complex)
+        for p in range(151):
+            with pytest.raises(ValueError, match="not PSD"):
+                MatrixMeasure(grid, masses * 10.0 ** -p)
+
     def test_error_names_grid_point(self):
         grid = make_uniform_grid(3, 0.0, 2.0)
         masses = np.array([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)], dtype=complex)
