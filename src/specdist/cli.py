@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--kappa", type=float, default=1.0,
                       help="bound on test functions (0 means unbounded, connes only)")
     dist.add_argument("--tol", type=float, default=1e-6, help=TOL_HELP)
-    dist.add_argument("--max-iter", type=int, default=200_000, help=BUDGET_HELP)
+    dist.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations,
+                      help=BUDGET_HELP)
     dist.add_argument("--gap-audit", action="store_true",
                       help="also solve the transport side and report the duality gap")
     dist.add_argument("--dirac", default=None, help="JSON file with Dirac operators")
@@ -257,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table1", help="benchmark distance table and plot data")
     table.add_argument("--kappa", type=float, default=1.0)
     table.add_argument("--tol", type=float, default=1e-3, help=TOL_HELP)
-    table.add_argument("--max-iter", type=int, default=200_000, help=BUDGET_HELP)
+    table.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations,
+                       help=BUDGET_HELP)
     table.add_argument("--no-gap-audit", dest="gap_audit", action="store_false")
     table.add_argument("--grid-points", type=int, default=None)
     table.add_argument("--format", choices=("human-table", "csv", "structured"),

@@ -136,11 +136,9 @@ class BallProgram:
         """t, the objective's unit (module docstring)."""
         c, rho = (np.asarray(a, dtype=float) for a in (self.objective, self.ball_radii))
         n = math.isqrt(c.shape[-1])
-        # the nuclear norms of C over a power of two near max |C|, whose squares stay finite
-        unit = linalg.power_of_two(float(np.abs(c).max(initial=0.0)))
+        # a weighted mean, finite wherever the nuclear norms are (summed first, they can overflow)
         with np.errstate(all="ignore"):   # 0 or not finite for c = 0 or rho = 0
-            return linalg.power_of_two(unit * (rho @ linalg.nuclear_norms(c / unit))
-                                       / (n * rho.sum()))
+            return linalg.power_of_two(rho / rho.sum() @ linalg.nuclear_norms(c) / n)
 
     def _norms(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Operator norms of F's blocks and images, and their radii."""

@@ -73,8 +73,9 @@ def eigenvalues(c: np.ndarray) -> np.ndarray:
     if c.shape[-1] == 1:
         return c[None, ..., 0]
     if c.shape[-1] == 4:   # m -+ s with m = c_0 / sqrt 2 and s = |c_1:| / sqrt 2
-        v = c[..., 1:]
-        m, s = _R2 * c[..., 0], np.sqrt(0.5 * np.einsum("...i,...i->...", v, v))
+        # hypot squares nothing, so s neither overflows nor underflows where
+        # the eigenvalues are finite, and masses times 2^k scale it exactly
+        m, s = _R2 * c[..., 0], _R2 * np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
         lam = np.empty((2,) + m.shape)
         np.subtract(m, s, out=lam[0, ...])   # a view also for a single block
         np.add(m, s, out=lam[1, ...])

@@ -23,8 +23,9 @@ the gaps telescope to |theta_i - theta_j| ||m_ij||_*.  This is the flux
 (Beckmann) form of the transport program.  The plan is one (3, K) stack of
 blocks: ``P[0][k] = m_kk``, ``P[1][k] = m_k,k+1`` and ``P[2][k] =
 m_k+1,k``; slot K-1 of ``P[1]`` and ``P[2]`` stays zero.  Every plan is
-priced exactly, after its marginals are repaired onto the PSD cone through
-the cost-free diagonal: a true upper bound.
+priced after its marginals are repaired onto the PSD cone through the
+cost-free diagonal, and the price rounded up by two units of roundoff of its
+terms, as the ball programs' bounds are: a true upper bound.
 
 The solve first prices the diagonal plan ``P[0] = (M1 + M2) / 2``, or, from a
 dual certificate with a flow Y, the plan ``P[1] = Y`` that leaves ``Z = Delta
@@ -76,7 +77,7 @@ class TransportSolution(Certified):
     denoised_marginals: tuple[MatrixMeasure, MatrixMeasure]
     transport_cost: float
     tv_penalty: float
-    objective: float
+    objective: float                           # cost + kappa tv, rounded up
     lower_bound: float                         # certified bound from the dual side
     iterations: int
 
@@ -201,23 +202,23 @@ def solve_unbalanced_primal(
         return cost, float(linalg.nuclear_norms(M - _plan_marginals(P)).sum())
 
     def price(P) -> tuple[float, np.ndarray]:
-        """The objective of P repaired, and the repaired plan."""
+        """The objective of P repaired, rounded up, and the repaired plan."""
         repaired = _psd_repair(P)
         cost, tv_pen = decompose(repaired)
-        return cost + kappa * tv_pen, repaired
+        return (cost + kappa * tv_pen) * (1.0 + EPS2), repaired
 
     def pairing(F) -> float:
         """The lower bound of test function F scaled feasible, rounded down."""
         F = F / program.feasibility_scale(F)
         return float(np.vdot(F, delta)) - EPS2 * float(np.abs(F * delta).sum())
 
-    def package(lower, _, upper, plan, steps) -> TransportSolution:
+    def package(lower, _, upper, plan, steps) -> TransportSolution:   # upper: plan's price
         cost, tv_pen = (t * v for v in decompose(plan))
         plan = t * plan
         hats = tuple(MatrixMeasure(mu.grid, linalg.from_coords(m))
                      for mu, m in zip((mu1, mu2), _plan_marginals(plan)))
-        return TransportSolution(linalg.from_coords(plan), hats, cost, tv_pen,
-                                 cost + kappa * tv_pen, t * lower, steps)
+        return TransportSolution(linalg.from_coords(plan), hats, cost, tv_pen, t * upper,
+                                 t * lower, steps)
 
     floor = certificate.value / t if certificate is not None else 0.0
     start = np.zeros((3, K, m))

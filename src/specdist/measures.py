@@ -165,12 +165,8 @@ def tv_matrix(mu1: MatrixMeasure, mu2: MatrixMeasure) -> float:
     """Matricial total variation: sum over points of the nuclear norm of the
     mass difference; ``ValueError`` if it overflows."""
     _check_compatible(mu1, mu2)
-    delta = mu1.masses - mu2.masses
-    # a difference below 1 goes over a power of two near its largest real or
-    # imaginary part first, so that the eigenvalues' squares do not underflow
-    unit = min(1.0, linalg.power_of_two(float(np.abs(delta.view(float)).max(initial=0.0))))
     with np.errstate(over="ignore", invalid="ignore"):
-        value = unit * float(linalg.hermitian_nuclear_norms(delta / unit).sum())
+        value = float(linalg.hermitian_nuclear_norms(mu1.masses - mu2.masses).sum())
     if not np.isfinite(value):
         raise ValueError("matrix entries too large: the total variation overflows")
     return value

@@ -130,16 +130,21 @@ class TestDist:
         assert code == 2
         assert "JSON number" in capsys.readouterr().err
 
+    # the eigenvalues (1 + sqrt 2) 8e307 overflow; the ids name the entry these
+    # cases were first written with, 1e200, whose eigenvalues are finite and
+    # which is accepted
+    OVERFLOWING = [(0, 0, 8e307), (0, 1, 8e307 + 8e307j), (1, 0, 8e307 - 8e307j), (1, 1, 8e307)]
+
     @pytest.mark.parametrize("entries, metric", [
         ([(0, 0, 1e308), (1, 1, 1e308)], "matrix-tv"),   # the Hermitian part overflows
-        ([(0, 0, 1e200)], "matrix-tv"),                   # the eigenvalues overflow
-        ([(0, 0, 1e200)], "matrix-w1k"),
+        (OVERFLOWING, "matrix-tv"),
+        (OVERFLOWING, "matrix-w1k"),
     ], ids=["1e308-matrix-tv", "1e200-matrix-tv", "1e200-matrix-w1k"])
     def test_mass_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys, entries, metric):
         assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "f0.json").read_text())
         for i, j, x in entries:
-            doc["masses"][0][i][j] = [x, 0.0]
+            doc["masses"][0][i][j] = [x.real, x.imag]
         (tmp_path / "f0.json").write_text(json.dumps(doc))
         code = main(["dist", "--metric", metric, str(tmp_path / "f0.json"),
                      str(tmp_path / "f1.json")])
@@ -147,11 +152,12 @@ class TestDist:
         assert "too large" in capsys.readouterr().err
 
     def test_matrix_tv_whose_difference_overflows_exits_2(self, tmp_path, capsys):
-        # each mass is accepted, but the nuclear norm of their difference overflows
+        # each mass is accepted (eigenvalues 0 and 1.2e308), but their difference
+        # has eigenvalues -+1.2e308, whose nuclear norm overflows
         assert main(["gen-spectra", "--grid-points", "4", "--out", str(tmp_path)]) == 0
-        for name, diagonal in (("f0", (1e154, 0.0)), ("f1", (0.0, 1e154))):
+        for name, b in (("f0", 6e307), ("f1", -6e307)):
             doc = json.loads((tmp_path / f"{name}.json").read_text())
-            doc["masses"][0] = [[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]]
+            doc["masses"][0] = [[[6e307, 0.0], [b, 0.0]], [[b, 0.0], [6e307, 0.0]]]
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -319,7 +325,18 @@ class TestDist:
         # the bracket is the audit's dual certificate, certified to half the gap
         assert doc["upper_bound"] - doc["lower_bound"] <= 5e-4 * doc["upper_bound"]
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e15, 2.0 ** -600], ids=["1e-6", "1e15", "2^-600"])
+    @staticmethod
+    def _scaled(spectra_dir, tmp_path, pair, factor):
+        """Paths of the measures of ``pair`` with masses times ``factor``."""
+        paths = []
+        for name in pair.split():
+            mu = load_measure(spectra_dir / f"{name}.json")
+            paths.append(str(tmp_path / f"{name}_{factor!r}.json"))
+            save_measure(MatrixMeasure(mu.grid, mu.masses * factor), paths[-1])
+        return paths
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e15, 2.0 ** -600, 1e200],
+                             ids=["1e-6", "1e15", "2^-600", "1e200"])
     @pytest.mark.parametrize("pair", ["f0 f1", "f1 f2", "f0 f2"])
     def test_gap_audit_at_every_representable_scale(self, spectra_dir, tmp_path, capsys, pair,
                                                     scale):
@@ -328,13 +345,9 @@ class TestDist:
         # 2^-600 the n = 2 nuclear norms of its plan underflowed, putting the
         # primal below the dual.  A power of two scales both sides exactly.
         def audit(factor):
-            paths = []
-            for name in pair.split():
-                mu = load_measure(spectra_dir / f"{name}.json")
-                paths.append(str(tmp_path / f"{name}_{factor!r}.json"))
-                save_measure(MatrixMeasure(mu.grid, mu.masses * factor), paths[-1])
             code = main(["dist", "--metric", "matrix-w1k", "--tol", "1e-3", "--gap-audit",
-                         "--format", "structured", *paths])
+                         "--format", "structured",
+                         *self._scaled(spectra_dir, tmp_path, pair, factor)])
             assert code == 0
             return json.loads(capsys.readouterr().out)["gap_audit"]["relative_gap"]
 
@@ -342,6 +355,18 @@ class TestDist:
         assert 0.0 <= relative_gap <= 1e-3
         if math.frexp(scale)[0] == 0.5:
             assert relative_gap == audit(1.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 2.0 ** 600], ids=["1e200", "2^600"])
+    def test_matrix_tv_of_huge_masses(self, spectra_dir, tmp_path, capsys, scale):
+        # the n = 2 eigenvalues square nothing, so they overflow only where they
+        # are not finite (tiny masses: TestTvMatrix in test_measures.py)
+        def tv(factor):
+            code = main(["dist", "--metric", "matrix-tv", "--format", "structured",
+                         *self._scaled(spectra_dir, tmp_path, "f0 f1", factor)])
+            assert code == 0
+            return json.loads(capsys.readouterr().out)["value"]
+
+        assert tv(scale) == pytest.approx(scale * tv(1.0), rel=1e-12, abs=0)
 
     def test_gap_audit_solves_the_dual_once(self, tmp_path, capsys, monkeypatch):
         from specdist import cli, matrix_primal
@@ -473,7 +498,8 @@ class TestDist:
         assert doc["lower_bound"] <= value <= doc["upper_bound"]
 
     def test_connes_dirac_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
-        dirac = [[[[1e300, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]]
+        # eigenvalues (1 + sqrt 2) 8e307
+        dirac = [[[[8e307, 0.0], [8e307, 8e307]], [[8e307, -8e307], [8e307, 0.0]]]]
         assert self._connes_on_spectra(tmp_path, dirac, "--max-iter", "200") == 2
         assert "too large" in capsys.readouterr().err
 

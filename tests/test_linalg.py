@@ -411,10 +411,25 @@ def test_as_hermitian_rejects_large_violation():
         as_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+def test_closed_form_scales_exactly(rng, k):
+    # the n = 2 closed form squares nothing: blocks times 2^k have exactly 2^k
+    # times their eigenvalues, where squared coordinates would under- or overflow
+    c = linalg.to_coords(np.array([random_hermitian(rng, 2) for _ in range(8)]))
+    assert np.array_equal(linalg.eigenvalues(c * 2.0 ** k), linalg.eigenvalues(c) * 2.0 ** k)
+    assert np.array_equal(linalg.eigenvalues(np.array([0.0, 1e-200, 0.0, 0.0])),
+                          [-np.sqrt(0.5) * 1e-200, np.sqrt(0.5) * 1e-200])
+
+
+# the ids name the entries these cases were first written with (1e200 and
+# 1e300 blocks, whose eigenvalues are finite and which are accepted)
+OVERFLOWING = np.array([[8e307, 8e307 + 8e307j], [8e307 - 8e307j, 8e307]])   # (1 + sqrt 2) 8e307
+
+
 @pytest.mark.parametrize("M", [
     np.diag([1e308, 1e308]),                    # the Hermitian part overflows
-    np.diag([1e200, 0.0]),                      # the 2x2 closed form's square overflows
-    np.array([[1e300, 0.5], [0.5, -1.0]])[None],
+    OVERFLOWING,                                # the eigenvalues overflow
+    np.array([[[1.0, 0.5], [0.5, -1.0]], OVERFLOWING]),
 ], ids=["sum-1e308", "square-1e200", "stack-1e300"])
 def test_as_hermitian_rejects_overflowing_eigenvalues(M):
     with pytest.raises(ValueError, match="too large"):

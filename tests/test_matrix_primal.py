@@ -380,10 +380,26 @@ class TestStartFromTheDualCertificate:
         mu1, mu2 = (scalar_measure(grid, m) for m in masses)
         report = duality_gap(mu1, mu2, kappa, SolverOptions(tolerance=1e-6))
         assert report.primal_solution.iterations == 0
-        assert abs(report.relative_gap) <= 1e-12
-        assert report.primal >= report.dual - 1e-14 * abs(report.dual)
+        assert 0.0 <= report.relative_gap <= 1e-12
+        assert report.primal >= report.dual
         exact = w1_kappa_chain(masses[0] - masses[1], grid.spacings, kappa)[0]
         assert report.primal == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [33, 44, 56, 58, 139])
+    def test_zero_step_primal_is_not_below_the_dual(self, seed):
+        # the start plan (the n = 1 flow plan, the diagonal plan at K = 1)
+        # certifies without a step; its price is rounded up, as the ball
+        # programs' bounds are, or roundoff could put it below the dual
+        rng = np.random.default_rng([72, seed])
+        n, K = int(rng.integers(1, 5)), int(rng.integers(1, 24))
+        kappa = float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
+        scale = float(rng.choice([1e-8, 1.0, 1e6]))
+        grid = random_grid(rng, K)
+        mu1, mu2 = (random_matrix_measure(rng, grid, n, scale) for _ in range(2))
+        report = duality_gap(mu1, mu2, kappa, SolverOptions(tolerance=1e-6))
+        assert report.primal_solution.iterations == 0
+        assert report.primal >= report.dual
+        assert 0.0 <= report.relative_gap <= 1e-6
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_start_from_an_exact_certificate(self, n):

@@ -181,8 +181,8 @@ class TestTvMatrix:
 
     @pytest.mark.parametrize("scale", [2.0 ** -600, 1e-170], ids=["2^-600", "1e-170"])
     def test_tiny_masses_keep_the_value(self, scale):
-        # at n = 2 the eigenvalues' squares would underflow below about 1e-154;
-        # the difference is scaled up by a power of two first
+        # squared n = 2 coordinates would underflow below about 1e-154; the
+        # closed form's hypot squares none
         mu0, mu1 = benchmark_measure(0), benchmark_measure(1)
         tiny = tv_matrix(MatrixMeasure(mu0.grid, scale * mu0.masses),
                          MatrixMeasure(mu1.grid, scale * mu1.masses))
