@@ -25,10 +25,11 @@ the boundary.  Its Schur complement ``sum_k J_k^T W_k J_k``, with ``W_k[a, b]
 tridiagonal in the blocks of x (one dense block for Connes), and block cyclic
 reduction (Heller, SIAM J. Numer. Anal. 1976), its pivots factored by Cholesky
 where their condition allows, solves it in log2 B batched levels.  S is the
-exact slack of x, so x stays strictly feasible; the Schur solve loses accuracy
-as ``mu`` falls, so the step's ``dX`` is corrected by ``X A(v) X``, inside X's
-range, to meet the equality constraints.  Inverse square roots and step
-lengths come from the spectral kernels of :mod:`specdist.linalg`, block
+exact slack of x, so x stays strictly feasible.  The Schur solve loses
+accuracy as ``mu`` falls, so the corrector is refined once with the step's
+one factorization, and on the chain each solve restores the summed equations
+that fix its constant mode (:func:`_block_solver`).  Inverse square roots and
+step lengths come from the spectral kernels of :mod:`specdist.linalg`, block
 products from the real forms ``R(M) = [[Re M, -Im M], [Im M, Re M]]`` (``R(A)
 R(B) = R(AB)``, as in SDPT3), which numpy multiplies several times faster.
 
@@ -116,13 +117,15 @@ class BallProgram:
         identity = linalg.to_coords(np.eye(math.isqrt(self.objective.shape[-1])))
         return np.tile(np.concatenate([self.ball_radii, self.image_radii]), 2)[:, None] * identity
 
-    def normal_blocks(self, X: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def normal_blocks(self, X: np.ndarray, Q: np.ndarray) -> tuple:
         """Diagonal and superdiagonal blocks ``(B, n^2, n^2)`` of ``sum_k J_k^T
         W_k J_k`` at the real forms X and Q of every block (:func:`_weights`),
-        each sign pair's weights summed; the last superdiagonal block is 0."""
+        each sign pair's weights summed; the last superdiagonal block is 0.
+        Then the chain's diagonal blocks without the images' weights (the
+        balls'), or ``None`` through maps."""
         W = _weights(*(P.reshape((2, -1) + P.shape[1:]) for P in (X, Q)))
         B = self.ball_radii.size
-        diag, images = W[:B].copy(), W[B:]
+        diag, local, images = W[:B].copy(), W[:B], W[B:]
         upper = np.zeros_like(diag)   # upper[B - 1] = 0: no block after the last
         if self.maps is None:
             diag[:-1] += images
@@ -130,7 +133,7 @@ class BallProgram:
             upper[:-1] = -images
         else:
             diag[0] += (self.maps @ images @ _t(self.maps)).sum(axis=0)
-        return diag, upper
+        return diag, upper, local if self.maps is None else None
 
     def unit(self) -> float:
         """t, the objective's unit (module docstring)."""
@@ -223,7 +226,8 @@ def _pivot_factor(M: np.ndarray) -> np.ndarray:
     return np.concatenate([H.real, H.imag], axis=-2)
 
 
-def _block_solver(diag: np.ndarray, upper: np.ndarray, coupled: int | None = None):
+def _block_solver(diag: np.ndarray, upper: np.ndarray, local: np.ndarray | None = None,
+                  coupled: int | None = None):
     """``b -> M^-1 b`` for the symmetric block-tridiagonal M with these blocks
     (``upper[b] = M[b, b + 1]``, the last 0), by block cyclic reduction: each
     level eliminates the odd-numbered blocks j, leaving a block-tridiagonal
@@ -233,14 +237,24 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray, coupled: int | None = Non
     ill-conditioned).  A reduced pivot is raised by ``EIGEN_FLOOR`` of its
     diagonal first: what it resolves only below that (the common part of
     blocks tied by a gap far below kappa, lost to cancellation) is left alone.
+    Given ``local``, M's diagonal blocks without the chain's edge weights
+    (whose part ``L^T D_e L`` of M sums to 0 over the blocks), each solve is
+    deflated (Nicolaides, SIAM J. Numer. Anal. 1987): the chain's constant
+    mode ``1 (x) a``, which the edges cannot see, is corrected by ``a = (sum_k
+    local_k)^-1 sum_k (b_k - local_k x_k)``, so that the summed equations
+    hold.  The Newton step refines its corrector's solve once with the same
+    factorization (Skeel, Math. Comp. 1980), so none needs a second one.
     When the superdiagonal blocks touch only the first ``coupled`` coordinates
     of each block, the others are eliminated block by block first, in the same
-    way, and the reduction runs on the Schur complement of the first."""
+    way, and the reduction runs on the Schur complement of the first (and
+    deflates with ``local``'s)."""
     if coupled is not None:
         H = _pivot_factor(diag[:, coupled:, coupled:])
         T = H @ diag[:, coupled:, :coupled]
-        solve_coupled = _block_solver(diag[:, :coupled, :coupled] - _t(T) @ T,
-                                      upper[:, :coupled, :coupled])
+        TT = _t(T) @ T
+        solve_coupled = _block_solver(diag[:, :coupled, :coupled] - TT,
+                                      upper[:, :coupled, :coupled],
+                                      None if local is None else local[:, :coupled, :coupled] - TT)
 
         def eliminated(b: np.ndarray) -> np.ndarray:
             y = H @ b[:, coupled:, None]
@@ -248,6 +262,7 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray, coupled: int | None = Non
             return np.concatenate([x, (_t(H) @ (y - T @ x[..., None]))[..., 0]], axis=1)
 
         return eliminated
+    mode = None if local is None else _pivot_factor(local.sum(axis=0))
     eye = np.eye(diag.shape[-1])
     levels = []
     while len(diag) > 1:
@@ -264,10 +279,10 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray, coupled: int | None = Non
         levels.append((H, left, right))
     last = _pivot_factor(diag)
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def solve(rhs: np.ndarray) -> np.ndarray:
         # vectors are columns (..., m, 1); a transposed matrix times a vector is
         # the vector's row (a view) times the matrix
-        b = b[..., None]
+        b = rhs = rhs[..., None]
         reduced = []
         for H, left, right in levels:
             y = H @ b[1::2]
@@ -284,6 +299,8 @@ def _block_solver(diag: np.ndarray, upper: np.ndarray, coupled: int | None = Non
             y = y - H @ ((x[:len(y)].mT @ left).mT + right @ after)
             full[1::2] = (y.mT @ H).mT
             x = full
+        if mode is not None:   # the constant mode, from the summed equations
+            x += ((mode @ (rhs - local @ x).sum(axis=0)).mT @ mode).mT
         return x[..., 0]
 
     return solve
@@ -299,9 +316,13 @@ def _newton_step(program, R, c, x, X):
     Xr = _real(X)
     solve = _block_solver(*program.normal_blocks(Xr, S_inv))
 
-    def direction(Z):
-        """``(dx, dS, dX)`` toward ``X S = Z S``."""
-        dx = solve(c - A_adj(Z))
+    def direction(Z, refined):
+        """``(dx, dS, dX)`` toward ``X S = Z S``, a refined dx solved once more
+        for the residual of ``v -> A*(X A(v) S^-1)``, applied matrix-free."""
+        b = c - A_adj(Z)
+        dx = solve(b)
+        if refined:
+            dx += solve(b - A_adj(_co(Xr @ _real(A(dx)) @ S_inv)))
         dS = -A(dx)
         return dx, dS, Z - X - _co(Xr @ _real(dS) @ S_inv)
 
@@ -317,15 +338,11 @@ def _newton_step(program, R, c, x, X):
         return float(np.vdot(X, S)) / (J * n)
 
     mu = mean_complementarity(X, S)
-    dx, dS, dX = direction(np.zeros_like(X))                    # predictor
+    dx, dS, dX = direction(np.zeros_like(X), False)             # predictor, not a step
     a_x, a_s = steps(dX, dS)
     sigma = (mean_complementarity(X + a_x * dX, S + a_s * dS) / mu) ** 3
     target = sigma * mu * np.eye(2 * n) - _real(dX) @ _real(dS)
-    dx, dS, dX = direction(_co(target @ S_inv))                 # corrector
-    del solve   # one factorization at a time
-    # dX += X A(v) X, v from the Gram system sum_k J_k^T W(X_k, X_k) J_k
-    v = _block_solver(*program.normal_blocks(Xr, Xr))(c - A_adj(X + dX))
-    dX += _co(Xr @ _real(A(v)) @ Xr)
+    dx, dS, dX = direction(_co(target @ S_inv), True)           # corrector
     a_x, a_s = steps(dX, dS)
     return x + a_s * dx, X + a_x * dX
 

@@ -122,10 +122,11 @@ class _TransportDual:
         U, V = -ball_u - Z[2 * half:2 * half + K], ball_v - Z[2 * half + K:]
         return np.stack([F, U, V], axis=1).reshape(K, -1)
 
-    def normal_blocks(self, X: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """The Schur complement's blocks ``(K, 3 n^2, 3 n^2)`` and the n^2 (F)
-        that couple points: a point's weights W enter as ``a a^T (x) W`` for
-        their map a of (F, U, V), (1, -1, 0), (1, 0, 1), (0, -1, 0), (0, 0, -1)."""
+    def normal_blocks(self, X: np.ndarray, Q: np.ndarray) -> tuple:
+        """The Schur complement's blocks ``(K, 3 n^2, 3 n^2)``, its diagonal
+        blocks without the edges' weights and the n^2 (F) that couple points: a
+        point's weights W enter as ``a a^T (x) W`` for their map a of (F, U, V),
+        (1, -1, 0), (1, 0, 1), (0, -1, 0), (0, 0, -1)."""
         K, half = len(self.objective), 3 * len(self.objective) - 1
         pairs = _weights(*(P[:2 * half].reshape((2, half) + P.shape[1:]) for P in (X, Q)))
         singles = _weights(X[None, 2 * half:], Q[None, 2 * half:])
@@ -134,15 +135,16 @@ class _TransportDual:
         f, u, v = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
         diag = np.zeros((K, 3 * m, 3 * m))
         diag[:, f, f] = ball_u + ball_v
-        diag[:-1, f, f] += edges
-        diag[1:, f, f] += edges
         diag[:, u, u] = ball_u + singles[:K]
         diag[:, v, v] = ball_v + singles[K:]
         diag[:, f, u] = diag[:, u, f] = -ball_u
         diag[:, f, v] = diag[:, v, f] = ball_v
+        local = diag.copy()
+        diag[:-1, f, f] += edges
+        diag[1:, f, f] += edges
         upper = np.zeros_like(diag)
         upper[:-1, f, f] = -edges
-        return diag, upper, m   # U and V are local to their point
+        return diag, upper, local, m   # U and V are local to their point
 
 
 def _plan_marginals(P: np.ndarray) -> np.ndarray:

@@ -72,6 +72,23 @@ def short_gap_pair(h, scale=1.0):
     return MatrixMeasure(grid, np.array([A, zero])), MatrixMeasure(grid, np.array([zero, A]))
 
 
+def spread_pair(rng, K, n, span):
+    """Two measures (mu1 first) of ``A A*`` masses, ``A = N + iN`` drawn from
+    ``rng``, on K unit-weight points spread evenly over ``[0, span]``."""
+    grid = Grid(np.linspace(0.0, span, K), np.ones(K))
+    masses = []
+    for _ in range(2):
+        A = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+        masses.append(A @ A.conj().transpose(0, 2, 1))
+    return tuple(MatrixMeasure(grid, m) for m in masses)
+
+
+def recipe_pair(seed):
+    """Seed s's pair of the kappa-far-above-the-span sweep: n = (2, 3)[s % 2]
+    and K = (8, 16, 32)[s % 3] on a grid of span 1."""
+    return spread_pair(np.random.default_rng(seed), (8, 16, 32)[seed % 3], (2, 3)[seed % 2], 1.0)
+
+
 def cancellation_pair():
     """1x1 masses 1 and 1 - 1e-12 a gap of 1e-14 apart: the value, ~1.01e-12, cancels
     against sum |delta_k f_k| ~ 2, so the exact certificate's relative gap is ~1.3e-3."""

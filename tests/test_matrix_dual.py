@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from specdist.scalar_metrics import w1_kappa_chain
 
 from conftest import (cancellation_pair, flow_cost, pdhg_ball_program, random_grid,
                       random_hermitian, random_matrix_measure, random_psd,
-                      random_scalar_measure, short_gap_pair)
+                      random_scalar_measure, recipe_pair, short_gap_pair, spread_pair)
 
 TIGHT = SolverOptions(tolerance=1e-7)
 DEFAULT = SolverOptions(tolerance=1e-6)
@@ -115,8 +116,6 @@ class TestSolveDual:
     def test_check_certificate_flags_tampering(self, rng):
         # the re-check sees a test function pushed out of the kappa ball or
         # across a Lipschitz bound, and a value that is not its pairing
-        from dataclasses import replace
-
         grid = random_grid(rng, 5)
         problem = assemble_dual(random_matrix_measure(rng, grid, 2),
                                 random_matrix_measure(rng, grid, 2), 1.0)
@@ -559,26 +558,43 @@ class TestInteriorPoint:
                              ids=["f0f1", "n2-K12", "n3-K10", "n2-K36"])
     def test_mass_scale_changes_no_newton_step(self, pair):
         # masses times 2^k scale t by 2^k, and the solve runs on the objective
-        # over t: the same steps and exactly scaled values
+        # over t: the same steps and exactly scaled values wherever the
+        # objective is exactly 2^k times the unit one.  f1's entries near
+        # 1.6e-21 go subnormal at 2^-1000, so there the objective is not, and
+        # the program is compared with itself at objective times 2^1000
         if pair == "f0f1":
             mu1, mu2 = benchmark_measure(0), benchmark_measure(1)
         else:
             rng = np.random.default_rng(5)
             grid = random_grid(rng, pair[1])
             mu1, mu2 = (random_matrix_measure(rng, grid, pair[0]) for _ in range(2))
-        certs = {k: solve_dual(assemble_dual(MatrixMeasure(mu1.grid, mu1.masses * 2.0 ** k),
-                                             MatrixMeasure(mu2.grid, mu2.masses * 2.0 ** k),
-                                             1.0), DEFAULT)
-                 for k in (-1000, -600, -300, -200, -60, 0, 60, 200, 300, 600, 1000)}
+        programs = {k: ball_program(assemble_dual(MatrixMeasure(mu1.grid, mu1.masses * 2.0 ** k),
+                                                  MatrixMeasure(mu2.grid, mu2.masses * 2.0 ** k),
+                                                  1.0))
+                    for k in (-1000, -600, -300, -200, -60, 0, 60, 200, 300, 600, 1000)}
+        subnormal = -1000 if pair == "f0f1" else None
+        certs = {}
+        for k, program in programs.items():
+            exact = np.array_equal(program.objective, programs[0].objective * 2.0 ** k)
+            assert exact != (k == subnormal)
+            if exact:
+                certs[k] = solve_ball_program(program, DEFAULT)
         for k, cert in certs.items():
             assert cert.iterations == certs[0].iterations
             assert cert.value == certs[0].value * 2.0 ** k
             assert cert.upper_bound == certs[0].upper_bound * 2.0 ** k
+        if subnormal is not None:
+            program = programs[subnormal]
+            cert = solve_ball_program(program, DEFAULT)
+            up = solve_ball_program(replace(program, objective=program.objective * 2.0 ** 1000),
+                                    DEFAULT)
+            assert (cert.iterations, cert.value, cert.upper_bound) == (
+                up.iterations, up.value * 2.0 ** -1000, up.upper_bound * 2.0 ** -1000)
 
-    def test_gram_system_keeps_far_mass_scales(self):
+    def test_far_mass_scales_keep_the_unit_steps(self):
         # the solve divides the objective by t = 2^k at masses times 2^k, so
-        # no iterate, Gram weight or Schur weight leaves the unit pair's range:
-        # the same steps and exactly scaled bounds out to k = +-1000
+        # no iterate or Schur weight leaves the unit pair's range: the same
+        # steps and exactly scaled bounds out to k = +-1000
         rng = np.random.default_rng(3)
         grid = make_uniform_grid(8, 0.0, 1.0)
         masses = []
@@ -626,15 +642,70 @@ class TestInteriorPoint:
     def test_falling_barrier_is_not_a_stall(self):
         # steps 2 to 4 improve neither bound while <X, S> still halves; the
         # solve certifies in 12 steps
-        rng = np.random.default_rng(11)
-        grid = Grid(np.linspace(0.0, 1e3, 16), np.ones(16))
-        measures = []
-        for _ in range(2):
-            A = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
-            measures.append(MatrixMeasure(grid, A @ A.conj().transpose(0, 2, 1)))
-        cert = solve_dual(assemble_dual(*measures, 1e-6), DEFAULT)
+        pair = spread_pair(np.random.default_rng(11), 16, 2, 1e3)
+        cert = solve_dual(assemble_dual(*pair, 1e-6), DEFAULT)
         assert cert.iterations <= 15
         assert cert.gap <= 1e-6 * cert.upper_bound
+
+    @pytest.mark.parametrize("span, steps", [(1e-8, 10), (1e-12, 15)])
+    def test_short_span_certifies_in_few_steps(self, span, steps):
+        # the same draw over a short span at kappa = 1: the chain's constant
+        # mode, which only the balls' weights fix, is restored on every solve
+        # (without that, 22 steps at 1e-8, and 1e-12 spends a budget of 100)
+        pair = spread_pair(np.random.default_rng(11), 16, 2, span)
+        cert = solve_dual(assemble_dual(*pair, 1.0), SolverOptions(tolerance=1e-6,
+                                                                   max_iterations=100))
+        assert cert.iterations <= steps
+        assert cert.gap <= 1e-6 * cert.upper_bound
+
+    def test_span_and_kappa_scale_together(self):
+        # theta and kappa times 2^j scale every radius by 2^j and leave the
+        # objective alone: the same steps and bounds exactly 2^j times the
+        # unit ones, so a short span is a large kappa
+        certs = {j: solve_dual(assemble_dual(*spread_pair(np.random.default_rng(3), 16, 2,
+                                                          2.0 ** j), 1e3 * 2.0 ** j), DEFAULT)
+                 for j in (-40, 0, 40)}
+        for j, cert in certs.items():
+            assert (cert.iterations, cert.value, cert.upper_bound) == (
+                certs[0].iterations, certs[0].value * 2.0 ** j, certs[0].upper_bound * 2.0 ** j)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_kappa_far_above_the_span_certifies(self, tol):
+        # kappa = 1e9 on grids of span 1: the edges' weights (1 / g^2) dwarf the
+        # balls' (1 / kappa^2); without the constant mode's deflation 7 of the
+        # 12 seeds stop on the stall rule
+        options = SolverOptions(tolerance=tol, max_iterations=100)
+        for seed in range(12):
+            cert = solve_dual(assemble_dual(*recipe_pair(seed), 1e9), options)
+            assert cert.gap <= tol * cert.upper_bound, seed
+
+    @pytest.mark.parametrize("chain", ["dual", "transport"])
+    def test_edges_drop_out_of_the_summed_equations(self, chain):
+        # sum_k (M x)_k = sum_k (local x)_k for the Schur complement M and its
+        # diagonal blocks without the edges' weights: L^T D_e L sums to 0
+        from specdist.matrix_primal import _TransportDual
+
+        rng = np.random.default_rng(61)
+        K, n = 7, 2
+        if chain == "dual":
+            grid = random_grid(rng, K)
+            program = ball_program(assemble_dual(random_matrix_measure(rng, grid, n),
+                                                 random_matrix_measure(rng, grid, n), 1.0))
+            J = 2 * (2 * K - 1)
+        else:
+            program = _TransportDual(rng.normal(size=(K, 3 * n * n)), 0.7,
+                                     rng.uniform(0.1, 1.0, K - 1))
+            J = 8 * K - 2
+        A = rng.normal(size=(2, J, n, n)) + 1j * rng.normal(size=(2, J, n, n))
+        X, Q = (ipm._real(linalg.to_coords(P @ P.conj().swapaxes(-1, -2))) for P in A)
+        diag, upper, local = program.normal_blocks(X, Q)[:3]
+        x = rng.normal(size=(K,) + diag.shape[1:2] + (1,))
+        product = diag @ x
+        product[:-1] += upper[:-1] @ x[1:]
+        product[1:] += upper[:-1].mT @ x[:-1]
+        np.testing.assert_allclose(product.sum(axis=0), (local @ x).sum(axis=0), rtol=0,
+                                   atol=1e-12 * np.abs(diag).max() * np.abs(x).max())
+        assert not np.allclose(product, local @ x)
 
     @pytest.mark.parametrize("B", [1, 2, 5, 8, 13])
     def test_block_solver_matches_a_dense_solve(self, B):
@@ -673,7 +744,7 @@ class TestInteriorPoint:
                 M[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = upper[k]
                 M[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] = upper[k].T
         b = rng.normal(size=(B, m))
-        x = ipm._block_solver(diag, upper, coupled)(b)
+        x = ipm._block_solver(diag, upper, coupled=coupled)(b)
         np.testing.assert_allclose(x.ravel(), np.linalg.solve(M, b.ravel()), rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("path", ["cholesky", "floored"])
@@ -761,7 +832,7 @@ class TestInteriorPoint:
         program = ball_program(assemble_dual(random_matrix_measure(rng, grid, 2),
                                              random_matrix_measure(rng, grid, 2), 1.0))
         step = ipm._newton_step
-        monkeypatch.setattr(ipm, "_block_solver", lambda diag, upper: np.zeros_like)
+        monkeypatch.setattr(ipm, "_block_solver", lambda diag, upper, local: np.zeros_like)
         monkeypatch.setattr(ipm, "_newton_step",
                             lambda *args: (step(*args)[0], np.zeros_like(args[-1])))
         with pytest.raises(ConvergenceError, match="Newton step 2 broke down") as err:

@@ -19,7 +19,7 @@ from specdist.matrix_primal import _TransportDual, _plan_marginals
 from specdist.measures import Grid
 
 from conftest import (flow_cost, random_grid, random_matrix_measure, random_psd,
-                      random_scalar_measure, short_gap_pair)
+                      random_scalar_measure, recipe_pair, short_gap_pair)
 
 GAP_OPTS = SolverOptions(tolerance=1e-3)
 
@@ -191,10 +191,14 @@ class TestTransportDual:
         E = linalg.from_coords(np.eye(m))
         W = np.einsum("aij,kjl,blm,kmi->kab", E, linalg.from_coords(X), E,
                       linalg.from_coords(Q)).real
-        dense = np.array([dual.constraints_adjoint(np.einsum(
-            "kab,kb->ka", W, dual.constraints(e.reshape(K, -1)))).ravel()
-            for e in np.eye(3 * m * K)]).T
-        diag, upper, coupled = dual.normal_blocks(ipm._real(X), ipm._real(Q))
+
+        def schur(W):
+            return np.array([dual.constraints_adjoint(np.einsum(
+                "kab,kb->ka", W, dual.constraints(e.reshape(K, -1)))).ravel()
+                for e in np.eye(3 * m * K)]).T
+
+        dense = schur(W)
+        diag, upper, local, coupled = dual.normal_blocks(ipm._real(X), ipm._real(Q))
         assembled = np.zeros_like(dense)
         b = 3 * m
         for k in range(K):
@@ -203,6 +207,15 @@ class TestTransportDual:
                 assembled[k * b:(k + 1) * b, (k + 1) * b:(k + 2) * b] = upper[k]
                 assembled[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = upper[k].T
         np.testing.assert_allclose(assembled, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+        # local: the same complement without the edges' weights (both signs),
+        # block diagonal
+        half = 3 * K - 1
+        W[2 * K:half] = W[half + 2 * K:2 * half] = 0.0
+        without_edges = np.zeros_like(dense)
+        for k in range(K):
+            without_edges[k * b:(k + 1) * b, k * b:(k + 1) * b] = local[k]
+        np.testing.assert_allclose(without_edges, schur(W), rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
         # only F (the first n^2 coordinates of each point) couples points
         assert coupled == m and not upper[:, coupled:].any() and not upper[:, :, coupled:].any()
 
@@ -261,6 +274,14 @@ class TestDualityGap:
         report = duality_gap(mu0, mu1, 1.0, GAP_OPTS)
         assert report.relative_gap <= 1e-3
         assert report.gap >= -1e-8
+
+    def test_kappa_far_above_the_span_certifies(self):
+        # kappa = 1e8 on grids of span 1: the transport primal's F has the
+        # chain's constant mode too (without its deflation 9 of 12 seeds fail)
+        options = SolverOptions(tolerance=1e-6, max_iterations=100)
+        for seed in range(12):
+            report = duality_gap(*recipe_pair(seed), 1e8, options)
+            assert 0.0 <= report.relative_gap <= 1e-6, seed
 
     def test_random_instances_weak_duality(self, rng):
         for _ in range(12):
